@@ -25,7 +25,6 @@ class KMeansConfig:
     tol: float = 1e-6
     init: str = "kmeanspp"
     seed: int = 0
-    empty_cluster_policy: str = "respawn-farthest"
 
     def __post_init__(self):
         if self.k < 1:
@@ -36,8 +35,6 @@ class KMeansConfig:
             raise ValidationError("tol must be >= 0")
         if self.init not in INIT_METHODS:
             raise ValidationError(f"init must be one of {INIT_METHODS}")
-        if self.empty_cluster_policy != "respawn-farthest":
-            raise ValidationError("only the respawn-farthest policy is supported")
 
 
 @dataclass
@@ -60,11 +57,32 @@ def _points(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
+# Both distance formulas in `assign` lie within (d + 2) unit roundoffs of
+# (|x| + |c|)^2 of the true squared distance, in any summation order
+# (Higham, "Accuracy and Stability of Numerical Algorithms", section 3.1).
+# So the two disagree by at most twice that for any one centroid, and the
+# screen keeps every centroid within four times that of the row minimum,
+# doubled again for rounding in the bound itself.
+_ROUNDING_SLACK = 8 * np.finfo(np.float64).eps / 2
+_SUBNORMAL_SLACK = 8 * np.nextafter(0.0, 1.0)
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what} contain NaN or infinite values")
+
+
 def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     """Map each row to its nearest centroid (squared Euclidean distance).
 
     `centroids` holds one centroid per column. Ties break toward the
     lowest centroid index.
+
+    Each block of rows is screened with one matrix product through
+    |x|^2 - 2 x.c + |c|^2. The few centroids whose screened distance lies
+    within a rounding-error bound of the row minimum are rescored as
+    sum((x - c)^2), and the winner is chosen on those values, so the result
+    equals an exhaustive scan with that formula.
     """
     x = _points(data)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -72,12 +90,33 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
         raise DimensionMismatchError(
             f"centroids of shape {centroids.shape} do not match dimension {x.shape[1]}"
         )
-    points_t = centroids.T  # (k, d)
+    _require_finite(x, "points")
+    _require_finite(centroids, "centroids")
+    points_t = np.ascontiguousarray(centroids.T)  # (k, d)
+    k, d = points_t.shape
+    # Norms of huge rows may overflow where their differences do not; such
+    # rows get a non-finite bound and are rescored in full, so the screen
+    # stays silent about it.
+    quiet = dict(over="ignore", invalid="ignore")
+    with np.errstate(**quiet):
+        c_sq = np.einsum("kd,kd->k", points_t, points_t)
+        c_norm = np.sqrt(c_sq.max())
 
     def chunk(a, b):
-        diff = x[a:b, None, :] - points_t[None, :, :]
-        d2 = np.einsum("ikd,ikd->ik", diff, diff)
-        return np.argmin(d2, axis=1)
+        rows = x[a:b]
+        with np.errstate(**quiet):
+            x_sq = np.einsum("id,id->i", rows, rows)
+            screened = x_sq[:, None] - 2.0 * (rows @ points_t.T) + c_sq[None, :]
+            slack = (d + 4) * (_ROUNDING_SLACK * (np.sqrt(x_sq) + c_norm) ** 2 + _SUBNORMAL_SLACK)
+            limit = screened.min(axis=1) + slack
+        near = screened <= limit[:, None]
+        near[~np.isfinite(limit)] = True
+        r, j = np.divmod(np.flatnonzero(near), k)
+        diff = rows[r] - points_t[j]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        starts = np.searchsorted(r, np.arange(b - a))
+        best = np.minimum.reduceat(d2, starts)
+        return np.minimum.reduceat(np.where(d2 == best[r], j, k), starts)
 
     parts = map_row_chunks(chunk, x.shape[0], threads)
     return np.concatenate(parts).astype(np.int64)
@@ -164,6 +203,7 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
     """
     x = _points(data)
     n, d = x.shape
+    _require_finite(x, "points")
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds the number of points {n}")
 

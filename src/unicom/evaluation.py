@@ -45,20 +45,49 @@ def _require_labels(embeddings: EmbeddingSet, who: str) -> np.ndarray:
     return embeddings.labels
 
 
-def _neighbor_ranking(embeddings: EmbeddingSet, threads: int = 1) -> np.ndarray:
-    """All-pairs neighbor ordering by cosine, self excluded.
+def _top_k(sims: np.ndarray, depth: int) -> np.ndarray:
+    """Column indices of each row's `depth` largest entries, ordered.
 
-    Row q lists every other index sorted by decreasing similarity to q;
-    ties break toward the lower index.
+    Equals the first `depth` columns of a stable argsort of `-sims`: higher
+    similarity first, ties toward the lower index. Only the entries at or
+    above each row's depth-th largest value are sorted, every entry tied
+    with it included, so a tie at the cut still resolves by index.
     """
+    m, n = sims.shape
+    cut = np.partition(sims, n - depth, axis=1)[:, n - depth]
+    rows, cols = np.divmod(np.flatnonzero(sims >= cut[:, None]), n)
+    order = np.lexsort((cols, -sims[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(m))
+    return cols[order][starts[:, None] + np.arange(depth)]
+
+
+def _recall_at(embeddings: EmbeddingSet, ks, threads: int = 1) -> dict[int, float]:
+    """Recall@K for each K in `ks` from one top-max(K) neighbor ranking.
+
+    Every item queries all others by cosine, self excluded. Inputs are
+    validated before any ranking: every K >= 1, and every class needs at
+    least two members to be a query.
+    """
+    labels = _require_labels(embeddings, "recall")
+    ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 1:
+        raise ValidationError("every K must be >= 1")
+    counts = np.bincount(labels)
+    present = np.flatnonzero(counts > 0)
+    if np.any(counts[present] < 2):
+        bad = int(present[np.argmin(counts[present])])
+        raise ValidationError(f"class {bad} has a single member and cannot be a query")
     v = unit_rows(embeddings.vectors.astype(np.float64))
+    depth = min(ks[-1], v.shape[0] - 1)
 
     def chunk(a, b):
         sims = v[a:b] @ v.T
         sims[np.arange(b - a), np.arange(a, b)] = -np.inf
-        return np.argsort(-sims, axis=1, kind="stable")[:, :-1]
+        same = labels[_top_k(sims, depth)] == labels[a:b, None]
+        return [int(same[:, :k].any(axis=1).sum()) for k in ks]
 
-    return np.concatenate(map_row_chunks(chunk, v.shape[0], threads))
+    hits = np.sum(map_row_chunks(chunk, v.shape[0], threads), axis=0)
+    return {k: float(int(h) / embeddings.count) for k, h in zip(ks, hits)}
 
 
 def recall_at_k(embeddings: EmbeddingSet, k: int, threads: int = 1) -> float:
@@ -67,17 +96,7 @@ def recall_at_k(embeddings: EmbeddingSet, k: int, threads: int = 1) -> float:
     Every item acts as a query against all others, so every class must
     have at least two members.
     """
-    labels = _require_labels(embeddings, "recall_at_k")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    counts = np.bincount(labels)
-    present = np.flatnonzero(counts > 0)
-    if np.any(counts[present] < 2):
-        bad = int(present[np.argmin(counts[present])])
-        raise ValidationError(f"class {bad} has a single member and cannot be a query")
-    ranking = _neighbor_ranking(embeddings, threads)
-    hits = (labels[ranking[:, :k]] == labels[:, None]).any(axis=1)
-    return float(int(hits.sum()) / embeddings.count)
+    return _recall_at(embeddings, [k], threads)[int(k)]
 
 
 def retrieval_report(
@@ -87,16 +106,10 @@ def retrieval_report(
     config: dict | None = None,
 ) -> RetrievalReport:
     """Recall@K for several K from a single neighbor ranking."""
-    labels = _require_labels(embeddings, "retrieval_report")
-    ranking = _neighbor_ranking(embeddings, threads)
-    recall = {}
-    for k in sorted(set(int(k) for k in ks)):
-        if k < 1:
-            raise ValidationError("every K must be >= 1")
-        hits = (labels[ranking[:, :k]] == labels[:, None]).any(axis=1)
-        recall[k] = float(int(hits.sum()) / embeddings.count)
     return RetrievalReport(
-        recall_at=recall, dims_used=embeddings.dim, config=dict(config or {})
+        recall_at=_recall_at(embeddings, ks, threads),
+        dims_used=embeddings.dim,
+        config=dict(config or {}),
     )
 
 
@@ -114,28 +127,17 @@ def map_at_100(queries: EmbeddingSet, gallery: EmbeddingSet, threads: int = 1) -
     qv = unit_rows(queries.vectors.astype(np.float64))
     gv = unit_rows(gallery.vectors.astype(np.float64))
     cut = min(100, gallery.count)
+    tops = np.concatenate(
+        map_row_chunks(lambda a, b: _top_k(qv[a:b] @ gv.T, cut), queries.count, threads)
+    )
+    relevant = np.bincount(g_labels, minlength=int(q_labels.max()) + 1)[q_labels]
 
-    def chunk(a, b):
-        sims = qv[a:b] @ gv.T
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :cut]
-        return order
-
-    tops = np.concatenate(map_row_chunks(chunk, queries.count, threads))
-    totals = np.bincount(g_labels, minlength=int(q_labels.max()) + 1)
-
-    aps = []
-    for q in range(queries.count):
-        relevant_total = int(totals[q_labels[q]])
-        if relevant_total == 0:
-            continue
-        rel = g_labels[tops[q]] == q_labels[q]
-        hits = 0
-        terms = []
-        for i, r in enumerate(rel, start=1):
-            if r:
-                hits += 1
-                terms.append(hits / i)
-        aps.append(math.fsum(terms) / min(relevant_total, 100))
+    rel = g_labels[tops] == q_labels[:, None]
+    precision = np.cumsum(rel, axis=1) / np.arange(1, cut + 1)
+    aps = [
+        math.fsum(precision[q, rel[q]]) / min(int(relevant[q]), 100)
+        for q in np.flatnonzero(relevant)
+    ]
     if not aps:
         raise ValidationError("no query has a relevant gallery item")
     return math.fsum(aps) / len(aps)

@@ -112,6 +112,8 @@ def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed
     k = int(labels.max()) + 1 if num_classes is None else int(num_classes)
     if k < 2:
         raise ValidationError("at least two classes are required")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValidationError(f"labels must lie in [0, {k})")
     sums = np.zeros((k, x.shape[1]))
     np.add.at(sums, labels, x)
     counts = np.bincount(labels, minlength=k)

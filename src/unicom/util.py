@@ -1,4 +1,4 @@
-"""Small shared helpers: ratio rounding, row normalization, thread pools."""
+"""Small shared helpers: ratio rounding, row normalization, row blocks."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -9,6 +9,10 @@ from .errors import DegenerateVectorError, ValidationError
 
 THREADS_ENV_VAR = "UNICOM_THREADS"
 
+# Rows per block in map_row_chunks. Kernels hold O(BLOCK_ROWS * width)
+# scratch per block, whatever the row count or the thread count.
+BLOCK_ROWS = 512
+
 
 def ratio_count(total: int, ratio: float) -> int:
     """Number of items selected by a fractional ratio, round-to-nearest."""
@@ -16,11 +20,11 @@ def ratio_count(total: int, ratio: float) -> int:
 
 
 def unit_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """L2-normalize each row, raising if any row has norm below `eps`."""
+    """L2-normalize each row, raising if any norm is below `eps` or not finite."""
     norms = np.linalg.norm(x, axis=1)
-    if np.any(norms < eps):
-        bad = int(np.argmin(norms))
-        raise DegenerateVectorError(f"row {bad} has norm {norms[bad]:.3e}")
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms >= eps)))
+    if bad.size:
+        raise DegenerateVectorError(f"row {bad[0]} has norm {norms[bad[0]]:.3e}")
     return x / norms[:, None]
 
 
@@ -36,18 +40,15 @@ def resolve_threads(requested: int | None) -> int:
 
 
 def map_row_chunks(fn, n_items: int, threads: int = 1) -> list:
-    """Apply fn(start, stop) over contiguous chunks of [0, n_items).
+    """Apply fn(start, stop) over blocks of BLOCK_ROWS rows of [0, n_items).
 
-    Results are returned in chunk order, so any concatenation performed by
-    the caller is bitwise independent of the number of worker threads used
-    to evaluate the chunks.
+    Block boundaries do not depend on `threads`: worker threads take whole
+    blocks, so every block is computed by the same calls on the same
+    operands whatever the thread count. Results come back in block order.
     """
-    threads = max(1, int(threads))
-    if threads == 1 or n_items <= 1:
-        return [fn(0, n_items)]
-    n_chunks = min(threads, n_items)
-    bounds = np.linspace(0, n_items, n_chunks + 1, dtype=int)
-    spans = [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, a, b) for a, b in spans]
-        return [f.result() for f in futures]
+    spans = [(a, min(a + BLOCK_ROWS, n_items)) for a in range(0, max(n_items, 1), BLOCK_ROWS)]
+    workers = min(max(1, int(threads)), len(spans))
+    if workers <= 1:
+        return [fn(a, b) for a, b in spans]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda span: fn(*span), spans))

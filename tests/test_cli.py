@@ -171,6 +171,15 @@ class TestEvalCommand:
         ])
         assert rc == 2
 
+    def test_singleton_class_is_usage_error(self, tmp_path):
+        s = EmbeddingSet(np.eye(3, dtype=np.float32), list("abc"), [0, 0, 1])
+        save_embeddings(s, tmp_path / "s.uceb")
+        rc = main([
+            "eval", "--input", str(tmp_path / "s.uceb"), "--metric", "recall",
+            "--out", str(tmp_path / "e"),
+        ])
+        assert rc == 2
+
 
 class TestGradcheckCommand:
     def test_passes_and_writes_report(self, tmp_path, capsys):

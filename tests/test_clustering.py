@@ -86,6 +86,18 @@ class TestAssign:
         with pytest.raises(DimensionMismatchError):
             assign(np.ones((2, 3)), np.ones((4, 2)))
 
+    def test_non_finite_points_rejected(self):
+        x = np.zeros((3, 2))
+        x[1, 0] = np.nan
+        with pytest.raises(ValidationError):
+            assign(x, np.ones((2, 2)))
+
+    def test_non_finite_centroids_rejected(self):
+        centroids = np.ones((2, 3))
+        centroids[0, 2] = np.inf
+        with pytest.raises(ValidationError):
+            assign(np.zeros((4, 2)), centroids)
+
 
 class TestObjective:
     def test_zero_when_points_sit_on_centroids(self):
@@ -199,6 +211,12 @@ class TestKMeansFit:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValidationError):
             kmeans_fit(np.ones((3, 2)), KMeansConfig(k=4))
+
+    def test_non_finite_points_rejected(self):
+        x = np.random.default_rng(15).standard_normal((10, 3))
+        x[4, 1] = np.nan
+        with pytest.raises(ValidationError):
+            kmeans_fit(x, KMeansConfig(k=2))
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValidationError):

@@ -16,6 +16,7 @@ from unicom import (
     retrieval_report,
     truncate_dims,
 )
+from unicom import evaluation
 from unicom.errors import DegenerateVectorError, ValidationError
 from unicom.util import unit_rows
 
@@ -111,6 +112,21 @@ class TestRecallAtK:
         s = EmbeddingSet(np.eye(3, dtype=np.float32), ["a", "b", "c"])
         with pytest.raises(ValidationError):
             recall_at_k(s, 1)
+
+    def test_report_rejects_singleton_class_query(self):
+        s = labeled_set(np.eye(3, dtype=np.float32), [0, 0, 1])
+        with pytest.raises(ValidationError):
+            retrieval_report(s, ks=(1,))
+
+    def test_report_checks_every_k_before_ranking(self, monkeypatch):
+        def no_ranking(*args, **kwargs):
+            raise AssertionError("ranking started before K was validated")
+
+        monkeypatch.setattr(evaluation, "map_row_chunks", no_ranking)
+        rng = np.random.default_rng(4)
+        s = random_labeled(rng, 12, 4, 3)
+        with pytest.raises(ValidationError):
+            retrieval_report(s, ks=(1, 0))
 
     def test_report_recalls_are_monotone(self):
         rng = np.random.default_rng(4)

@@ -85,6 +85,12 @@ class TestInitPrototypes:
         assert protos.classes == 4
         np.testing.assert_allclose(np.linalg.norm(protos.columns, axis=0), 1.0, atol=1e-9)
 
+    def test_labels_outside_class_range_rejected(self):
+        x = unit_rows(np.random.default_rng(5).standard_normal((4, 3)))
+        for labels in ([0, 1, 2, 3], [0, 1, -1, 2]):
+            with pytest.raises(ValidationError):
+                prototypes_from_labels(x, labels, num_classes=3)
+
 
 def _small_problem(seed=0, k=8, d=10, b=6):
     rng = np.random.default_rng(seed)
