@@ -13,7 +13,7 @@ import numpy as np
 from .data import EmbeddingSet
 from .errors import DimensionMismatchError, ValidationError
 from .rng import stream_rng
-from .util import map_row_chunks
+from .util import label_sums, map_row_chunks
 
 INIT_METHODS = ("kmeanspp", "random-points")
 
@@ -202,7 +202,7 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
     cluster is empty in the returned result.
     """
     x = _points(data)
-    n, d = x.shape
+    n = x.shape[0]
     _require_finite(x, "points")
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds the number of points {n}")
@@ -223,9 +223,7 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
             break
         # Update step: per-cluster ordered accumulation by point index,
         # so results are identical for any thread count.
-        sums = np.zeros((cfg.k, d))
-        np.add.at(sums, assignments, x)
-        centroids_rows = sums / counts[:, None]
+        centroids_rows = label_sums(x, assignments, cfg.k) / counts[:, None]
 
     return ClusterResult(
         centroids=centroids_rows.T.copy(),

@@ -41,8 +41,9 @@ class EmbeddingSet:
     """A fixed collection of row embeddings with unique string ids.
 
     Vectors are held as float32, matching their on-disk representation, so
-    a save/load round trip is bitwise exact. Labels are optional int64
-    class indices; gaps in the label range are allowed.
+    a save/load round trip is bitwise exact; every value must be finite.
+    Labels are optional int64 class indices; gaps in the label range are
+    allowed.
     """
 
     def __init__(self, vectors: np.ndarray, ids: list[str], labels=None):
@@ -54,6 +55,9 @@ class EmbeddingSet:
             raise ValidationError("empty embedding sets are not allowed")
         if d == 0:
             raise ValidationError("embedding dimension must be positive")
+        if not np.isfinite(vectors).all():
+            bad = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
+            raise ValidationError(f"row {bad} holds a NaN or infinite value")
         ids = [str(i) for i in ids]
         if len(ids) != n:
             raise DimensionMismatchError(f"{len(ids)} ids for {n} rows")

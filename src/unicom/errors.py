@@ -41,5 +41,9 @@ class DegenerateVectorError(UnicomError):
     """A vector that must be normalized has (near-)zero norm."""
 
 
+class NonFiniteLossError(UnicomError):
+    """A training step produced a NaN or infinite loss."""
+
+
 class ValidationError(UnicomError):
     """A configuration value or precondition is out of range."""

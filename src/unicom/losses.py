@@ -52,7 +52,13 @@ class LossConfig:
 
 
 class PrototypeMatrix:
-    """One unit-norm column per class; always at least two classes."""
+    """One unit-norm prototype per class; always at least two classes.
+
+    Built from a (d, k) matrix with one column per class. The prototypes
+    are stored class-major, as contiguous (k, d) `rows`, so a step that
+    touches a few classes reads and writes whole rows; `columns` is a
+    read-only (d, k) view of the same memory.
+    """
 
     def __init__(self, columns: np.ndarray):
         columns = np.array(columns, dtype=np.float64)
@@ -64,15 +70,22 @@ class PrototypeMatrix:
         if np.any(norms < _NORM_EPS):
             bad = int(np.argmin(norms))
             raise DegenerateVectorError(f"prototype column {bad} has zero norm")
-        self.columns = columns / norms[None, :]
+        self.rows = np.ascontiguousarray(columns.T)
+        self.rows /= norms[:, None]
+
+    @property
+    def columns(self) -> np.ndarray:
+        view = self.rows.T
+        view.flags.writeable = False
+        return view
 
     @property
     def dim(self) -> int:
-        return self.columns.shape[0]
+        return self.rows.shape[1]
 
     @property
     def classes(self) -> int:
-        return self.columns.shape[1]
+        return self.rows.shape[0]
 
 
 @dataclass
@@ -99,6 +112,10 @@ def sample_classes(batch_labels, num_classes: int, r1: float, seed: int, step: i
     distinct positives so every label in the batch is always scored.
     Negatives are drawn uniformly without replacement; the draw is fully
     determined by (seed, step). Returns sorted distinct indices.
+
+    The draw picks positions among the k - |P| non-positive classes and
+    maps position j to the j-th of them, so it costs O(|S| + |P| log |P|)
+    and not O(k). When every class is selected nothing is drawn.
     """
     labels = np.asarray(batch_labels, dtype=np.int64)
     if labels.size == 0:
@@ -113,9 +130,12 @@ def sample_classes(batch_labels, num_classes: int, r1: float, seed: int, step: i
     need = target - positives.size
     if need == 0:
         return positives
-    negatives = np.setdiff1d(np.arange(num_classes, dtype=np.int64), positives)
+    if target == num_classes:
+        return np.arange(num_classes, dtype=np.int64)
     rng = stream_rng(seed, "class-sample", step)
-    sampled = rng.choice(negatives, size=need, replace=False)
+    picked = rng.choice(num_classes - positives.size, size=need, replace=False)
+    # positives[i] - i non-positive classes lie below positives[i].
+    sampled = picked + np.searchsorted(positives - np.arange(positives.size), picked, "right")
     return np.sort(np.concatenate([positives, sampled]))
 
 
@@ -123,13 +143,16 @@ def sample_feature_mask(dim: int, r2: float, seed: int, step: int) -> np.ndarray
     """Boolean mask with exactly round(dim * r2) coordinates enabled.
 
     Coordinates are chosen uniformly without replacement and the mask is
-    shared by every sample of the step's batch.
+    shared by every sample of the step's batch. A mask that keeps every
+    coordinate is returned without a draw.
     """
     if not 0.0 < r2 <= 1.0:
         raise ValidationError("r2 must lie in (0, 1]")
     keep = ratio_count(dim, r2)
     if keep < 1:
         raise ValidationError(f"round({dim} * {r2}) selects no coordinates")
+    if keep == dim:
+        return np.ones(dim, dtype=bool)
     mask = np.zeros(dim, dtype=bool)
     rng = stream_rng(seed, "feature-mask", step)
     mask[rng.choice(dim, size=keep, replace=False)] = True
@@ -146,7 +169,7 @@ def make_selection_plan(batch_labels, num_classes: int, dim: int, cfg: LossConfi
 
 def _masked_unit(vectors: np.ndarray, what: str):
     """Norms and unit versions of already-masked vectors (rows)."""
-    norms = np.linalg.norm(vectors, axis=1)
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))
     if np.any(norms < _NORM_EPS):
         raise DegenerateVectorError(f"zero-norm masked {what} sub-vector")
     return norms, vectors / norms[:, None]
@@ -176,7 +199,7 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
 
     u = e * mask  # masked embeddings, exact zeros off-mask
     u_norm, u_hat = _masked_unit(u, "embedding")
-    v = (prototypes.columns[:, subset] * mask[:, None]).T  # (|S|, d)
+    v = prototypes.rows[subset] * mask  # (|S|, d)
     v_norm, v_hat = _masked_unit(v, "prototype")
 
     cos = u_hat @ v_hat.T  # (b, |S|)

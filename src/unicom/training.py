@@ -2,11 +2,13 @@
 
 The encoder is a single linear projection followed by row normalization,
 which keeps the one nontrivial piece of encoder-side calculus (the
-normalization Jacobian) while staying desk-scale. Prototype columns are
+normalization Jacobian) while staying desk-scale. Prototypes are
 optimized sparsely: only the classes selected by the step's plan, and
 within them only the coordinates enabled by the step's feature mask, are
-touched. Per-column optimizer state keeps sparse Adam moments consistent,
-and untouched columns (and untouched coordinates of touched columns) stay
+touched. Prototypes and their optimizer state are stored as (k, d) class
+rows, so a step gathers the selected rows once and writes them back once.
+Per-class optimizer state keeps sparse Adam moments consistent, and
+untouched classes (and untouched coordinates of touched classes) stay
 bit-identical across a step.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .clustering import ClusterResult
 from .data import EmbeddingSet, load_embeddings, save_embeddings
-from .errors import DegenerateVectorError, DimensionMismatchError, ValidationError
+from .errors import DegenerateVectorError, DimensionMismatchError, NonFiniteLossError, ValidationError
 from .losses import (
     LossConfig,
     LossOutput,
@@ -29,6 +31,7 @@ from .losses import (
     selection_backward,
 )
 from .rng import stream_rng
+from .util import label_sums
 
 OPTIMIZERS = ("adamw", "sgd-momentum")
 
@@ -114,8 +117,7 @@ def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed
         raise ValidationError("at least two classes are required")
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"labels must lie in [0, {k})")
-    sums = np.zeros((k, x.shape[1]))
-    np.add.at(sums, labels, x)
+    sums = label_sums(x, labels, k)
     counts = np.bincount(labels, minlength=k)
     empty = counts == 0
     if empty.any():
@@ -172,17 +174,17 @@ class Trainer:
         self.cfg = cfg
         self.step_count = 0
         w = encoder.weights
-        cols = prototypes.columns
+        rows = prototypes.rows
         if cfg.optimizer == "adamw":
             self._enc_state = {"m": np.zeros_like(w), "v": np.zeros_like(w), "t": 0}
             self._proto_state = {
-                "m": np.zeros_like(cols),
-                "v": np.zeros_like(cols),
+                "m": np.zeros_like(rows),
+                "v": np.zeros_like(rows),
                 "t": np.zeros(prototypes.classes, dtype=np.int64),
             }
         else:
             self._enc_state = {"vel": np.zeros_like(w)}
-            self._proto_state = {"vel": np.zeros_like(cols)}
+            self._proto_state = {"vel": np.zeros_like(rows)}
 
     def _backward(self, inputs, labels, plan):
         """Loss backward plus the chain into the encoder weights."""
@@ -218,37 +220,48 @@ class Trainer:
             w -= cfg.lr * st["vel"]
 
     def _update_prototypes(self, grad_sub, subset, mask):
-        """Sparse update touching only (mask x subset) entries.
+        """Sparse update touching only (subset x mask) entries.
 
         After the optimizer step the masked sub-vector of each updated
-        column is rescaled so the full column returns to unit norm; the
+        row is rescaled so the full row returns to unit norm; the
         untouched coordinates keep their exact bits.
         """
         cfg, st = self.cfg, self._proto_state
-        cols = self.prototypes.columns
         mask_idx = np.flatnonzero(mask)
-        ix = np.ix_(mask_idx, subset)
-        sub = cols[ix]
-        g = grad_sub[:, mask_idx].T  # (|mask|, |S|)
+        # Flat positions of the (subset x mask) entries in a (k, d) array.
+        flat = (subset[:, None] * self.prototypes.dim + mask_idx).ravel()
+
+        def update(array, fn):
+            """Gather the entries of a contiguous (k, d) array once as an
+            (|S|, |mask|) block, write fn(block) back once and return it."""
+            entries = array.reshape(-1)
+            new = fn(entries[flat].reshape(subset.size, mask_idx.size))
+            entries[flat] = new.ravel()
+            return new
+
+        g = np.take(grad_sub, mask_idx, axis=1)  # C-ordered, like the gathered blocks
         if cfg.optimizer == "adamw":
             st["t"][subset] += 1
-            t = st["t"][subset]
-            st["m"][ix] = _ADAM_BETA1 * st["m"][ix] + (1 - _ADAM_BETA1) * g
-            st["v"][ix] = _ADAM_BETA2 * st["v"][ix] + (1 - _ADAM_BETA2) * g * g
-            mh = st["m"][ix] / (1 - _ADAM_BETA1**t)[None, :]
-            vh = st["v"][ix] / (1 - _ADAM_BETA2**t)[None, :]
-            sub = sub - cfg.lr * mh / (np.sqrt(vh) + _ADAM_EPS)
+            t = st["t"][subset][:, None]
+            m = update(st["m"], lambda old: _ADAM_BETA1 * old + (1 - _ADAM_BETA1) * g)
+            v = update(st["v"], lambda old: _ADAM_BETA2 * old + (1 - _ADAM_BETA2) * g * g)
+            mh = m / (1 - _ADAM_BETA1**t)
+            vh = v / (1 - _ADAM_BETA2**t)
+            delta = cfg.lr * mh / (np.sqrt(vh) + _ADAM_EPS)
         else:
-            st["vel"][ix] = _SGD_MOMENTUM * st["vel"][ix] + g
-            sub = sub - cfg.lr * st["vel"][ix]
+            vel = update(st["vel"], lambda old: _SGD_MOMENTUM * old + g)
+            delta = cfg.lr * vel
 
-        off_sq = 1.0 - np.sum(cols[ix] ** 2, axis=0)
-        off_sq = np.clip(off_sq, 0.0, None)
-        target = np.sqrt(1.0 - off_sq)
-        cur = np.linalg.norm(sub, axis=0)
-        if np.any(cur < 1e-12) or np.any(target < 1e-12):
-            raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
-        cols[ix] = sub * (target / cur)[None, :]
+        def rescaled(old):
+            sub = old - delta
+            off_sq = np.clip(1.0 - _coordinate_sq_sums(old), 0.0, None)
+            target = np.sqrt(1.0 - off_sq)
+            cur = np.sqrt(_coordinate_sq_sums(sub))
+            if np.any(cur < 1e-12) or np.any(target < 1e-12):
+                raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
+            return sub * (target / cur)[:, None]
+
+        update(self.prototypes.rows, rescaled)
 
     def step(self, inputs, labels, plan: SelectionPlan | None = None) -> float:
         """One forward/backward plus one optimizer update. Returns the loss."""
@@ -259,11 +272,21 @@ class Trainer:
                 self.cfg.loss, self.step_count,
             )
         out, grad_enc, plan = self._backward(inputs, labels, plan)
+        if not np.isfinite(out.loss):
+            raise NonFiniteLossError(f"step {self.step_count} produced a non-finite loss {out.loss}")
         if self.cfg.lr > 0:
             self._update_encoder(grad_enc)
             self._update_prototypes(out.grad_prototypes, plan.class_subset, plan.feature_mask)
         self.step_count += 1
         return out.loss
+
+
+def _coordinate_sq_sums(block):
+    """Per-row sum of squares of a (rows, coords) block, added one
+    coordinate at a time in index order, as over the coordinates of a
+    (coords, rows) block. A sum along the contiguous axis of the block
+    itself would be pairwise and round differently."""
+    return np.add.reduce(np.square(block.T, order="C"), axis=0)
 
 
 def train(
@@ -309,7 +332,7 @@ def save_checkpoint(out_dir, result: TrainResult, cfg: TrainConfig) -> None:
         EmbeddingSet(enc, [f"enc-row-{i:06d}" for i in range(enc.shape[0])]),
         out / "encoder.uceb",
     )
-    protos = result.prototypes.columns.T.astype(np.float32)
+    protos = result.prototypes.rows.astype(np.float32)
     save_embeddings(
         EmbeddingSet(protos, [f"class-{i:06d}" for i in range(protos.shape[0])]),
         out / "prototypes.uceb",

@@ -1,4 +1,5 @@
-"""Small shared helpers: ratio rounding, row normalization, row blocks."""
+"""Small shared helpers: ratio rounding, row normalization, per-label sums,
+row blocks."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +27,18 @@ def unit_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     if bad.size:
         raise DegenerateVectorError(f"row {bad[0]} has norm {norms[bad[0]]:.3e}")
     return x / norms[:, None]
+
+
+def label_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) sums of the float64 rows of x grouped by label in [0, k).
+
+    One bincount over every entry: entry (i, j) goes to bin labels[i]*d + j,
+    so each label's rows are added in row order starting from 0.0, exactly
+    as np.add.at(zeros, labels, x) adds them.
+    """
+    d = x.shape[1]
+    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=x.ravel(), minlength=k * d).reshape(k, d)
 
 
 def resolve_threads(requested: int | None) -> int:

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line pipeline (in-process)."""
 
 import json
+import struct
 
 import numpy as np
 
-from unicom import EmbeddingSet, load_embeddings, save_embeddings
+from unicom import EmbeddingSet, cli, load_embeddings, save_embeddings
 from unicom.cli import main
+from unicom.errors import NonFiniteLossError
 from unicom.util import unit_rows
 
 
@@ -114,6 +116,31 @@ class TestTrainCommand:
             "--out", str(tmp_path / "t"),
         ])
         assert rc == 2
+
+
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        main(synth_args(data_dir))
+        path = data_dir / "data.uceb"
+        blob = bytearray(path.read_bytes())
+        blob[24:28] = struct.pack("<f", float("nan"))  # first vector coordinate
+        path.write_bytes(bytes(blob))
+        rc = main(["train", "--input", str(path), "--out", str(tmp_path / "t")])
+        assert rc == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "prototypes.uceb").exists()
+
+    def test_non_finite_loss_exits_one(self, tmp_path, monkeypatch, capsys):
+        data_dir = tmp_path / "d"
+        main(synth_args(data_dir))
+
+        def diverged(*args, **kwargs):
+            raise NonFiniteLossError("step 0 produced a non-finite loss nan")
+
+        monkeypatch.setattr(cli, "train", diverged)
+        rc = main(["train", "--input", str(data_dir / "data.uceb"), "--out", str(tmp_path / "t")])
+        assert rc == 1
+        assert "non-finite loss" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -50,6 +50,13 @@ class TestEmbeddingSet:
         with pytest.raises(ValidationError):
             EmbeddingSet(np.ones((2, 3), dtype=np.float32), ["a", "b"], [-1, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        vectors = np.ones((3, 4), dtype=np.float32)
+        vectors[1, 2] = bad
+        with pytest.raises(ValidationError, match="row 1"):
+            EmbeddingSet(vectors, ["a", "b", "c"])
+
     def test_renormalized_rows_are_unit(self):
         rng = np.random.default_rng(0)
         s = _random_set(rng).renormalized()

@@ -1,9 +1,12 @@
-"""Property tests of the blocked kernels: nearest-centroid assignment,
-top-k neighbor ranking and mAP@100 against exhaustive references.
+"""Property tests of the blocked kernels (nearest-centroid assignment,
+top-k neighbor ranking and mAP@100) against exhaustive references, and of
+the class-major sparse prototype update, the class and feature samplers
+and the per-label sums against the column-major and O(k) code they
+replaced.
 
-Inputs are built to be full of exact ties, and row counts run below, at
-and across the row-block size, with one and three threads. Every check is
-bit-exact.
+Kernel inputs are built to be full of exact ties, and row counts run
+below, at and across the row-block size, with one and three threads.
+Every check is bit-exact.
 """
 
 import numpy as np
@@ -14,9 +17,25 @@ from hypothesis.extra import numpy as hnp
 
 from test_clustering import brute_force_assign
 from test_evaluation import brute_force_map100, brute_force_recall
-from unicom import EmbeddingSet, assign, map_at_100, recall_at_k, retrieval_report
+from unicom import (
+    EmbeddingSet,
+    LinearEncoder,
+    LossConfig,
+    PrototypeMatrix,
+    TrainConfig,
+    Trainer,
+    assign,
+    map_at_100,
+    recall_at_k,
+    retrieval_report,
+    sample_classes,
+    sample_feature_mask,
+)
+from unicom.errors import DegenerateVectorError
 from unicom.evaluation import _top_k
-from unicom.util import BLOCK_ROWS, unit_rows
+from unicom.rng import stream_rng
+from unicom.training import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, _SGD_MOMENTUM
+from unicom.util import BLOCK_ROWS, label_sums, ratio_count, unit_rows
 
 ROW_COUNTS = st.sampled_from([1, 2, 9, 40, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
 SEEDS = st.integers(0, 2**32 - 1)
@@ -130,3 +149,177 @@ def test_map_at_100_matches_oracle_on_tied_cosines(seed, q, g, classes):
     want = brute_force_map100(queries, gallery)
     for threads in (1, 3):
         assert map_at_100(queries, gallery, threads=threads) == want
+
+
+def column_major_update(cols, st_, lr, optimizer, grad_sub, subset, mask):
+    """The sparse prototype update on (d, k) columns and (d, k) optimizer
+    state, as it was before prototypes were stored class-major."""
+    mask_idx = np.flatnonzero(mask)
+    ix = np.ix_(mask_idx, subset)
+    sub = cols[ix]
+    g = grad_sub[:, mask_idx].T  # (|mask|, |S|)
+    if optimizer == "adamw":
+        st_["t"][subset] += 1
+        t = st_["t"][subset]
+        st_["m"][ix] = _ADAM_BETA1 * st_["m"][ix] + (1 - _ADAM_BETA1) * g
+        st_["v"][ix] = _ADAM_BETA2 * st_["v"][ix] + (1 - _ADAM_BETA2) * g * g
+        mh = st_["m"][ix] / (1 - _ADAM_BETA1**t)[None, :]
+        vh = st_["v"][ix] / (1 - _ADAM_BETA2**t)[None, :]
+        sub = sub - lr * mh / (np.sqrt(vh) + _ADAM_EPS)
+    else:
+        st_["vel"][ix] = _SGD_MOMENTUM * st_["vel"][ix] + g
+        sub = sub - lr * st_["vel"][ix]
+
+    off_sq = 1.0 - np.sum(cols[ix] ** 2, axis=0)
+    off_sq = np.clip(off_sq, 0.0, None)
+    target = np.sqrt(1.0 - off_sq)
+    cur = np.linalg.norm(sub, axis=0)
+    if np.any(cur < 1e-12) or np.any(target < 1e-12):
+        raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
+    cols[ix] = sub * (target / cur)[None, :]
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except DegenerateVectorError:
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, k=st.integers(2, 40), d=st.integers(1, 20),
+       optimizer=st.sampled_from(["adamw", "sgd-momentum"]),
+       r2=st.sampled_from([0.3, 0.5, 0.8, 1.0]), steps=st.integers(1, 4),
+       fortran=st.booleans())
+def test_class_major_update_matches_column_major(seed, k, d, optimizer, r2, steps, fortran):
+    rng = np.random.default_rng(seed)
+    init = rng.standard_normal((d, k))
+    # Label means arrive as a transposed (k, d) array; both layouts are
+    # normalized as given.
+    init = np.asfortranarray(init) if fortran else init
+    protos = PrototypeMatrix(init)
+    cols = np.array(init)
+    cols = cols / np.linalg.norm(cols, axis=0)[None, :]
+    assert protos.columns.tobytes() == cols.tobytes()
+
+    lr = 0.05
+    cfg = TrainConfig(optimizer=optimizer, lr=lr)
+    trainer = Trainer(LinearEncoder.identity(d), protos, cfg)
+    if optimizer == "adamw":
+        ref = {"m": np.zeros((d, k)), "v": np.zeros((d, k)), "t": np.zeros(k, dtype=np.int64)}
+    else:
+        ref = {"vel": np.zeros((d, k))}
+    for _ in range(steps):
+        subset = np.sort(rng.choice(k, size=rng.integers(1, k + 1), replace=False))
+        keep = max(1, ratio_count(d, r2))
+        mask = np.zeros(d, dtype=bool)
+        mask[rng.choice(d, size=keep, replace=False)] = True
+        grad = rng.standard_normal((subset.size, d)) * mask
+        before = {"rows": protos.rows.copy()}
+        before.update({n: a.copy() for n, a in trainer._proto_state.items() if n != "t"})
+
+        ref_raised = _raised(column_major_update, cols, ref, lr, optimizer, grad, subset, mask)
+        assert _raised(trainer._update_prototypes, grad, subset, mask) == ref_raised
+
+        assert protos.columns.tobytes() == cols.tobytes()
+        for name, array in ref.items():
+            got = trainer._proto_state[name]
+            assert (got if name == "t" else got.T).tobytes() == array.tobytes()
+        # Rows outside the subset and coordinates outside the mask keep
+        # their exact bits, in the prototypes and in every moment.
+        outside = np.setdiff1d(np.arange(k), subset)
+        after = {"rows": protos.rows}
+        after.update({n: a for n, a in trainer._proto_state.items() if n != "t"})
+        for name, array in after.items():
+            assert array[outside].tobytes() == before[name][outside].tobytes()
+            assert array[np.ix_(subset, ~mask)].tobytes() == before[name][np.ix_(subset, ~mask)].tobytes()
+        if ref_raised:
+            break
+
+
+def setdiff_sample_classes(labels, num_classes, r1, seed, step):
+    """The class sampler as it was: a uniform draw from the explicit
+    O(k) list of non-positive classes."""
+    positives = np.unique(np.asarray(labels, dtype=np.int64))
+    target = max(ratio_count(num_classes, r1), positives.size)
+    need = target - positives.size
+    if need == 0:
+        return positives
+    negatives = np.setdiff1d(np.arange(num_classes, dtype=np.int64), positives)
+    rng = stream_rng(seed, "class-sample", step)
+    sampled = rng.choice(negatives, size=need, replace=False)
+    return np.sort(np.concatenate([positives, sampled]))
+
+
+def drawn_feature_mask(dim, r2, seed, step):
+    """The feature mask as it was: always drawn, also when it keeps every
+    coordinate."""
+    mask = np.zeros(dim, dtype=bool)
+    rng = stream_rng(seed, "feature-mask", step)
+    mask[rng.choice(dim, size=ratio_count(dim, r2), replace=False)] = True
+    return mask
+
+
+# Beyond 10,000 classes numpy's choice switches from Floyd's algorithm to
+# a partial shuffle once the draw is large enough.
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, step=st.integers(0, 2**40),
+       k=st.one_of(st.integers(2, 60), st.sampled_from([1000, 10001, 12000])),
+       r1=st.sampled_from([1e-6, 0.02, 0.1, 0.5, 0.97, 1.0]),
+       batch=st.integers(1, 64), crowded=st.booleans())
+def test_sample_classes_matches_setdiff_sampler(seed, step, k, r1, batch, crowded):
+    rng = np.random.default_rng(seed)
+    # Crowded batches draw their labels from a few classes near the ends
+    # of the range, so positives cluster there.
+    pool = np.r_[0:3, k - 3:k] % k if crowded else np.arange(k)
+    labels = rng.choice(pool, size=batch)
+    got = sample_classes(labels, k, r1, seed, step)
+    want = setdiff_sample_classes(labels, k, r1, seed, step)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_sample_classes_edge_cases_match_setdiff_sampler():
+    # need == 0: the positives alone already reach the target.
+    labels = np.array([0, 3, 5, 5])
+    np.testing.assert_array_equal(sample_classes(labels, 10, 0.1, 1, 2), [0, 3, 5])
+    # r1 = 1 selects every class without a draw.
+    for k, labels in ((10, np.array([9])), (10, np.arange(10)), (2, np.array([1]))):
+        got = sample_classes(labels, k, 1.0, 4, 7)
+        np.testing.assert_array_equal(got, np.arange(k))
+        np.testing.assert_array_equal(got, setdiff_sample_classes(labels, k, 1.0, 4, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, step=st.integers(0, 2**40), dim=st.integers(1, 300),
+       r2=st.sampled_from([0.25, 0.5, 0.999, 1.0]))
+def test_sample_feature_mask_matches_drawn_mask(seed, step, dim, r2):
+    if ratio_count(dim, r2) < 1:
+        return
+    got = sample_feature_mask(dim, r2, seed, step)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, drawn_feature_mask(dim, r2, seed, step))
+
+
+SUM_VALUES = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0, 1 / 3, 1e16, -1e16, 1e308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n=st.integers(0, 40), d=st.integers(1, 6), k=st.integers(1, 12),
+       palette=st.booleans(), data=st.data())
+def test_label_sums_match_add_at(seed, n, d, k, palette, data):
+    rng = np.random.default_rng(seed)
+    if palette:
+        # Signed zeros, subnormals, cancellation and overflow to inf.
+        x = np.array(data.draw(st.lists(SUM_VALUES, min_size=n * d, max_size=n * d))).reshape(n, d)
+    else:
+        x = rng.standard_normal((n, d))
+    # Labels below k // 2 + 1 only, so the upper classes stay empty.
+    labels = rng.integers(0, k // 2 + 1, size=n)
+    want = np.zeros((k, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(want, labels, x)
+        got = label_sums(x, labels, k)
+    assert got.shape == (k, d)
+    assert got.tobytes() == want.tobytes()

@@ -20,7 +20,7 @@ from unicom import (
     synth_conflict_dataset,
     train,
 )
-from unicom.errors import DegenerateVectorError, ValidationError
+from unicom.errors import DegenerateVectorError, NonFiniteLossError, ValidationError
 from unicom.gradcheck import finite_difference, max_relative_error
 from unicom.rng import stream_rng
 from unicom.training import load_encoder, load_prototypes, save_checkpoint
@@ -126,6 +126,24 @@ class TestTrainStep:
         # and the selected block did move
         on = plan.feature_mask
         assert after[np.ix_(on, plan.class_subset)].tobytes() != before[np.ix_(on, plan.class_subset)].tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
+    def test_non_finite_loss_raises_before_any_update(self, optimizer):
+        x, labels, prototypes = _small_problem(seed=4)
+        cfg = TrainConfig(optimizer=optimizer, lr=0.01, loss=LossConfig(r1=0.5, r2=0.5, seed=1), seed=1)
+        trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
+        trainer.step(x, labels)
+        state = [trainer.encoder.weights.tobytes(), trainer.prototypes.rows.tobytes()]
+        state += [np.asarray(a).tobytes() for a in trainer._proto_state.values()]
+        state += [np.asarray(a).tobytes() for a in trainer._enc_state.values()]
+        x[2, 3] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError):
+            trainer.step(x, labels)
+        after = [trainer.encoder.weights.tobytes(), trainer.prototypes.rows.tobytes()]
+        after += [np.asarray(a).tobytes() for a in trainer._proto_state.values()]
+        after += [np.asarray(a).tobytes() for a in trainer._enc_state.values()]
+        assert after == state
+        assert trainer.step_count == 1
 
     def test_columns_stay_unit_after_sparse_update(self):
         x, labels, prototypes = _small_problem(seed=6)
