@@ -40,9 +40,7 @@ from .losses import (
     PrototypeMatrix,
     SelectionPlan,
     apply_feature_dropout,
-    dropout_backward,
-    dropout_forward,
-    full_softmax_loss,
+    full_plan,
     instance_nce_loss,
     make_selection_plan,
     sample_classes,
@@ -55,61 +53,7 @@ from .training import (
     TrainConfig,
     Trainer,
     TrainResult,
-    encode,
     init_prototypes,
     prototypes_from_labels,
     train,
 )
-
-__all__ = [
-    "AblationConfig",
-    "AblationRow",
-    "ClusterResult",
-    "EmbeddingSet",
-    "KMeansConfig",
-    "LinearEncoder",
-    "LossConfig",
-    "LossOutput",
-    "NceOutput",
-    "PcaModel",
-    "PrototypeMatrix",
-    "RetrievalReport",
-    "SelectionPlan",
-    "SyntheticSpec",
-    "TrainConfig",
-    "TrainResult",
-    "Trainer",
-    "apply_feature_dropout",
-    "assign",
-    "check_selection_gradients",
-    "dropout_backward",
-    "dropout_forward",
-    "encode",
-    "ensemble_features",
-    "finite_difference",
-    "full_softmax_loss",
-    "init_prototypes",
-    "instance_nce_loss",
-    "kmeans_fit",
-    "linear_probe",
-    "load_embeddings",
-    "make_selection_plan",
-    "map_at_100",
-    "max_relative_error",
-    "objective",
-    "pca_fit",
-    "pca_project",
-    "pca_reduce",
-    "prototypes_from_labels",
-    "recall_at_k",
-    "retrieval_report",
-    "run_ablation",
-    "sample_classes",
-    "sample_feature_mask",
-    "save_embeddings",
-    "selection_backward",
-    "selection_forward",
-    "synth_conflict_dataset",
-    "train",
-    "truncate_dims",
-]

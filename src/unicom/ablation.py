@@ -27,7 +27,6 @@ from .evaluation import recall_at_k, truncate_dims
 from .training import (
     LinearEncoder,
     TrainConfig,
-    encode,
     init_prototypes,
     prototypes_from_labels,
     train,
@@ -87,7 +86,7 @@ def run_single(cfg: AblationConfig, seed: int) -> dict[int, float]:
         prototypes = init_prototypes(clusters)
     if cfg.embed_dim is not None:
         encoder = LinearEncoder.orthonormal(data.dim, cfg.embed_dim, seed=seed)
-        embedded = encode(encoder, data.vectors.astype(np.float64))
+        embedded = encoder.encode(data.vectors.astype(np.float64))
         prototypes = prototypes_from_labels(embedded, data.labels, seed=seed)
 
     loss = replace(cfg.train.loss, seed=seed)

@@ -26,7 +26,7 @@ from .errors import (
     UnicomError,
     ValidationError,
 )
-from .evaluation import map_at_100, retrieval_report, truncate_dims
+from .evaluation import RetrievalReport, map_at_100, retrieval_report, truncate_dims
 from .gradcheck import check_selection_gradients
 from .losses import LossConfig
 from .training import (
@@ -76,6 +76,15 @@ def _train_config(args) -> TrainConfig:
         dropout_r3=args.dropout_r3,
         seed=args.seed,
     )
+
+
+def _number_list(text: str, convert, flag: str, skip_empty: bool = False) -> list:
+    """Comma-separated numbers of one flag; a bad entry is a usage error."""
+    items = [item for item in str(text).split(",") if item or not skip_empty]
+    try:
+        return [convert(item) for item in items]
+    except ValueError:
+        raise ValidationError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 def cmd_synth(args) -> int:
@@ -146,6 +155,7 @@ def cmd_eval(args) -> int:
     if args.metric == "recall":
         if not args.input:
             raise ValidationError("--input is required for the recall metric")
+        ks = _number_list(args.k, int, "--k")
         _write_manifest(args, out, [args.input], ["report.json", "report.tsv"])
         data = load_embeddings(args.input)
         if args.labels:
@@ -155,7 +165,6 @@ def cmd_eval(args) -> int:
             data = data.with_labels(labels)
         if args.dims is not None:
             data = truncate_dims(data, args.dims)
-        ks = [int(k) for k in str(args.k).split(",")]
         report = retrieval_report(
             data, ks, threads=threads, config={"dims": args.dims, "k": args.k}
         )
@@ -169,8 +178,6 @@ def cmd_eval(args) -> int:
             queries = truncate_dims(queries, args.dims)
             gallery = truncate_dims(gallery, args.dims)
         value = map_at_100(queries, gallery, threads=threads)
-        from .evaluation import RetrievalReport
-
         report = RetrievalReport(
             recall_at={}, dims_used=gallery.dim, map_at_100=value,
             config={"dims": args.dims},
@@ -182,7 +189,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v != ""]
+    values = _number_list(args.values, float, "--values", skip_empty=True)
     if len(values) < 2:
         raise ValidationError("--values needs at least 2 grid points")
     if args.seeds < 3:
@@ -244,7 +251,7 @@ def cmd_gradcheck(args) -> int:
 
 def _add_common(parser, out_required=True):
     parser.add_argument("--seed", type=int, default=0, help="master seed for all named random streams")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (UNICOM_THREADS fallback, default 1)")
+    parser.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     parser.add_argument("--config", default=None, help="JSON file (or manifest.json) supplying flag defaults")
     parser.add_argument("--out", required=out_required, help="output directory")
 

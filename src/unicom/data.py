@@ -81,11 +81,6 @@ class EmbeddingSet:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def renormalized(self) -> "EmbeddingSet":
-        """Copy of this set with every row scaled to unit L2 norm."""
-        rows = unit_rows(self.vectors.astype(np.float64))
-        return EmbeddingSet(rows.astype(np.float32), list(self.ids), self.labels)
-
     def with_labels(self, labels) -> "EmbeddingSet":
         return EmbeddingSet(self.vectors, list(self.ids), labels)
 
@@ -198,14 +193,17 @@ def load_embeddings(path) -> EmbeddingSet:
         offset += n * 8
 
     ids: list[str] = []
-    for _ in range(n):
+    for row in range(n):
         if len(blob) < offset + 2:
             raise TruncatedPayloadError(f"id table truncated in {path}")
         (length,) = struct.unpack_from("<H", blob, offset)
         offset += 2
         if len(blob) < offset + length:
             raise TruncatedPayloadError(f"id table truncated in {path}")
-        ids.append(blob[offset : offset + length].decode("utf-8"))
+        try:
+            ids.append(blob[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise UcebFormatError(f"id of row {row} is not valid UTF-8 in {path}") from None
         offset += length
     if offset != len(blob):
         raise UcebFormatError(f"{len(blob) - offset} trailing bytes in {path}")

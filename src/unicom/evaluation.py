@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import EmbeddingSet
-from .errors import DegenerateVectorError, DimensionMismatchError, ValidationError
-from .losses import PrototypeMatrix, full_softmax_loss
+from .errors import DimensionMismatchError, ValidationError
+from .losses import LossConfig, PrototypeMatrix, full_plan, selection_backward
 from .training import prototypes_from_labels
 from .util import map_row_chunks, unit_rows
 
@@ -149,11 +149,7 @@ def truncate_dims(embeddings: EmbeddingSet, d_prime: int) -> EmbeddingSet:
         raise ValidationError(
             f"d_prime must lie in [1, {embeddings.dim}], got {d_prime}"
         )
-    kept = embeddings.vectors[:, :d_prime].astype(np.float64)
-    norms = np.linalg.norm(kept, axis=1)
-    if np.any(norms < 1e-12):
-        raise DegenerateVectorError("a row vanishes under truncation")
-    kept /= norms[:, None]
+    kept = unit_rows(embeddings.vectors[:, :d_prime].astype(np.float64))
     return EmbeddingSet(kept.astype(np.float32), list(embeddings.ids), embeddings.labels)
 
 
@@ -207,11 +203,7 @@ def pca_reduce(fit_set: EmbeddingSet, apply_set: EmbeddingSet, d_prime: int) -> 
     if fit_set.dim != apply_set.dim:
         raise DimensionMismatchError("fit and apply sets disagree on dimension")
     model = pca_fit(fit_set, d_prime)
-    projected = pca_project(model, apply_set.vectors)
-    norms = np.linalg.norm(projected, axis=1)
-    if np.any(norms < 1e-12):
-        raise DegenerateVectorError("a projected row has zero norm")
-    projected /= norms[:, None]
+    projected = unit_rows(pca_project(model, apply_set.vectors))
     return EmbeddingSet(projected.astype(np.float32), list(apply_set.ids), apply_set.labels)
 
 
@@ -247,10 +239,12 @@ def linear_probe(
     x = unit_rows(train_set.vectors.astype(np.float64))
     prototypes = prototypes_from_labels(x, yt, num_classes=classes.size)
 
+    cfg = LossConfig(margin=0.0, scale=scale, r1=1.0, r2=1.0)
+    plan = full_plan(classes.size, x.shape[1])
     m = np.zeros_like(prototypes.columns)
     v = np.zeros_like(prototypes.columns)
     for t in range(1, epochs + 1):
-        out = full_softmax_loss(x, yt, prototypes, scale=scale, with_grad=True)
+        out = selection_backward(x, yt, prototypes, plan, cfg)
         g = out.grad_prototypes.T  # (d, k)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g

@@ -14,7 +14,6 @@ from .errors import ValidationError
 from .losses import (
     LossConfig,
     PrototypeMatrix,
-    SelectionPlan,
     make_selection_plan,
     selection_backward,
     selection_forward,

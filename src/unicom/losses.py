@@ -5,9 +5,10 @@ class prototypes (all batch positives plus uniformly sampled negatives)
 using only a per-step random subset of the feature coordinates. Both the
 embedding and the prototype sub-vectors are renormalized after masking,
 so the additive angular margin keeps its geometric meaning on the
-selected subspace. Baselines kept alongside for comparison experiments:
-the plain full softmax, an instance-contrastive (InfoNCE) loss, and a
-per-sample feature Dropout variant.
+selected subspace. The plain softmax is the same loss at margin 0 on
+`full_plan`; per-sample feature dropout (`apply_feature_dropout`) feeds it
+the dropped embeddings. An instance-contrastive (InfoNCE) loss is kept
+alongside for comparison experiments.
 
 All math runs in float64. Gradients are mean-reduced over the batch.
 """
@@ -92,7 +93,6 @@ class PrototypeMatrix:
 class SelectionPlan:
     """Frozen per-step randomness: class subset and feature mask."""
 
-    step: int
     class_subset: np.ndarray  # sorted distinct int64 indices
     feature_mask: np.ndarray  # (d,) bool
 
@@ -161,7 +161,6 @@ def sample_feature_mask(dim: int, r2: float, seed: int, step: int) -> np.ndarray
 
 def make_selection_plan(batch_labels, num_classes: int, dim: int, cfg: LossConfig, step: int) -> SelectionPlan:
     return SelectionPlan(
-        step=step,
         class_subset=sample_classes(batch_labels, num_classes, cfg.r1, cfg.seed, step),
         feature_mask=sample_feature_mask(dim, cfg.r2, cfg.seed, step),
     )
@@ -266,19 +265,16 @@ def selection_backward(embeddings, labels, prototypes, plan, cfg) -> LossOutput:
     return _selection_core(embeddings, labels, prototypes, plan, cfg, with_grad=True)
 
 
-def _full_plan(num_classes: int, dim: int) -> SelectionPlan:
+def full_plan(num_classes: int, dim: int) -> SelectionPlan:
+    """The plan that selects every class and every feature coordinate.
+
+    With it and margin 0 the selection loss is the plain softmax
+    cross-entropy over all classes.
+    """
     return SelectionPlan(
-        step=0,
         class_subset=np.arange(num_classes, dtype=np.int64),
         feature_mask=np.ones(dim, dtype=bool),
     )
-
-
-def full_softmax_loss(embeddings, labels, prototypes, scale: float = 64.0, with_grad: bool = True) -> LossOutput:
-    """Plain softmax cross-entropy over all classes (no margin, no masks)."""
-    cfg = LossConfig(margin=0.0, scale=scale, r1=1.0, r2=1.0)
-    plan = _full_plan(prototypes.classes, prototypes.dim)
-    return _selection_core(embeddings, labels, prototypes, plan, cfg, with_grad)
 
 
 @dataclass
@@ -349,28 +345,3 @@ def apply_feature_dropout(embeddings, r3: float, seed: int, step: int):
             break
         keep[dead] = rng.random((int(dead.sum()), e.shape[1])) >= r3
     return e * keep / (1.0 - r3), keep
-
-
-def _dropout_core(embeddings, labels, prototypes, cfg: LossConfig, r3: float, step: int, with_grad: bool) -> LossOutput:
-    dropped, keep = apply_feature_dropout(embeddings, r3, cfg.seed, step)
-    plan = _full_plan(prototypes.classes, prototypes.dim)
-    out = _selection_core(dropped, labels, prototypes, plan, cfg, with_grad)
-    if with_grad:
-        out.grad_embeddings = out.grad_embeddings * keep / (1.0 - r3)
-    return out
-
-
-def dropout_forward(embeddings, labels, prototypes, cfg: LossConfig, r3: float, step: int = 0) -> LossOutput:
-    """Full softmax on per-sample dropout-masked embeddings.
-
-    The contrast case to the shared feature mask: the random pattern
-    differs per sample and the prototypes stay unmasked, so gradients
-    still span every feature dimension.
-    """
-    return _dropout_core(embeddings, labels, prototypes, cfg, r3, step, with_grad=False)
-
-
-def dropout_backward(embeddings, labels, prototypes, cfg: LossConfig, r3: float, step: int = 0) -> LossOutput:
-    """`dropout_forward` with gradients (chained through the dropout mask)."""
-    return _dropout_core(embeddings, labels, prototypes, cfg, r3, step, with_grad=True)
-

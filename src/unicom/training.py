@@ -23,10 +23,10 @@ from .data import EmbeddingSet, load_embeddings, save_embeddings
 from .errors import DegenerateVectorError, DimensionMismatchError, NonFiniteLossError, ValidationError
 from .losses import (
     LossConfig,
-    LossOutput,
     PrototypeMatrix,
     SelectionPlan,
-    dropout_backward,
+    apply_feature_dropout,
+    full_plan,
     make_selection_plan,
     selection_backward,
 )
@@ -92,11 +92,6 @@ def _encode_cache(weights, inputs):
     if np.any(norms < 1e-12):
         raise DegenerateVectorError("encoder produced a zero-norm projection row")
     return z, norms, z / norms[:, None]
-
-
-def encode(encoder: LinearEncoder, inputs: np.ndarray) -> np.ndarray:
-    """Project inputs through the encoder and normalize each output row."""
-    return encoder.encode(inputs)
 
 
 def init_prototypes(clusters: ClusterResult) -> PrototypeMatrix:
@@ -187,20 +182,22 @@ class Trainer:
             self._proto_state = {"vel": np.zeros_like(rows)}
 
     def _backward(self, inputs, labels, plan):
-        """Loss backward plus the chain into the encoder weights."""
+        """Loss backward plus the chain into the encoder weights.
+
+        With dropout the loss sees every class and coordinate of the
+        dropped embeddings, and its gradient is chained back through the
+        dropout mask; the normalization chain uses the undropped rows.
+        """
         z, norms, e = _encode_cache(self.encoder.weights, inputs)
-        if self.cfg.dropout_r3 is not None:
-            out = dropout_backward(
-                e, labels, self.prototypes, self.cfg.loss, self.cfg.dropout_r3, self.step_count
-            )
-            plan = SelectionPlan(
-                step=self.step_count,
-                class_subset=np.arange(self.prototypes.classes, dtype=np.int64),
-                feature_mask=np.ones(self.prototypes.dim, dtype=bool),
-            )
-        else:
+        r3 = self.cfg.dropout_r3
+        if r3 is None:
             out = selection_backward(e, labels, self.prototypes, plan, self.cfg.loss)
-        g = out.grad_embeddings
+            g = out.grad_embeddings
+        else:
+            plan = full_plan(self.prototypes.classes, self.prototypes.dim)
+            dropped, keep = apply_feature_dropout(e, r3, self.cfg.loss.seed, self.step_count)
+            out = selection_backward(dropped, labels, self.prototypes, plan, self.cfg.loss)
+            g = out.grad_embeddings * keep / (1.0 - r3)
         grad_z = (g - np.sum(g * e, axis=1, keepdims=True) * e) / norms[:, None]
         grad_w = np.asarray(inputs, dtype=np.float64).T @ grad_z
         return out, grad_w, plan

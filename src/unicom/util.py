@@ -1,14 +1,11 @@
 """Small shared helpers: ratio rounding, row normalization, per-label sums,
 row blocks."""
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import DegenerateVectorError, ValidationError
-
-THREADS_ENV_VAR = "UNICOM_THREADS"
 
 # Rows per block in map_row_chunks. Kernels hold O(BLOCK_ROWS * width)
 # scratch per block, whatever the row count or the thread count.
@@ -42,11 +39,8 @@ def label_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def resolve_threads(requested: int | None) -> int:
-    """Thread count from an explicit request or the UNICOM_THREADS variable."""
-    if requested is not None:
-        n = int(requested)
-    else:
-        n = int(os.environ.get(THREADS_ENV_VAR, "1"))
+    """Thread count from an explicit request; None means 1."""
+    n = 1 if requested is None else int(requested)
     if n < 1:
         raise ValidationError(f"thread count must be >= 1, got {n}")
     return n

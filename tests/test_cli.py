@@ -207,6 +207,25 @@ class TestEvalCommand:
         ])
         assert rc == 2
 
+    def test_malformed_k_list_is_usage_error(self, tmp_path, capsys):
+        data_dir = self._trained(tmp_path)
+        rc = main([
+            "eval", "--input", str(data_dir / "data.uceb"), "--k", "1,,3",
+            "--out", str(tmp_path / "e"),
+        ])
+        assert rc == 2
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_non_utf8_id_is_io_error(self, tmp_path, capsys):
+        data_dir = self._trained(tmp_path)
+        path = data_dir / "data.uceb"
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 0xFF  # last byte of the last id
+        path.write_bytes(bytes(blob))
+        rc = main(["eval", "--input", str(path), "--out", str(tmp_path / "e")])
+        assert rc == 3
+        assert "i/o error:" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_and_writes_report(self, tmp_path, capsys):
@@ -247,6 +266,14 @@ class TestAblateCommand:
             "--out", str(tmp_path / "a"),
         ])
         assert rc == 2
+
+    def test_malformed_values_list_is_usage_error(self, tmp_path, capsys):
+        rc = main([
+            "ablate", "--param", "r1", "--values", "0.1,x", "--seeds", "3",
+            "--out", str(tmp_path / "a"),
+        ])
+        assert rc == 2
+        assert "usage error:" in capsys.readouterr().err
 
 
 class TestDeterminismAndConfig:
@@ -308,19 +335,12 @@ class TestDeterminismAndConfig:
         rc = main(["synth", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert rc == 3
 
-    def test_threads_env_var_fallback(self, tmp_path, monkeypatch):
+    def test_zero_threads_is_usage_error(self, tmp_path, capsys):
         data_dir = tmp_path / "d"
         main(synth_args(data_dir))
-        monkeypatch.setenv("UNICOM_THREADS", "3")
-        out = tmp_path / "e"
         rc = main([
             "eval", "--input", str(data_dir / "data.uceb"), "--metric", "recall",
-            "--out", str(out),
+            "--threads", "0", "--out", str(tmp_path / "e"),
         ])
-        assert rc == 0
-        monkeypatch.setenv("UNICOM_THREADS", "0")
-        rc = main([
-            "eval", "--input", str(data_dir / "data.uceb"), "--metric", "recall",
-            "--out", str(tmp_path / "e2"),
-        ])
-        assert rc != 0
+        assert rc == 2
+        assert "usage error:" in capsys.readouterr().err

@@ -57,12 +57,6 @@ class TestEmbeddingSet:
         with pytest.raises(ValidationError, match="row 1"):
             EmbeddingSet(vectors, ["a", "b", "c"])
 
-    def test_renormalized_rows_are_unit(self):
-        rng = np.random.default_rng(0)
-        s = _random_set(rng).renormalized()
-        norms = np.linalg.norm(s.vectors.astype(np.float64), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-6)
-
 
 class TestUcebRoundTrip:
     def test_round_trip_is_bitwise_identity(self, tmp_path):
@@ -166,6 +160,14 @@ class TestUcebErrors:
         blob[-1] = ord("a")  # rewrite id "b" -> "a"
         path.write_bytes(bytes(blob))
         with pytest.raises(DuplicateIdError):
+            load_embeddings(path)
+
+    def test_non_utf8_id_is_format_error(self, tmp_path):
+        blob = bytearray(self._valid_bytes(tmp_path))
+        blob[-1] = 0xFF  # the id of row 1 is no longer UTF-8
+        path = tmp_path / "latin.uceb"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(UcebFormatError, match="row 1"):
             load_embeddings(path)
 
 

@@ -10,9 +10,7 @@ from unicom import (
     PrototypeMatrix,
     SelectionPlan,
     apply_feature_dropout,
-    dropout_backward,
-    dropout_forward,
-    full_softmax_loss,
+    full_plan,
     instance_nce_loss,
     make_selection_plan,
     sample_classes,
@@ -143,10 +141,6 @@ class TestSampleFeatureMask:
             sample_feature_mask(10, 0.01, seed=0, step=0)
 
 
-def full_plan(k, d):
-    return SelectionPlan(0, np.arange(k, dtype=np.int64), np.ones(d, dtype=bool))
-
-
 class TestSelectionForward:
     def test_two_class_analytic_value(self):
         # aligned positive, orthogonal negative, m=0, s=1
@@ -221,7 +215,7 @@ class TestSelectionForward:
         rng = np.random.default_rng(5)
         e = random_units(rng, 1, 4)
         prototypes = PrototypeMatrix(rng.standard_normal((4, 6)))
-        plan = SelectionPlan(0, np.array([0, 2, 4]), np.ones(4, dtype=bool))
+        plan = SelectionPlan(np.array([0, 2, 4]), np.ones(4, dtype=bool))
         cfg = LossConfig(margin=0.0, scale=1.0, r1=0.5, r2=1.0)
         with pytest.raises(ValidationError):
             selection_forward(e, [3], prototypes, plan, cfg)
@@ -230,7 +224,7 @@ class TestSelectionForward:
         e = np.array([[1.0, 0.0, 0.0, 0.0]])
         prototypes = PrototypeMatrix(np.eye(4)[:, :2] + 0.1)
         mask = np.array([False, True, True, True])
-        plan = SelectionPlan(0, np.array([0, 1]), mask)
+        plan = SelectionPlan(np.array([0, 1]), mask)
         cfg = LossConfig(margin=0.0, scale=1.0, r1=1.0, r2=0.75)
         with pytest.raises(DegenerateVectorError):
             selection_forward(e, [0], prototypes, plan, cfg)
@@ -295,33 +289,6 @@ class TestSelectionBackward:
         assert out.grad_prototypes.shape == (plan.class_subset.size, 5)
 
 
-class TestFullSoftmaxLoss:
-    def test_two_class_analytic_value(self):
-        prototypes = PrototypeMatrix(np.eye(2))
-        out = full_softmax_loss(np.array([[1.0, 0.0]]), [0], prototypes, scale=1.0)
-        assert abs(out.loss - math.log(1 + math.exp(-1))) < 1e-12
-
-    def test_equals_selection_with_trivial_plan(self):
-        rng = np.random.default_rng(9)
-        e = random_units(rng, 3, 6)
-        labels = rng.integers(0, 5, size=3)
-        prototypes = PrototypeMatrix(rng.standard_normal((6, 5)))
-        cfg = LossConfig(margin=0.0, scale=10.0, r1=1.0, r2=1.0)
-        a = selection_forward(e, labels, prototypes, full_plan(5, 6), cfg)
-        b = full_softmax_loss(e, labels, prototypes, scale=10.0, with_grad=False)
-        assert abs(a.loss - b.loss) < 1e-12
-
-    def test_matches_independent_oracle(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            b, d, k = int(rng.integers(1, 5)), int(rng.integers(3, 9)), int(rng.integers(2, 12))
-            e = random_units(rng, b, d)
-            labels = rng.integers(0, k, size=b)
-            prototypes = PrototypeMatrix(rng.standard_normal((d, k)))
-            out = full_softmax_loss(e, labels, prototypes, scale=3.0, with_grad=False)
-            assert abs(out.loss - full_softmax_oracle(e, labels, prototypes.columns, 3.0)) < 1e-12
-
-
 class TestInstanceNceLoss:
     def test_aligned_positive_orthogonal_negatives(self):
         d, m_neg = 6, 4
@@ -369,16 +336,6 @@ class TestInstanceNceLoss:
 
 
 class TestDropout:
-    def test_zero_ratio_equals_full_softmax(self):
-        rng = np.random.default_rng(13)
-        e = random_units(rng, 3, 6)
-        labels = rng.integers(0, 4, size=3)
-        prototypes = PrototypeMatrix(rng.standard_normal((6, 4)))
-        cfg = LossConfig(margin=0.0, scale=8.0, r1=1.0, r2=1.0, seed=2)
-        a = dropout_forward(e, labels, prototypes, cfg, r3=0.0, step=5)
-        b = full_softmax_loss(e, labels, prototypes, scale=8.0, with_grad=False)
-        assert a.loss == b.loss
-
     def test_masked_scaled_embedding_is_unbiased(self):
         rng = np.random.default_rng(14)
         e = random_units(rng, 1, 8)
@@ -388,18 +345,6 @@ class TestDropout:
             dropped, _ = apply_feature_dropout(e, 0.5, seed=21, step=step)
             acc += dropped
         np.testing.assert_allclose(acc / trials, e, atol=0.02)
-
-    def test_backward_matches_finite_differences(self):
-        rng = np.random.default_rng(15)
-        e = random_units(rng, 3, 7)
-        labels = rng.integers(0, 5, size=3)
-        prototypes = PrototypeMatrix(rng.standard_normal((7, 5)))
-        cfg = LossConfig(margin=0.3, scale=4.0, r1=1.0, r2=1.0, seed=8)
-        out = dropout_backward(e, labels, prototypes, cfg, r3=0.4, step=3)
-        num = finite_difference(
-            lambda x: dropout_forward(x, labels, prototypes, cfg, r3=0.4, step=3).loss, e
-        )
-        assert max_relative_error(out.grad_embeddings, num) < 1e-5
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValidationError):

@@ -2,12 +2,15 @@
 top-k neighbor ranking and mAP@100) against exhaustive references, and of
 the class-major sparse prototype update, the class and feature samplers
 and the per-label sums against the column-major and O(k) code they
-replaced.
+replaced, and of the UCEB reader on corrupt files.
 
 Kernel inputs are built to be full of exact ties, and row counts run
 below, at and across the row-block size, with one and three threads.
 Every check is bit-exact.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +28,15 @@ from unicom import (
     TrainConfig,
     Trainer,
     assign,
+    load_embeddings,
     map_at_100,
     recall_at_k,
     retrieval_report,
     sample_classes,
     sample_feature_mask,
+    save_embeddings,
 )
-from unicom.errors import DegenerateVectorError
+from unicom.errors import DegenerateVectorError, DuplicateIdError, UcebFormatError, ValidationError
 from unicom.evaluation import _top_k
 from unicom.rng import stream_rng
 from unicom.training import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, _SGD_MOMENTUM
@@ -323,3 +328,48 @@ def test_label_sums_match_add_at(seed, n, d, k, palette, data):
         got = label_sums(x, labels, k)
     assert got.shape == (k, d)
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def uceb_files(draw):
+    """The bytes of a small valid UCEB file, with or without labels."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    vectors = draw(hnp.arrays(np.float32, (n, d), elements=st.floats(-2, 2, width=32)))
+    ids = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
+    labels = draw(st.none() | st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.uceb"
+        save_embeddings(EmbeddingSet(vectors, ids, labels), path)
+        return path.read_bytes()
+
+
+@st.composite
+def corrupt_uceb(draw):
+    """A valid file cut short, with a few bytes overwritten, with a junk
+    tail after a valid prefix, or plain random bytes."""
+    blob = bytearray(draw(uceb_files()))
+    kind = draw(st.sampled_from(["truncate", "mutate", "tail", "random"]))
+    if kind == "truncate":
+        return bytes(blob[: draw(st.integers(0, len(blob) - 1))])
+    if kind == "mutate":
+        for _ in range(draw(st.integers(1, 4))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+        return bytes(blob)
+    if kind == "tail":
+        return bytes(blob[: draw(st.integers(0, len(blob)))]) + draw(st.binary(min_size=1, max_size=40))
+    return draw(st.binary(max_size=80))
+
+
+@settings(max_examples=400, deadline=None)
+@given(blob=corrupt_uceb())
+def test_corrupt_uceb_raises_only_documented_errors(blob):
+    # A corrupt file is a format error. A well-formed file may still break
+    # an EmbeddingSet rule (non-finite vector, negative label, repeated id).
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.uceb"
+        path.write_bytes(blob)
+        try:
+            loaded = load_embeddings(path)
+        except (UcebFormatError, ValidationError, DuplicateIdError):
+            return
+    assert isinstance(loaded, EmbeddingSet)

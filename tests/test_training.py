@@ -13,7 +13,6 @@ from unicom import (
     SyntheticSpec,
     TrainConfig,
     Trainer,
-    encode,
     init_prototypes,
     make_selection_plan,
     prototypes_from_labels,
@@ -32,18 +31,18 @@ class TestEncode:
         rng = np.random.default_rng(0)
         x = unit_rows(rng.standard_normal((5, 6)))
         enc = LinearEncoder.identity(6)
-        np.testing.assert_allclose(encode(enc, x), x, atol=1e-12)
+        np.testing.assert_allclose(enc.encode(x), x, atol=1e-12)
 
     def test_outputs_are_unit_norm(self):
         rng = np.random.default_rng(1)
         enc = LinearEncoder.random(7, 4, seed=3)
-        e = encode(enc, rng.standard_normal((10, 7)) * 5)
+        e = enc.encode(rng.standard_normal((10, 7)) * 5)
         np.testing.assert_allclose(np.linalg.norm(e, axis=1), 1.0, atol=1e-6)
 
     def test_zero_projection_row_rejected(self):
         enc = LinearEncoder(np.zeros((3, 3)))
         with pytest.raises(DegenerateVectorError):
-            encode(enc, np.ones((1, 3)))
+            enc.encode(np.ones((1, 3)))
 
     def test_normalization_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -163,6 +162,39 @@ class TestTrainStep:
         result = train(data, cfg, prototypes=protos)
         losses = result.losses[:200]
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
+
+
+class TestDropoutStep:
+    def test_encoder_gradient_matches_finite_differences(self):
+        # The dropout pattern depends on (seed, step) only, so it stays
+        # fixed while the encoder weights are perturbed.
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((3, 6))
+        labels = rng.integers(0, 5, size=3)
+        prototypes = PrototypeMatrix(rng.standard_normal((7, 5)))
+        cfg = TrainConfig(dropout_r3=0.4, loss=LossConfig(margin=0.3, scale=4.0, seed=8))
+        weights = LinearEncoder.random(6, 7, seed=2).weights
+
+        def backward(w):
+            trainer = Trainer(LinearEncoder(w), prototypes, cfg)
+            trainer.step_count = 3
+            return trainer._backward(x, labels, None)
+
+        num = finite_difference(lambda w: backward(w)[0].loss, weights)
+        assert max_relative_error(backward(weights)[1], num) < 1e-5
+
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
+    def test_zero_ratio_steps_equal_full_softmax_steps(self, optimizer):
+        x, labels, _ = _small_problem(seed=13)
+        results = []
+        for r3 in (0.0, None):
+            cfg = TrainConfig(optimizer=optimizer, lr=0.01, dropout_r3=r3, seed=2,
+                              loss=LossConfig(margin=0.0, scale=8.0, r1=1.0, r2=1.0, seed=2))
+            _, _, prototypes = _small_problem(seed=13)
+            trainer = Trainer(LinearEncoder.random(10, 10, seed=1), prototypes, cfg)
+            losses = [trainer.step(x, labels) for _ in range(3)]
+            results.append((losses, trainer.encoder.weights.tobytes(), trainer.prototypes.rows.tobytes()))
+        assert results[0] == results[1]
 
 
 class TestOptimizers:
