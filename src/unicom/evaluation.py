@@ -66,16 +66,16 @@ def _recall_at(embeddings: EmbeddingSet, ks, threads: int = 1) -> dict[int, floa
 
     Every item queries all others by cosine, self excluded. Inputs are
     validated before any ranking: every K >= 1, and every class needs at
-    least two members to be a query.
+    least two members to be a query. Labels are only ever compared for
+    equality, so their magnitude costs nothing.
     """
     labels = _require_labels(embeddings, "recall")
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ValidationError("every K must be >= 1")
-    counts = np.bincount(labels)
-    present = np.flatnonzero(counts > 0)
-    if np.any(counts[present] < 2):
-        bad = int(present[np.argmin(counts[present])])
+    classes, counts = np.unique(labels, return_counts=True)
+    if (counts < 2).any():
+        bad = int(classes[np.argmin(counts)])
         raise ValidationError(f"class {bad} has a single member and cannot be a query")
     v = unit_rows(embeddings.vectors.astype(np.float64))
     depth = min(ks[-1], v.shape[0] - 1)
@@ -130,7 +130,11 @@ def map_at_100(queries: EmbeddingSet, gallery: EmbeddingSet, threads: int = 1) -
     tops = np.concatenate(
         map_row_chunks(lambda a, b: _top_k(qv[a:b] @ gv.T, cut), queries.count, threads)
     )
-    relevant = np.bincount(g_labels, minlength=int(q_labels.max()) + 1)[q_labels]
+    # Labels compacted to 0..C-1, so the count below does not grow with
+    # the largest label id.
+    classes, ids = np.unique(np.concatenate([q_labels, g_labels]), return_inverse=True)
+    q_ids, g_ids = ids[: queries.count], ids[queries.count :]
+    relevant = np.bincount(g_ids, minlength=classes.size)[q_ids]
 
     rel = g_labels[tops] == q_labels[:, None]
     precision = np.cumsum(rel, axis=1) / np.arange(1, cut + 1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateVectorError, DimensionMismatchError, ValidationError
 from .rng import stream_rng
-from .util import ratio_count
+from .util import ratio_count, unit_rows_backward
 
 _NORM_EPS = 1e-12
 
@@ -120,12 +120,12 @@ def sample_classes(batch_labels, num_classes: int, r1: float, seed: int, step: i
     labels = np.asarray(batch_labels, dtype=np.int64)
     if labels.size == 0:
         raise ValidationError("batch_labels must be non-empty")
-    if np.any(labels < 0) or np.any(labels >= num_classes):
+    positives = np.unique(labels)
+    if positives[0] < 0 or positives[-1] >= num_classes:
         raise ValidationError(f"labels must lie in [0, {num_classes})")
     if not 0.0 < r1 <= 1.0:
         raise ValidationError("r1 must lie in (0, 1]")
 
-    positives = np.unique(labels)
     target = max(ratio_count(num_classes, r1), positives.size)
     need = target - positives.size
     if need == 0:
@@ -167,17 +167,19 @@ def make_selection_plan(batch_labels, num_classes: int, dim: int, cfg: LossConfi
 
 
 def _masked_unit(vectors: np.ndarray, what: str):
-    """Norms and unit versions of already-masked vectors (rows)."""
+    """Norms of already-masked vectors (rows); the rows are divided by
+    them in place and returned as the unit versions."""
     norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))
-    if np.any(norms < _NORM_EPS):
+    if (norms < _NORM_EPS).any():
         raise DegenerateVectorError(f"zero-norm masked {what} sub-vector")
-    return norms, vectors / norms[:, None]
+    vectors /= norms[:, None]
+    return norms, vectors
 
 
 def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: SelectionPlan, cfg: LossConfig, with_grad: bool) -> LossOutput:
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if e.ndim != 2 or e.shape[0] != labels.shape[0]:
+    if e.ndim != 2 or labels.ndim != 1 or e.shape[0] != labels.shape[0]:
         raise DimensionMismatchError("embeddings and labels disagree on batch size")
     b, d = e.shape
     if d != prototypes.dim:
@@ -190,61 +192,71 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
     if not mask.any():
         raise ValidationError("feature mask selects no coordinates")
     subset = np.asarray(plan.class_subset, dtype=np.int64)
+    k = prototypes.classes
+    if (subset.ndim != 1 or subset.size == 0 or subset[0] < 0 or subset[-1] >= k
+            or (subset[1:] <= subset[:-1]).any()):
+        raise ValidationError(
+            f"the class subset must be non-empty, strictly increasing indices in [0, {k})"
+        )
 
-    # Positive-class positions inside the (sorted) subset.
-    pos_idx = np.searchsorted(subset, labels)
-    if np.any(pos_idx >= subset.size) or np.any(subset[np.minimum(pos_idx, subset.size - 1)] != labels):
+    # Positive-class positions inside the (sorted) subset. A label above
+    # every class of the subset gets position |S|, clipped onto the last
+    # class, which then differs from it.
+    pos_idx = subset.searchsorted(labels)
+    if (subset.take(pos_idx, mode="clip") != labels).any():
         raise ValidationError("a batch label is outside the selected class subset")
 
     u = e * mask  # masked embeddings, exact zeros off-mask
     u_norm, u_hat = _masked_unit(u, "embedding")
-    v = prototypes.rows[subset] * mask  # (|S|, d)
+    v = prototypes.rows.take(subset, axis=0)  # (|S|, d)
+    v *= mask
     v_norm, v_hat = _masked_unit(v, "prototype")
 
     cos = u_hat @ v_hat.T  # (b, |S|)
-    cos = np.clip(cos, -1.0, 1.0)
+    np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
     logits = cfg.scale * cos
-    rows = np.arange(b)
+    # Flat positions of the positive-class entries in a (b, |S|) array.
+    pos = np.arange(b) * subset.size + pos_idx
 
     margin_factor = None
     if cfg.margin > 0.0:
         cos_m, sin_m = math.cos(cfg.margin), math.sin(cfg.margin)
         boundary = math.cos(math.pi - cfg.margin)
-        c_pos = cos[rows, pos_idx]
-        sin_pos = np.sqrt(np.clip(1.0 - c_pos * c_pos, 0.0, None))
+        c_pos = cos.take(pos)
+        sin_pos = np.sqrt(np.maximum(1.0 - c_pos * c_pos, 0.0))
         in_range = c_pos > boundary
         phi = np.where(
             in_range,
             c_pos * cos_m - sin_pos * sin_m,
             c_pos - cfg.margin * sin_m,
         )
-        logits[rows, pos_idx] = cfg.scale * phi
+        logits.put(pos, cfg.scale * phi)
         # d(phi)/d(cos theta) on each branch, used by the backward pass.
         safe_sin = np.maximum(sin_pos, _NORM_EPS)
         margin_factor = np.where(in_range, cos_m + sin_m * c_pos / safe_sin, 1.0)
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1)
-    probs = exp / denom[:, None]
-    loss = float(np.mean(np.log(denom) - shifted[rows, pos_idx]))
+    # Shift, exponentiate and normalize in the logits' own memory.
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted_pos = logits.take(pos)
+    probs = np.exp(logits, out=logits)
+    denom = np.add.reduce(probs, axis=1)
+    probs /= denom[:, None]
+    loss = float(np.add.reduce(np.log(denom) - shifted_pos) / b)
 
     if not with_grad:
         return LossOutput(loss=loss, probs=probs)
 
-    dlogits = probs.copy()
-    dlogits[rows, pos_idx] -= 1.0
-    dlogits /= b
-    dcos = dlogits * cfg.scale
+    dcos = probs.copy()
+    dcos.put(pos, dcos.take(pos) - 1.0)
+    dcos /= b
+    dcos *= cfg.scale
     if margin_factor is not None:
-        dcos[rows, pos_idx] *= margin_factor
+        dcos.put(pos, dcos.take(pos) * margin_factor)
 
     # Chain through the sub-vector renormalizations. Both u_hat and v_hat
     # carry exact zeros off-mask, so the gradients do too.
-    g_u_hat = dcos @ v_hat
-    grad_e = (g_u_hat - np.sum(g_u_hat * u_hat, axis=1, keepdims=True) * u_hat) / u_norm[:, None]
-    g_v_hat = dcos.T @ u_hat
-    grad_w = (g_v_hat - np.sum(g_v_hat * v_hat, axis=1, keepdims=True) * v_hat) / v_norm[:, None]
+    grad_e = unit_rows_backward(dcos @ v_hat, u_hat, u_norm)
+    grad_w = unit_rows_backward(dcos.T @ u_hat, v_hat, v_norm)
 
     return LossOutput(loss=loss, probs=probs, grad_embeddings=grad_e, grad_prototypes=grad_w)
 

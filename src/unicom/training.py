@@ -13,6 +13,7 @@ bit-identical across a step.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .losses import (
     selection_backward,
 )
 from .rng import stream_rng
-from .util import label_sums
+from .util import label_sums, unit_rows_backward
 
 OPTIMIZERS = ("adamw", "sgd-momentum")
 
@@ -82,16 +83,18 @@ class LinearEncoder:
 
 
 def _encode_cache(weights, inputs):
+    """Float64 inputs, the norms of their projections and the unit rows."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != weights.shape[0]:
         raise DimensionMismatchError(
             f"inputs of shape {x.shape} do not match encoder input dim {weights.shape[0]}"
         )
     z = x @ weights
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms < 1e-12):
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))  # what np.linalg.norm(z, axis=1) runs
+    if (norms < 1e-12).any():
         raise DegenerateVectorError("encoder produced a zero-norm projection row")
-    return z, norms, z / norms[:, None]
+    z /= norms[:, None]
+    return x, norms, z
 
 
 def init_prototypes(clusters: ClusterResult) -> PrototypeMatrix:
@@ -188,7 +191,7 @@ class Trainer:
         dropped embeddings, and its gradient is chained back through the
         dropout mask; the normalization chain uses the undropped rows.
         """
-        z, norms, e = _encode_cache(self.encoder.weights, inputs)
+        x, norms, e = _encode_cache(self.encoder.weights, inputs)
         r3 = self.cfg.dropout_r3
         if r3 is None:
             out = selection_backward(e, labels, self.prototypes, plan, self.cfg.loss)
@@ -198,67 +201,100 @@ class Trainer:
             dropped, keep = apply_feature_dropout(e, r3, self.cfg.loss.seed, self.step_count)
             out = selection_backward(dropped, labels, self.prototypes, plan, self.cfg.loss)
             g = out.grad_embeddings * keep / (1.0 - r3)
-        grad_z = (g - np.sum(g * e, axis=1, keepdims=True) * e) / norms[:, None]
-        grad_w = np.asarray(inputs, dtype=np.float64).T @ grad_z
+        grad_w = x.T @ unit_rows_backward(g, e, norms)
         return out, grad_w, plan
 
     def _update_encoder(self, grad):
+        """Dense optimizer step, with the moments updated in place.
+
+        The in-place chains compute w -= lr * (mh / (sqrt(vh) + eps) + wd * w)
+        with mh = m / (1 - b1**t), vh = v / (1 - b2**t),
+        m = b1 * m + (1 - b1) * g, v = b2 * v + ((1 - b2) * g) * g, and
+        (SGD) vel = (mu * vel + g) + wd * w. Each product and sum keeps
+        its operands and grouping, so every bit is as in those formulas;
+        regrouping one, say (1 - b2) * (g * g), changes the results.
+        """
         cfg, st = self.cfg, self._enc_state
         w = self.encoder.weights
         if cfg.optimizer == "adamw":
             st["t"] += 1
-            st["m"] = _ADAM_BETA1 * st["m"] + (1 - _ADAM_BETA1) * grad
-            st["v"] = _ADAM_BETA2 * st["v"] + (1 - _ADAM_BETA2) * grad * grad
-            mh = st["m"] / (1 - _ADAM_BETA1 ** st["t"])
-            vh = st["v"] / (1 - _ADAM_BETA2 ** st["t"])
-            w -= cfg.lr * (mh / (np.sqrt(vh) + _ADAM_EPS) + cfg.weight_decay * w)
+            m, v = st["m"], st["v"]
+            m *= _ADAM_BETA1
+            m += (1 - _ADAM_BETA1) * grad
+            v *= _ADAM_BETA2
+            g2 = (1 - _ADAM_BETA2) * grad
+            g2 *= grad
+            v += g2
+            delta = m / (1 - _ADAM_BETA1 ** st["t"])
+            den = v / (1 - _ADAM_BETA2 ** st["t"])
+            np.sqrt(den, out=den)
+            den += _ADAM_EPS
+            delta /= den
+            delta += cfg.weight_decay * w
+            delta *= cfg.lr
+            w -= delta
         else:
-            st["vel"] = _SGD_MOMENTUM * st["vel"] + grad + cfg.weight_decay * w
-            w -= cfg.lr * st["vel"]
+            vel = st["vel"]
+            vel *= _SGD_MOMENTUM
+            vel += grad
+            vel += cfg.weight_decay * w
+            w -= cfg.lr * vel
 
     def _update_prototypes(self, grad_sub, subset, mask):
         """Sparse update touching only (subset x mask) entries.
 
-        After the optimizer step the masked sub-vector of each updated
-        row is rescaled so the full row returns to unit norm; the
-        untouched coordinates keep their exact bits.
+        Each contiguous (k, d) array gives up its (|S|, |mask|) block of
+        entries once and gets it back once, both at flat positions. The
+        moments follow the formulas of `_update_encoder`, without decay,
+        and the step is (lr * mh) / (sqrt(vh) + eps). After the optimizer
+        step the masked sub-vector of each updated row is rescaled so the
+        full row returns to unit norm; the untouched coordinates keep
+        their exact bits.
         """
-        cfg, st = self.cfg, self._proto_state
-        mask_idx = np.flatnonzero(mask)
-        # Flat positions of the (subset x mask) entries in a (k, d) array.
-        flat = (subset[:, None] * self.prototypes.dim + mask_idx).ravel()
-
-        def update(array, fn):
-            """Gather the entries of a contiguous (k, d) array once as an
-            (|S|, |mask|) block, write fn(block) back once and return it."""
-            entries = array.reshape(-1)
-            new = fn(entries[flat].reshape(subset.size, mask_idx.size))
-            entries[flat] = new.ravel()
-            return new
-
-        g = np.take(grad_sub, mask_idx, axis=1)  # C-ordered, like the gathered blocks
+        cfg, st, rows = self.cfg, self._proto_state, self.prototypes.rows
+        subset = np.asarray(subset, dtype=np.int64)
+        mask_idx = np.asarray(mask, dtype=bool).nonzero()[0]
+        flat = subset[:, None] * rows.shape[1] + mask_idx
+        g = grad_sub.take(mask_idx, axis=1)  # C-ordered, like the gathered blocks
         if cfg.optimizer == "adamw":
-            st["t"][subset] += 1
-            t = st["t"][subset][:, None]
-            m = update(st["m"], lambda old: _ADAM_BETA1 * old + (1 - _ADAM_BETA1) * g)
-            v = update(st["v"], lambda old: _ADAM_BETA2 * old + (1 - _ADAM_BETA2) * g * g)
-            mh = m / (1 - _ADAM_BETA1**t)
-            vh = v / (1 - _ADAM_BETA2**t)
-            delta = cfg.lr * mh / (np.sqrt(vh) + _ADAM_EPS)
+            t = st["t"].take(subset)
+            t += 1
+            st["t"][subset] = t
+            t = t[:, None]
+            m = st["m"].take(flat)
+            m *= _ADAM_BETA1
+            m += (1 - _ADAM_BETA1) * g
+            st["m"].reshape(-1)[flat] = m
+            v = st["v"].take(flat)
+            v *= _ADAM_BETA2
+            g2 = (1 - _ADAM_BETA2) * g
+            g2 *= g
+            v += g2
+            st["v"].reshape(-1)[flat] = v
+            m /= 1 - _ADAM_BETA1**t
+            v /= 1 - _ADAM_BETA2**t
+            np.sqrt(v, out=v)
+            v += _ADAM_EPS
+            m *= cfg.lr
+            m /= v
+            delta = m  # the moments are stored; these blocks are scratch now
         else:
-            vel = update(st["vel"], lambda old: _SGD_MOMENTUM * old + g)
-            delta = cfg.lr * vel
+            vel = st["vel"].take(flat)
+            vel *= _SGD_MOMENTUM
+            vel += g
+            st["vel"].reshape(-1)[flat] = vel
+            vel *= cfg.lr
+            delta = vel
 
-        def rescaled(old):
-            sub = old - delta
-            off_sq = np.clip(1.0 - _coordinate_sq_sums(old), 0.0, None)
-            target = np.sqrt(1.0 - off_sq)
-            cur = np.sqrt(_coordinate_sq_sums(sub))
-            if np.any(cur < 1e-12) or np.any(target < 1e-12):
-                raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
-            return sub * (target / cur)[:, None]
-
-        update(self.prototypes.rows, rescaled)
+        old = rows.take(flat)
+        sub = old - delta
+        off_sq = 1.0 - _coordinate_sq_sums(old)
+        target = np.sqrt(1.0 - np.maximum(off_sq, 0.0, out=off_sq))
+        cur = np.sqrt(_coordinate_sq_sums(sub))
+        if (cur < 1e-12).any() or (target < 1e-12).any():
+            raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
+        sub *= (target / cur)[:, None]
+        rows.reshape(-1)[flat] = sub
 
     def step(self, inputs, labels, plan: SelectionPlan | None = None) -> float:
         """One forward/backward plus one optimizer update. Returns the loss."""
@@ -269,7 +305,7 @@ class Trainer:
                 self.cfg.loss, self.step_count,
             )
         out, grad_enc, plan = self._backward(inputs, labels, plan)
-        if not np.isfinite(out.loss):
+        if not math.isfinite(out.loss):
             raise NonFiniteLossError(f"step {self.step_count} produced a non-finite loss {out.loss}")
         if self.cfg.lr > 0:
             self._update_encoder(grad_enc)
@@ -316,7 +352,7 @@ def train(
         order = stream_rng(cfg.seed, "shuffle", epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            losses.append(trainer.step(x[batch], data.labels[batch]))
+            losses.append(trainer.step(x.take(batch, axis=0), data.labels.take(batch)))
     return TrainResult(encoder, prototypes, losses, trainer.step_count)
 
 

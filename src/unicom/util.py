@@ -26,6 +26,17 @@ def unit_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return x / norms[:, None]
 
 
+def unit_rows_backward(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient with respect to rows x, given `grad` with respect to their
+    unit versions `unit` = x / `norms`: (grad - <grad, unit> unit) / norms,
+    row by row. Builds one new array; `grad` is left as it is."""
+    out = grad * unit
+    np.multiply(np.add.reduce(out, axis=1, keepdims=True), unit, out=out)
+    np.subtract(grad, out, out=out)
+    out /= norms[:, None]
+    return out
+
+
 def label_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """(k, d) sums of the float64 rows of x grouped by label in [0, k).
 

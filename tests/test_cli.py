@@ -4,6 +4,7 @@ import json
 import struct
 
 import numpy as np
+import pytest
 
 from unicom import EmbeddingSet, cli, load_embeddings, save_embeddings
 from unicom.cli import main
@@ -225,6 +226,21 @@ class TestEvalCommand:
         rc = main(["eval", "--input", str(path), "--out", str(tmp_path / "e")])
         assert rc == 3
         assert "i/o error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["recall", "map100"])
+    def test_huge_label_ids_give_the_relabelled_report(self, tmp_path, capsys, metric):
+        vectors = unit_rows(np.random.default_rng(2).standard_normal((6, 4))).astype(np.float32)
+        reports = []
+        for name, labels in (("compact", [0, 0, 1, 1, 2, 2]), ("huge", [0, 0, 7, 7, 2**40, 2**40])):
+            path = tmp_path / f"{name}.uceb"
+            save_embeddings(EmbeddingSet(vectors, [f"i{j}" for j in range(6)], labels), path)
+            inputs = ["--input", str(path)] if metric == "recall" else [
+                "--queries", str(path), "--gallery", str(path)]
+            out = tmp_path / f"{name}-report"
+            assert main(["eval", "--metric", metric, *inputs, "--out", str(out)]) == 0
+            printed = capsys.readouterr().out
+            reports.append([printed] + [(out / f).read_bytes() for f in ("report.json", "report.tsv")])
+        assert reports[0] == reports[1]
 
 
 class TestGradcheckCommand:

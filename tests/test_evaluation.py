@@ -184,6 +184,32 @@ class TestMapAt100:
         assert map_at_100(queries, gallery) == map_at_100(queries, shuffled)
 
 
+class TestLabelMagnitude:
+    """Labels are scored by equality: huge ids cost no memory and give the
+    same figures as small ones."""
+
+    @pytest.mark.parametrize("big", [2**40, 2**62])
+    def test_huge_ids_score_like_compact_ids(self, big):
+        rng = np.random.default_rng(7)
+        vectors = unit_rows(rng.standard_normal((12, 5)))
+        small = np.arange(12) % 3
+        huge = np.array([0, 7, big])[small]
+        compact, spread = labeled_set(vectors, small), labeled_set(vectors, huge)
+        ks = (1, 2, 5)
+        assert retrieval_report(spread, ks).recall_at == retrieval_report(compact, ks).recall_at
+        assert map_at_100(spread, spread) == map_at_100(compact, compact)
+        # Queries whose class the gallery lacks are still left out.
+        queries = labeled_set(vectors[:4], [big, 7, 3, big - 1])
+        gallery = labeled_set(vectors[4:], huge[4:])
+        relabelled = labeled_set(vectors[:4], [2, 1, 5, 6])
+        assert map_at_100(queries, gallery) == map_at_100(relabelled, labeled_set(vectors[4:], small[4:]))
+
+    def test_singleton_class_is_named_by_its_id(self):
+        s = labeled_set(np.eye(3, dtype=np.float32), [2**40, 2**40, 2**62])
+        with pytest.raises(ValidationError, match=f"class {2**62} has a single member"):
+            recall_at_k(s, 1)
+
+
 class TestLinearProbe:
     def _blobs(self, rng, centers, per_class, sigma):
         classes, d = centers.shape

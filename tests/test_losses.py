@@ -217,8 +217,10 @@ class TestSelectionForward:
         prototypes = PrototypeMatrix(rng.standard_normal((4, 6)))
         plan = SelectionPlan(np.array([0, 2, 4]), np.ones(4, dtype=bool))
         cfg = LossConfig(margin=0.0, scale=1.0, r1=0.5, r2=1.0)
-        with pytest.raises(ValidationError):
-            selection_forward(e, [3], prototypes, plan, cfg)
+        # Between two selected classes, and above every one of them.
+        for label in (3, 5):
+            with pytest.raises(ValidationError, match="outside the selected class subset"):
+                selection_forward(e, [label], prototypes, plan, cfg)
 
     def test_zero_norm_masked_embedding_rejected(self):
         e = np.array([[1.0, 0.0, 0.0, 0.0]])
@@ -228,6 +230,33 @@ class TestSelectionForward:
         cfg = LossConfig(margin=0.0, scale=1.0, r1=1.0, r2=0.75)
         with pytest.raises(DegenerateVectorError):
             selection_forward(e, [0], prototypes, plan, cfg)
+
+
+# Class subsets that break "non-empty, strictly increasing indices in
+# [0, k)" for k=5.
+BAD_SUBSETS = {
+    "empty": [],
+    "negative": [-1, 0, 1],
+    "duplicate": [0, 1, 1, 4],
+    "out-of-range": [0, 1, 4, 7],
+    "unsorted": [1, 0, 4],
+}
+
+
+class TestClassSubsetValidation:
+    @pytest.mark.parametrize("subset", BAD_SUBSETS.values(), ids=BAD_SUBSETS.keys())
+    @pytest.mark.parametrize("loss", [selection_forward, selection_backward])
+    def test_bad_subset_rejected_and_inputs_keep_their_bits(self, subset, loss):
+        rng = np.random.default_rng(9)
+        e = random_units(rng, 3, 4)
+        labels = np.array([0, 1, 1])
+        prototypes = PrototypeMatrix(rng.standard_normal((4, 5)))
+        plan = SelectionPlan(np.array(subset, dtype=np.int64), np.ones(4, dtype=bool))
+        arrays = (e, labels, prototypes.rows, plan.class_subset, plan.feature_mask)
+        before = [a.tobytes() for a in arrays]
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            loss(e, labels, prototypes, plan, LossConfig(margin=0.3, scale=4.0))
+        assert [a.tobytes() for a in arrays] == before
 
 
 class TestSelectionBackward:

@@ -2,13 +2,15 @@
 top-k neighbor ranking and mAP@100) against exhaustive references, and of
 the class-major sparse prototype update, the class and feature samplers
 and the per-label sums against the column-major and O(k) code they
-replaced, and of the UCEB reader on corrupt files.
+replaced, of the whole training step against the out-of-place formulas
+it replaced, and of the UCEB reader on corrupt files.
 
 Kernel inputs are built to be full of exact ties, and row counts run
 below, at and across the row-block size, with one and three threads.
 Every check is bit-exact.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -27,8 +29,11 @@ from unicom import (
     PrototypeMatrix,
     TrainConfig,
     Trainer,
+    apply_feature_dropout,
     assign,
+    full_plan,
     load_embeddings,
+    make_selection_plan,
     map_at_100,
     recall_at_k,
     retrieval_report,
@@ -36,8 +41,15 @@ from unicom import (
     sample_feature_mask,
     save_embeddings,
 )
-from unicom.errors import DegenerateVectorError, DuplicateIdError, UcebFormatError, ValidationError
+from unicom.errors import (
+    DegenerateVectorError,
+    DuplicateIdError,
+    NonFiniteLossError,
+    UcebFormatError,
+    ValidationError,
+)
 from unicom.evaluation import _top_k
+from unicom.losses import LossOutput
 from unicom.rng import stream_rng
 from unicom.training import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, _SGD_MOMENTUM
 from unicom.util import BLOCK_ROWS, label_sums, ratio_count, unit_rows
@@ -373,3 +385,235 @@ def test_corrupt_uceb_raises_only_documented_errors(blob):
         except (UcebFormatError, ValidationError, DuplicateIdError):
             return
     assert isinstance(loaded, EmbeddingSet)
+
+
+class ReferenceTrainer:
+    """The training step as it was before it was rewritten with in-place
+    arithmetic and fewer numpy calls: `Trainer.step` and everything under
+    it, copied verbatim apart from the names. Every output of the current
+    step must equal this one's bit for bit."""
+
+    def __init__(self, encoder, prototypes, cfg):
+        self.encoder, self.prototypes, self.cfg = encoder, prototypes, cfg
+        self.step_count = 0
+        w, rows = encoder.weights, prototypes.rows
+        if cfg.optimizer == "adamw":
+            self._enc_state = {"m": np.zeros_like(w), "v": np.zeros_like(w), "t": 0}
+            self._proto_state = {
+                "m": np.zeros_like(rows),
+                "v": np.zeros_like(rows),
+                "t": np.zeros(prototypes.classes, dtype=np.int64),
+            }
+        else:
+            self._enc_state = {"vel": np.zeros_like(w)}
+            self._proto_state = {"vel": np.zeros_like(rows)}
+
+    @staticmethod
+    def _encode_cache(weights, inputs):
+        x = np.asarray(inputs, dtype=np.float64)
+        z = x @ weights
+        norms = np.linalg.norm(z, axis=1)
+        if np.any(norms < 1e-12):
+            raise DegenerateVectorError("encoder produced a zero-norm projection row")
+        return z, norms, z / norms[:, None]
+
+    @staticmethod
+    def _masked_unit(vectors):
+        norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))
+        if np.any(norms < 1e-12):
+            raise DegenerateVectorError("zero-norm masked sub-vector")
+        return norms, vectors / norms[:, None]
+
+    def _selection_core(self, embeddings, labels, plan, cfg):
+        e = np.asarray(embeddings, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        b, d = e.shape
+        mask = np.asarray(plan.feature_mask, dtype=bool)
+        subset = np.asarray(plan.class_subset, dtype=np.int64)
+        pos_idx = np.searchsorted(subset, labels)
+        if np.any(pos_idx >= subset.size) or np.any(subset[np.minimum(pos_idx, subset.size - 1)] != labels):
+            raise ValidationError("a batch label is outside the selected class subset")
+
+        u = e * mask
+        u_norm, u_hat = self._masked_unit(u)
+        v = self.prototypes.rows[subset] * mask
+        v_norm, v_hat = self._masked_unit(v)
+
+        cos = u_hat @ v_hat.T
+        cos = np.clip(cos, -1.0, 1.0)
+        logits = cfg.scale * cos
+        rows = np.arange(b)
+
+        margin_factor = None
+        if cfg.margin > 0.0:
+            cos_m, sin_m = math.cos(cfg.margin), math.sin(cfg.margin)
+            boundary = math.cos(math.pi - cfg.margin)
+            c_pos = cos[rows, pos_idx]
+            sin_pos = np.sqrt(np.clip(1.0 - c_pos * c_pos, 0.0, None))
+            in_range = c_pos > boundary
+            phi = np.where(
+                in_range,
+                c_pos * cos_m - sin_pos * sin_m,
+                c_pos - cfg.margin * sin_m,
+            )
+            logits[rows, pos_idx] = cfg.scale * phi
+            safe_sin = np.maximum(sin_pos, 1e-12)
+            margin_factor = np.where(in_range, cos_m + sin_m * c_pos / safe_sin, 1.0)
+
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        denom = exp.sum(axis=1)
+        probs = exp / denom[:, None]
+        loss = float(np.mean(np.log(denom) - shifted[rows, pos_idx]))
+
+        dlogits = probs.copy()
+        dlogits[rows, pos_idx] -= 1.0
+        dlogits /= b
+        dcos = dlogits * cfg.scale
+        if margin_factor is not None:
+            dcos[rows, pos_idx] *= margin_factor
+
+        g_u_hat = dcos @ v_hat
+        grad_e = (g_u_hat - np.sum(g_u_hat * u_hat, axis=1, keepdims=True) * u_hat) / u_norm[:, None]
+        g_v_hat = dcos.T @ u_hat
+        grad_w = (g_v_hat - np.sum(g_v_hat * v_hat, axis=1, keepdims=True) * v_hat) / v_norm[:, None]
+        return LossOutput(loss=loss, probs=probs, grad_embeddings=grad_e, grad_prototypes=grad_w)
+
+    def _backward(self, inputs, labels, plan):
+        z, norms, e = self._encode_cache(self.encoder.weights, inputs)
+        r3 = self.cfg.dropout_r3
+        if r3 is None:
+            out = self._selection_core(e, labels, plan, self.cfg.loss)
+            g = out.grad_embeddings
+        else:
+            plan = full_plan(self.prototypes.classes, self.prototypes.dim)
+            dropped, keep = apply_feature_dropout(e, r3, self.cfg.loss.seed, self.step_count)
+            out = self._selection_core(dropped, labels, plan, self.cfg.loss)
+            g = out.grad_embeddings * keep / (1.0 - r3)
+        grad_z = (g - np.sum(g * e, axis=1, keepdims=True) * e) / norms[:, None]
+        grad_w = np.asarray(inputs, dtype=np.float64).T @ grad_z
+        return out, grad_w, plan
+
+    def _update_encoder(self, grad):
+        cfg, st = self.cfg, self._enc_state
+        w = self.encoder.weights
+        if cfg.optimizer == "adamw":
+            st["t"] += 1
+            st["m"] = _ADAM_BETA1 * st["m"] + (1 - _ADAM_BETA1) * grad
+            st["v"] = _ADAM_BETA2 * st["v"] + (1 - _ADAM_BETA2) * grad * grad
+            mh = st["m"] / (1 - _ADAM_BETA1 ** st["t"])
+            vh = st["v"] / (1 - _ADAM_BETA2 ** st["t"])
+            w -= cfg.lr * (mh / (np.sqrt(vh) + _ADAM_EPS) + cfg.weight_decay * w)
+        else:
+            st["vel"] = _SGD_MOMENTUM * st["vel"] + grad + cfg.weight_decay * w
+            w -= cfg.lr * st["vel"]
+
+    def _update_prototypes(self, grad_sub, subset, mask):
+        cfg, st = self.cfg, self._proto_state
+        mask_idx = np.flatnonzero(mask)
+        flat = (subset[:, None] * self.prototypes.dim + mask_idx).ravel()
+
+        def update(array, fn):
+            entries = array.reshape(-1)
+            new = fn(entries[flat].reshape(subset.size, mask_idx.size))
+            entries[flat] = new.ravel()
+            return new
+
+        def sq_sums(block):
+            return np.add.reduce(np.square(block.T, order="C"), axis=0)
+
+        g = np.take(grad_sub, mask_idx, axis=1)
+        if cfg.optimizer == "adamw":
+            st["t"][subset] += 1
+            t = st["t"][subset][:, None]
+            m = update(st["m"], lambda old: _ADAM_BETA1 * old + (1 - _ADAM_BETA1) * g)
+            v = update(st["v"], lambda old: _ADAM_BETA2 * old + (1 - _ADAM_BETA2) * g * g)
+            mh = m / (1 - _ADAM_BETA1**t)
+            vh = v / (1 - _ADAM_BETA2**t)
+            delta = cfg.lr * mh / (np.sqrt(vh) + _ADAM_EPS)
+        else:
+            vel = update(st["vel"], lambda old: _SGD_MOMENTUM * old + g)
+            delta = cfg.lr * vel
+
+        def rescaled(old):
+            sub = old - delta
+            off_sq = np.clip(1.0 - sq_sums(old), 0.0, None)
+            target = np.sqrt(1.0 - off_sq)
+            cur = np.sqrt(sq_sums(sub))
+            if np.any(cur < 1e-12) or np.any(target < 1e-12):
+                raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
+            return sub * (target / cur)[:, None]
+
+        update(self.prototypes.rows, rescaled)
+
+    def step(self, inputs, labels, plan=None):
+        labels = np.asarray(labels, dtype=np.int64)
+        if plan is None and self.cfg.dropout_r3 is None:
+            plan = make_selection_plan(
+                labels, self.prototypes.classes, self.prototypes.dim,
+                self.cfg.loss, self.step_count,
+            )
+        out, grad_enc, plan = self._backward(inputs, labels, plan)
+        if not np.isfinite(out.loss):
+            raise NonFiniteLossError(f"step {self.step_count} produced a non-finite loss {out.loss}")
+        if self.cfg.lr > 0:
+            self._update_encoder(grad_enc)
+            self._update_prototypes(out.grad_prototypes, plan.class_subset, plan.feature_mask)
+        self.step_count += 1
+        return out.loss
+
+
+def recorded_step(trainer, x, labels):
+    """Run trainer.step and return everything it produced and holds, as
+    bytes: the loss, the loss output, the encoder gradient, the
+    parameters and every optimizer-state array."""
+    seen = []
+    backward = trainer._backward
+
+    def recording(*args):
+        result = backward(*args)
+        seen.append(result)
+        return result
+
+    trainer._backward = recording
+    try:
+        loss = trainer.step(x, labels)
+    except (DegenerateVectorError, NonFiniteLossError) as exc:
+        return type(exc)
+    finally:
+        del trainer._backward
+    (out, grad_w, _), = seen
+    arrays = [out.probs, out.grad_embeddings, out.grad_prototypes, grad_w,
+              trainer.encoder.weights, trainer.prototypes.rows]
+    arrays += [np.asarray(trainer._enc_state[n]) for n in sorted(trainer._enc_state)]
+    arrays += [trainer._proto_state[n] for n in sorted(trainer._proto_state)]
+    return [np.float64(loss).tobytes(), trainer.step_count] + [
+        (a.shape, a.dtype.str, a.tobytes()) for a in arrays
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, k=st.integers(2, 12), d=st.integers(1, 9), d_in=st.integers(1, 7),
+       b=st.integers(1, 9), optimizer=st.sampled_from(["adamw", "sgd-momentum"]),
+       margin=st.sampled_from([0.0, 0.3, 3.0]), r1=st.sampled_from([0.3, 0.5, 1.0]),
+       r2=st.sampled_from([0.5, 0.8, 1.0]), r3=st.sampled_from([None, 0.3]),
+       lr=st.sampled_from([0.0, 0.01, 0.3]), fortran=st.booleans(), steps=st.integers(1, 4))
+def test_lean_step_matches_reference_step(seed, k, d, d_in, b, optimizer, margin, r1, r2, r3,
+                                          lr, fortran, steps):
+    if ratio_count(d, r2) < 1:
+        return
+    rng = np.random.default_rng(seed)
+    init = rng.standard_normal((d, k))
+    weights = rng.standard_normal((d_in, d))
+    cfg = TrainConfig(optimizer=optimizer, lr=lr, weight_decay=0.05, dropout_r3=r3,
+                      loss=LossConfig(margin=margin, scale=8.0, r1=r1, r2=r2, seed=seed % 97))
+    trainer = Trainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
+    reference = ReferenceTrainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
+    for _ in range(steps):
+        x = rng.standard_normal((b, d_in))
+        x = np.asfortranarray(x) if fortran else x
+        labels = rng.integers(0, k, size=b)
+        want = recorded_step(reference, x, labels)
+        assert recorded_step(trainer, x, labels) == want
+        if not isinstance(want, list):
+            break

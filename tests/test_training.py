@@ -10,6 +10,7 @@ from unicom import (
     LinearEncoder,
     LossConfig,
     PrototypeMatrix,
+    SelectionPlan,
     SyntheticSpec,
     TrainConfig,
     Trainer,
@@ -162,6 +163,44 @@ class TestTrainStep:
         result = train(data, cfg, prototypes=protos)
         losses = result.losses[:200]
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
+
+
+class TestCallerPlans:
+    def test_plan_of_lists_steps_like_plan_of_arrays(self):
+        x, labels, _ = _small_problem(seed=12, k=5, b=3)
+        cfg = TrainConfig(lr=0.01, loss=LossConfig(seed=1), seed=1)
+        results = []
+        for container in (np.array, list):
+            _, _, prototypes = _small_problem(seed=12, k=5, b=3)
+            trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
+            subset = sorted(set(labels.tolist()) | {4})
+            mask = [True, False] * 5
+            trainer.step(x, labels, SelectionPlan(container(subset), container(mask)))
+            results.append((trainer.step_count, trainer.encoder.weights.tobytes(),
+                            trainer.prototypes.rows.tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("subset", [[-1, 0, 1], [0, 1, 1, 4], [0, 1, 4, 7]],
+                             ids=["negative", "duplicate", "out-of-range"])
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
+    def test_step_raises_and_every_array_keeps_its_bits(self, subset, optimizer):
+        x, _, prototypes = _small_problem(seed=3, k=5, b=3)
+        labels = np.array([0, 1, 1])
+        cfg = TrainConfig(optimizer=optimizer, lr=0.01, loss=LossConfig(r1=0.5, seed=1), seed=1)
+        trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
+        trainer.step(x, labels)  # leaves non-zero optimizer state behind
+
+        def state():
+            arrays = [x, labels, trainer.encoder.weights, trainer.prototypes.rows]
+            arrays += list(trainer._enc_state.values()) + list(trainer._proto_state.values())
+            return [np.asarray(a).tobytes() for a in arrays]
+
+        before = state()
+        plan = SelectionPlan(np.array(subset), np.ones(10, dtype=bool))
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            trainer.step(x, labels, plan)
+        assert state() == before
+        assert trainer.step_count == 1
 
 
 class TestDropoutStep:
