@@ -2,10 +2,10 @@
 
 Pipeline pieces: embedding storage and fusion (`data`), k-means pseudo
 labeling (`clustering`), a margin softmax with random class and feature
-selection plus its baselines (`losses`), joint encoder/prototype training
-(`training`), retrieval metrics and compactness baselines (`evaluation`),
-grid experiments (`ablation`), gradient verification (`gradcheck`), and a
-CLI front door (`cli`).
+selection (`losses`), joint encoder/prototype training with one AdamW and
+one SGD-momentum step (`training`), retrieval metrics on full and
+truncated embeddings (`evaluation`), grid experiments (`ablation`),
+gradient verification (`gradcheck`), and a CLI front door (`cli`).
 """
 
 __version__ = "0.1.0"
@@ -21,13 +21,8 @@ from .data import (
     synth_conflict_dataset,
 )
 from .evaluation import (
-    PcaModel,
     RetrievalReport,
-    linear_probe,
     map_at_100,
-    pca_fit,
-    pca_project,
-    pca_reduce,
     recall_at_k,
     retrieval_report,
     truncate_dims,
@@ -36,12 +31,10 @@ from .gradcheck import check_selection_gradients, finite_difference, max_relativ
 from .losses import (
     LossConfig,
     LossOutput,
-    NceOutput,
     PrototypeMatrix,
     SelectionPlan,
     apply_feature_dropout,
     full_plan,
-    instance_nce_loss,
     make_selection_plan,
     sample_classes,
     sample_feature_mask,

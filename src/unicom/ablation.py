@@ -69,6 +69,8 @@ def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfi
     if param == "r3":
         return replace(cfg, train=replace(cfg.train, dropout_r3=float(value)))
     if param == "k":
+        if not float(value).is_integer():
+            raise ValidationError(f"a cluster count must be an integer, got {value}")
         return replace(cfg, cluster_k=int(value))
     raise ValidationError(f"param must be one of {ABLATION_PARAMS}")
 

@@ -6,6 +6,7 @@ cosine distance, so the pseudo labels it produces are consistent with the
 cosine-based losses trained on top of them.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,8 @@ class KMeansConfig:
             raise ValidationError("k must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValidationError("tol must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValidationError("tol must be finite and >= 0")
         if self.init not in INIT_METHODS:
             raise ValidationError(f"init must be one of {INIT_METHODS}")
 

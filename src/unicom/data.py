@@ -12,6 +12,7 @@ UCEB file layout (all little-endian, no padding between sections):
     ids     n        entries of (u16 byte length, UTF-8 bytes)
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -130,8 +131,8 @@ class SyntheticSpec:
             raise ValidationError("per_class must be >= 2")
         if self.dim < 1:
             raise ValidationError("dim must be >= 1")
-        if self.intra_noise < 0:
-            raise ValidationError("intra_noise must be >= 0")
+        if not (math.isfinite(self.intra_noise) and self.intra_noise >= 0):
+            raise ValidationError("intra_noise must be finite and >= 0")
         if not 0.0 <= self.conflict_ratio <= 1.0:
             raise ValidationError("conflict_ratio must lie in [0, 1]")
 

@@ -1,4 +1,5 @@
-"""Retrieval metrics, linear probe, and compact-embedding baselines."""
+"""Retrieval metrics (recall@K and mAP@100) and prefix truncation for
+compact embeddings."""
 
 import json
 import math
@@ -8,8 +9,6 @@ import numpy as np
 
 from .data import EmbeddingSet
 from .errors import DimensionMismatchError, ValidationError
-from .losses import LossConfig, PrototypeMatrix, full_plan, selection_backward
-from .training import prototypes_from_labels
 from .util import map_row_chunks, unit_rows
 
 
@@ -155,109 +154,3 @@ def truncate_dims(embeddings: EmbeddingSet, d_prime: int) -> EmbeddingSet:
         )
     kept = unit_rows(embeddings.vectors[:, :d_prime].astype(np.float64))
     return EmbeddingSet(kept.astype(np.float32), list(embeddings.ids), embeddings.labels)
-
-
-@dataclass
-class PcaModel:
-    mean: np.ndarray  # (d,)
-    components: np.ndarray  # (d, d'), orthonormal columns, leading variance first
-
-
-def pca_fit(fit_set: EmbeddingSet, d_prime: int) -> PcaModel:
-    """Principal directions of the fit set's covariance.
-
-    Requires at least d_prime rows and a covariance of rank >= d_prime.
-    Component signs are fixed so the largest-magnitude entry of each
-    direction is positive.
-    """
-    d = fit_set.dim
-    if not 1 <= d_prime <= d:
-        raise ValidationError(f"d_prime must lie in [1, {d}], got {d_prime}")
-    if fit_set.count < d_prime:
-        raise ValidationError("fit set must have at least d_prime rows")
-    x = fit_set.vectors.astype(np.float64)
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / max(fit_set.count - 1, 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:d_prime]
-    top = eigvals[order]
-    if top[-1] <= max(eigvals.max(), 0.0) * 1e-10:
-        raise ValidationError(
-            f"covariance rank is below d_prime={d_prime} (smallest kept "
-            f"eigenvalue {top[-1]:.3e})"
-        )
-    components = eigvecs[:, order]
-    flip = np.sign(components[np.abs(components).argmax(axis=0), np.arange(d_prime)])
-    return PcaModel(mean=mean, components=components * flip[None, :])
-
-
-def pca_project(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
-    """Center with the fit mean and project onto the principal directions."""
-    x = np.asarray(vectors, dtype=np.float64)
-    return (x - model.mean) @ model.components
-
-
-def pca_reduce(fit_set: EmbeddingSet, apply_set: EmbeddingSet, d_prime: int) -> EmbeddingSet:
-    """Project apply_set onto fit_set's top-d_prime principal directions.
-
-    The projected rows are renormalized, matching how every other
-    compact-embedding variant here is evaluated.
-    """
-    if fit_set.dim != apply_set.dim:
-        raise DimensionMismatchError("fit and apply sets disagree on dimension")
-    model = pca_fit(fit_set, d_prime)
-    projected = unit_rows(pca_project(model, apply_set.vectors))
-    return EmbeddingSet(projected.astype(np.float32), list(apply_set.ids), apply_set.labels)
-
-
-def linear_probe(
-    train_set: EmbeddingSet,
-    test_set: EmbeddingSet,
-    epochs: int = 50,
-    lr: float = 0.01,
-    scale: float = 16.0,
-) -> float:
-    """Top-1 accuracy of a cosine linear classifier on frozen embeddings.
-
-    The classifier is a prototype matrix initialized at the class means
-    and refined with full-batch AdamW on the plain softmax loss; columns
-    are renormalized after every step.
-    """
-    y_train = _require_labels(train_set, "linear_probe")
-    y_test = _require_labels(test_set, "linear_probe")
-    if train_set.dim != test_set.dim:
-        raise DimensionMismatchError("train and test dimensions differ")
-    classes = np.unique(y_train)
-    if classes.size < 2:
-        raise ValidationError("linear_probe needs at least 2 classes")
-    if not np.isin(y_test, classes).all():
-        raise ValidationError("test labels are not covered by the training split")
-    if epochs < 1:
-        raise ValidationError("epochs must be >= 1")
-    if lr <= 0:
-        raise ValidationError("lr must be > 0")
-
-    remap = {int(c): i for i, c in enumerate(classes)}
-    yt = np.array([remap[int(c)] for c in y_train], dtype=np.int64)
-    x = unit_rows(train_set.vectors.astype(np.float64))
-    prototypes = prototypes_from_labels(x, yt, num_classes=classes.size)
-
-    cfg = LossConfig(margin=0.0, scale=scale, r1=1.0, r2=1.0)
-    plan = full_plan(classes.size, x.shape[1])
-    m = np.zeros_like(prototypes.columns)
-    v = np.zeros_like(prototypes.columns)
-    for t in range(1, epochs + 1):
-        out = selection_backward(x, yt, prototypes, plan, cfg)
-        g = out.grad_prototypes.T  # (d, k)
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        mh = m / (1 - 0.9**t)
-        vh = v / (1 - 0.999**t)
-        cols = prototypes.columns - lr * mh / (np.sqrt(vh) + 1e-8)
-        prototypes = PrototypeMatrix(cols)
-
-    xt = unit_rows(test_set.vectors.astype(np.float64))
-    pred = np.argmax(xt @ prototypes.columns, axis=1)
-    truth = np.array([remap[int(c)] for c in y_test], dtype=np.int64)
-    return float(int((pred == truth).sum()) / test_set.count)

@@ -6,6 +6,7 @@ coordinate of random loss instances and compares the numeric slope with
 the analytic gradient at a configurable relative tolerance.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,10 @@ def check_selection_gradients(
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValidationError("tolerance must be finite and >= 0")
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise ValidationError("fd_step must be finite and > 0")
     rng = np.random.default_rng(seed)
     report = GradCheckReport(trials=trials, tolerance=tolerance)
     for trial in range(trials):
@@ -126,6 +131,6 @@ def check_selection_gradients(
         if err > report.max_error:
             report.max_error = err
             report.worst_trial = trial
-        if err > tolerance:
+        if not err <= tolerance:  # a NaN error fails too
             report.failures += 1
     return report

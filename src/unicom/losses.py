@@ -7,8 +7,7 @@ embedding and the prototype sub-vectors are renormalized after masking,
 so the additive angular margin keeps its geometric meaning on the
 selected subspace. The plain softmax is the same loss at margin 0 on
 `full_plan`; per-sample feature dropout (`apply_feature_dropout`) feeds it
-the dropped embeddings. An instance-contrastive (InfoNCE) loss is kept
-alongside for comparison experiments.
+the dropped embeddings.
 
 All math runs in float64. Gradients are mean-reduced over the batch.
 """
@@ -42,10 +41,10 @@ class LossConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValidationError("margin must be >= 0")
-        if self.scale <= 0:
-            raise ValidationError("scale must be > 0")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValidationError("margin must be finite and >= 0")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValidationError("scale must be finite and > 0")
         if not 0.0 < self.r1 <= 1.0:
             raise ValidationError("r1 must lie in (0, 1]")
         if not 0.0 < self.r2 <= 1.0:
@@ -287,53 +286,6 @@ def full_plan(num_classes: int, dim: int) -> SelectionPlan:
         class_subset=np.arange(num_classes, dtype=np.int64),
         feature_mask=np.ones(dim, dtype=bool),
     )
-
-
-@dataclass
-class NceOutput:
-    loss: float
-    probs: np.ndarray  # (b, 1 + m_neg); column 0 is the positive
-    grad_anchors: np.ndarray
-    grad_positives: np.ndarray
-    grad_negatives: np.ndarray
-
-
-def instance_nce_loss(anchors, positives, negatives, temperature: float) -> NceOutput:
-    """Instance-contrastive softmax over one positive and m negatives.
-
-    Every anchor is scored against its own positive plus its negatives by
-    plain dot product over temperature; the positive sits in the
-    denominator. Inputs are expected row-normalized. Loss and gradients
-    are mean-reduced over the batch.
-    """
-    a = np.asarray(anchors, dtype=np.float64)
-    p = np.asarray(positives, dtype=np.float64)
-    neg = np.asarray(negatives, dtype=np.float64)
-    if a.shape != p.shape:
-        raise DimensionMismatchError("anchors and positives must share a shape")
-    if neg.ndim != 3 or neg.shape[0] != a.shape[0] or neg.shape[2] != a.shape[1]:
-        raise DimensionMismatchError("negatives must be (b, m_neg, d)")
-    if neg.shape[1] == 0:
-        raise ValidationError("at least one negative per anchor is required")
-    if temperature <= 0:
-        raise ValidationError("temperature must be > 0")
-
-    b = a.shape[0]
-    pos_logit = np.sum(a * p, axis=1) / temperature  # (b,)
-    neg_logits = np.einsum("bd,bmd->bm", a, neg) / temperature  # (b, m)
-    logits = np.concatenate([pos_logit[:, None], neg_logits], axis=1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(exp.sum(axis=1)) - shifted[:, 0]))
-
-    dlogits = probs.copy()
-    dlogits[:, 0] -= 1.0
-    dlogits /= b * temperature
-    grad_a = dlogits[:, 0:1] * p + np.einsum("bm,bmd->bd", dlogits[:, 1:], neg)
-    grad_p = dlogits[:, 0:1] * a
-    grad_n = dlogits[:, 1:, None] * a[:, None, :]
-    return NceOutput(loss, probs, grad_a, grad_p, grad_n)
 
 
 def apply_feature_dropout(embeddings, r3: float, seed: int, step: int):

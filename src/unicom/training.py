@@ -143,10 +143,10 @@ class TrainConfig:
             raise ValidationError("batch_size must be >= 1")
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.lr < 0:
-            raise ValidationError("lr must be >= 0")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValidationError("lr must be finite and >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValidationError("weight_decay must be finite and >= 0")
         if self.dropout_r3 is not None and not 0.0 <= self.dropout_r3 < 1.0:
             raise ValidationError("dropout_r3 must lie in [0, 1)")
 
@@ -205,88 +205,44 @@ class Trainer:
         return out, grad_w, plan
 
     def _update_encoder(self, grad):
-        """Dense optimizer step, with the moments updated in place.
-
-        The in-place chains compute w -= lr * (mh / (sqrt(vh) + eps) + wd * w)
-        with mh = m / (1 - b1**t), vh = v / (1 - b2**t),
-        m = b1 * m + (1 - b1) * g, v = b2 * v + ((1 - b2) * g) * g, and
-        (SGD) vel = (mu * vel + g) + wd * w. Each product and sum keeps
-        its operands and grouping, so every bit is as in those formulas;
-        regrouping one, say (1 - b2) * (g * g), changes the results.
-        """
+        """Dense optimizer step on the whole weight matrix, with decay."""
         cfg, st = self.cfg, self._enc_state
         w = self.encoder.weights
         if cfg.optimizer == "adamw":
             st["t"] += 1
-            m, v = st["m"], st["v"]
-            m *= _ADAM_BETA1
-            m += (1 - _ADAM_BETA1) * grad
-            v *= _ADAM_BETA2
-            g2 = (1 - _ADAM_BETA2) * grad
-            g2 *= grad
-            v += g2
-            delta = m / (1 - _ADAM_BETA1 ** st["t"])
-            den = v / (1 - _ADAM_BETA2 ** st["t"])
-            np.sqrt(den, out=den)
-            den += _ADAM_EPS
-            delta /= den
-            delta += cfg.weight_decay * w
-            delta *= cfg.lr
-            w -= delta
+            w -= _adamw_delta(st["m"], st["v"], grad, st["t"], w, cfg.lr, cfg.weight_decay)
         else:
-            vel = st["vel"]
-            vel *= _SGD_MOMENTUM
-            vel += grad
-            vel += cfg.weight_decay * w
-            w -= cfg.lr * vel
+            w -= _sgd_delta(st["vel"], grad, w, cfg.lr, cfg.weight_decay)
 
     def _update_prototypes(self, grad_sub, subset, mask):
         """Sparse update touching only (subset x mask) entries.
 
         Each contiguous (k, d) array gives up its (|S|, |mask|) block of
         entries once and gets it back once, both at flat positions. The
-        moments follow the formulas of `_update_encoder`, without decay,
-        and the step is (lr * mh) / (sqrt(vh) + eps). After the optimizer
-        step the masked sub-vector of each updated row is rescaled so the
-        full row returns to unit norm; the untouched coordinates keep
-        their exact bits.
+        blocks take the encoder's optimizer step, without decay and with
+        per-class Adam step counts. After the step the masked sub-vector
+        of each updated row is rescaled so the full row returns to unit
+        norm; the untouched coordinates keep their exact bits.
         """
         cfg, st, rows = self.cfg, self._proto_state, self.prototypes.rows
         subset = np.asarray(subset, dtype=np.int64)
         mask_idx = np.asarray(mask, dtype=bool).nonzero()[0]
         flat = subset[:, None] * rows.shape[1] + mask_idx
         g = grad_sub.take(mask_idx, axis=1)  # C-ordered, like the gathered blocks
+        old = rows.take(flat)
         if cfg.optimizer == "adamw":
             t = st["t"].take(subset)
             t += 1
             st["t"][subset] = t
-            t = t[:, None]
-            m = st["m"].take(flat)
-            m *= _ADAM_BETA1
-            m += (1 - _ADAM_BETA1) * g
+            m, v = st["m"].take(flat), st["v"].take(flat)
+            delta = _adamw_delta(m, v, g, t[:, None], old, cfg.lr, 0.0)
             st["m"].reshape(-1)[flat] = m
-            v = st["v"].take(flat)
-            v *= _ADAM_BETA2
-            g2 = (1 - _ADAM_BETA2) * g
-            g2 *= g
-            v += g2
             st["v"].reshape(-1)[flat] = v
-            m /= 1 - _ADAM_BETA1**t
-            v /= 1 - _ADAM_BETA2**t
-            np.sqrt(v, out=v)
-            v += _ADAM_EPS
-            m *= cfg.lr
-            m /= v
-            delta = m  # the moments are stored; these blocks are scratch now
         else:
             vel = st["vel"].take(flat)
-            vel *= _SGD_MOMENTUM
-            vel += g
+            delta = _sgd_delta(vel, g, old, cfg.lr, 0.0)
             st["vel"].reshape(-1)[flat] = vel
-            vel *= cfg.lr
-            delta = vel
 
-        old = rows.take(flat)
         sub = old - delta
         off_sq = 1.0 - _coordinate_sq_sums(old)
         target = np.sqrt(1.0 - np.maximum(off_sq, 0.0, out=off_sq))
@@ -312,6 +268,44 @@ class Trainer:
             self._update_prototypes(out.grad_prototypes, plan.class_subset, plan.feature_mask)
         self.step_count += 1
         return out.loss
+
+
+def _adamw_delta(m, v, g, t, w, lr, wd):
+    """AdamW step for parameters `w` with gradient `g` (Loshchilov and
+    Hutter, 2019): lr * (mh / (sqrt(vh) + eps) + wd * w), with
+    mh = m / (1 - b1**t), vh = v / (1 - b2**t), m = b1 * m + (1 - b1) * g
+    and v = b2 * v + ((1 - b2) * g) * g. The moments are updated in place;
+    `t` is a step count, scalar or broadcast against the block.
+
+    Each product and sum keeps the operands and grouping of these
+    formulas, so every bit is as in them; regrouping one, say
+    (1 - b2) * (g * g), changes the results.
+    """
+    m *= _ADAM_BETA1
+    m += (1 - _ADAM_BETA1) * g
+    v *= _ADAM_BETA2
+    g2 = (1 - _ADAM_BETA2) * g
+    g2 *= g
+    v += g2
+    delta = m / (1 - _ADAM_BETA1**t)
+    den = v / (1 - _ADAM_BETA2**t)
+    np.sqrt(den, out=den)
+    den += _ADAM_EPS
+    delta /= den
+    if wd:
+        delta += wd * w
+    delta *= lr
+    return delta
+
+
+def _sgd_delta(vel, g, w, lr, wd):
+    """SGD-momentum step lr * vel, with vel = (mu * vel + g) + wd * w
+    updated in place."""
+    vel *= _SGD_MOMENTUM
+    vel += g
+    if wd:
+        vel += wd * w
+    return lr * vel
 
 
 def _coordinate_sq_sums(block):

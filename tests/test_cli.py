@@ -87,6 +87,39 @@ class TestClusterCommand:
         assert rc == 3
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--noise", "nan"),
+    ("synth", "--noise", "inf"),
+    ("cluster", "--tol", "nan"),
+    ("cluster", "--tol", "inf"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
+    ("train", "--wd", "nan"),
+    ("train", "--wd", "inf"),
+    ("train", "--margin", "nan"),
+    ("train", "--margin", "inf"),
+    ("train", "--scale", "nan"),
+    ("train", "--scale", "inf"),
+    ("gradcheck", "--tol", "nan"),
+    ("gradcheck", "--fd-step", "nan"),
+    ("gradcheck", "--fd-step", "inf"),
+])
+def test_non_finite_hyperparameter_is_usage_error(tmp_path, capsys, command, flag, value):
+    data_dir = tmp_path / "d"
+    main(synth_args(data_dir))
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = synth_args(out) + [flag, value]
+    elif command == "gradcheck":
+        argv = [command, "--trials", "1", flag, value, "--out", str(out)]
+    else:
+        argv = [command, "--input", str(data_dir / "data.uceb"), flag, value, "--out", str(out)]
+        argv += ["--k", "6"] if command == "cluster" else []
+    assert main(argv) == 2
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTrainCommand:
     def test_checkpoint_and_curve(self, tmp_path):
         data_dir = tmp_path / "d"
@@ -290,6 +323,16 @@ class TestAblateCommand:
         ])
         assert rc == 2
         assert "usage error:" in capsys.readouterr().err
+
+    def test_fractional_cluster_count_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        rc = main([
+            "ablate", "--param", "k", "--values", "5.9,8.7", "--seeds", "3",
+            "--classes", "4", "--per-class", "8", "--dim", "12", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert not (out / "ablation.tsv").exists()
 
 
 class TestDeterminismAndConfig:

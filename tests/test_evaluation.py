@@ -1,4 +1,4 @@
-"""Tests for retrieval metrics, the linear probe, truncation, and PCA."""
+"""Tests for retrieval metrics and truncation."""
 
 import math
 
@@ -7,11 +7,7 @@ import pytest
 
 from unicom import (
     EmbeddingSet,
-    linear_probe,
     map_at_100,
-    pca_fit,
-    pca_project,
-    pca_reduce,
     recall_at_k,
     retrieval_report,
     truncate_dims,
@@ -210,43 +206,6 @@ class TestLabelMagnitude:
             recall_at_k(s, 1)
 
 
-class TestLinearProbe:
-    def _blobs(self, rng, centers, per_class, sigma):
-        classes, d = centers.shape
-        labels = np.repeat(np.arange(classes), per_class)
-        x = unit_rows(centers[labels] + sigma * rng.standard_normal((labels.size, d)))
-        return labeled_set(x, labels)
-
-    def test_separable_blobs_reach_full_accuracy(self):
-        rng = np.random.default_rng(7)
-        centers = unit_rows(rng.standard_normal((2, 8)))
-        train_set = self._blobs(rng, centers, 30, 0.02)
-        test_set = self._blobs(rng, centers, 30, 0.02)
-        assert linear_probe(train_set, test_set, epochs=20, lr=0.01) == 1.0
-
-    def test_train_equals_test_is_still_perfect(self):
-        rng = np.random.default_rng(9)
-        centers = unit_rows(rng.standard_normal((3, 6)))
-        s = self._blobs(rng, centers, 20, 0.02)
-        assert linear_probe(s, s, epochs=20, lr=0.01) == 1.0
-
-    def test_shuffled_labels_give_chance_accuracy(self):
-        rng = np.random.default_rng(10)
-        x_train = unit_rows(rng.standard_normal((400, 12)))
-        x_test = unit_rows(rng.standard_normal((400, 12)))
-        train_set = labeled_set(x_train, np.arange(400) % 10)
-        test_set = labeled_set(x_test, np.arange(400) % 10)
-        acc = linear_probe(train_set, test_set, epochs=20, lr=0.01)
-        assert abs(acc - 0.1) <= 0.05
-
-    def test_label_space_mismatch_rejected(self):
-        rng = np.random.default_rng(11)
-        train_set = labeled_set(unit_rows(rng.standard_normal((6, 4))), [0, 0, 0, 1, 1, 1])
-        test_set = labeled_set(unit_rows(rng.standard_normal((2, 4))), [2, 0])
-        with pytest.raises(ValidationError):
-            linear_probe(train_set, test_set)
-
-
 class TestTruncateDims:
     def test_full_width_is_identity_after_renormalization(self):
         rng = np.random.default_rng(12)
@@ -278,73 +237,3 @@ class TestTruncateDims:
             s.labels,
         )
         assert recall_at_k(truncate_dims(padded, 5), 2) == recall_at_k(s, 2)
-
-
-def power_iteration_direction(cov, iters=1000):
-    """Independent dominant-eigenvector oracle."""
-    v = np.ones(cov.shape[0])
-    for _ in range(iters):
-        v = cov @ v
-        v = v / np.linalg.norm(v)
-    return v
-
-
-class TestPca:
-    def test_subspace_data_preserves_inner_products(self):
-        rng = np.random.default_rng(14)
-        basis = np.linalg.qr(rng.standard_normal((6, 2)))[0]  # (6, 2)
-        coords = rng.standard_normal((40, 2))
-        x = (coords @ basis.T).astype(np.float32)
-        s = EmbeddingSet(x, [str(i) for i in range(40)])
-        model = pca_fit(s, 2)
-        projected = pca_project(model, s.vectors)
-        centered = s.vectors.astype(np.float64) - s.vectors.astype(np.float64).mean(axis=0)
-        np.testing.assert_allclose(projected @ projected.T, centered @ centered.T, atol=1e-9)
-
-    def test_first_component_tracks_the_major_axis(self):
-        rng = np.random.default_rng(15)
-        x = np.stack([3.0 * rng.standard_normal(500), 0.1 * rng.standard_normal(500)], axis=1)
-        angle = np.deg2rad(30)
-        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        x = (x @ rot.T).astype(np.float32)
-        s = EmbeddingSet(x, [str(i) for i in range(500)])
-        model = pca_fit(s, 1)
-        xc = x.astype(np.float64) - x.astype(np.float64).mean(axis=0)
-        oracle = power_iteration_direction(xc.T @ xc / (len(x) - 1))
-        cosine = abs(float(np.dot(model.components[:, 0], oracle)))
-        assert cosine > np.cos(np.deg2rad(1.0))
-        major = np.array([np.cos(angle), np.sin(angle)])
-        assert abs(float(np.dot(model.components[:, 0], major))) > np.cos(np.deg2rad(1.0))
-
-    def test_full_rank_projection_preserves_centered_distances(self):
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal((30, 5)).astype(np.float32)
-        s = EmbeddingSet(x, [str(i) for i in range(30)])
-        model = pca_fit(s, 5)
-        projected = pca_project(model, s.vectors)
-        centered = x.astype(np.float64) - x.astype(np.float64).mean(axis=0)
-        d_before = np.linalg.norm(centered[:, None] - centered[None, :], axis=2)
-        d_after = np.linalg.norm(projected[:, None] - projected[None, :], axis=2)
-        np.testing.assert_allclose(d_after, d_before, atol=1e-9)
-
-    def test_reduced_set_rows_are_unit(self):
-        rng = np.random.default_rng(17)
-        s = random_labeled(rng, 50, 8, 2)
-        reduced = pca_reduce(s, s, 3)
-        np.testing.assert_allclose(
-            np.linalg.norm(reduced.vectors.astype(np.float64), axis=1), 1.0, atol=1e-6
-        )
-        assert reduced.dim == 3
-
-    def test_rank_deficiency_rejected(self):
-        x = np.zeros((10, 4), dtype=np.float32)
-        x[:, 0] = np.arange(10)
-        s = EmbeddingSet(x, [str(i) for i in range(10)])
-        with pytest.raises(ValidationError):
-            pca_fit(s, 2)
-
-    def test_too_few_fit_rows_rejected(self):
-        rng = np.random.default_rng(18)
-        s = EmbeddingSet(rng.standard_normal((3, 5)).astype(np.float32), list("abc"))
-        with pytest.raises(ValidationError):
-            pca_fit(s, 4)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unicom import check_selection_gradients, finite_difference, max_relative_error
+from unicom import check_selection_gradients, finite_difference, gradcheck, max_relative_error
 from unicom.errors import ValidationError
 
 
@@ -30,6 +30,10 @@ class TestCheckSelectionGradients:
         report = check_selection_gradients(trials=5, seed=1, inject_bug=True)
         assert not report.passed
         assert report.failures > 0
+
+    def test_nan_numeric_gradient_fails(self, monkeypatch):
+        monkeypatch.setattr(gradcheck, "finite_difference", lambda f, x, step: np.full_like(x, np.nan))
+        assert not check_selection_gradients(trials=2, seed=1).passed
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,4 @@
-"""Tests for the selection softmax, its baselines, and their gradients."""
+"""Tests for the selection softmax, feature dropout, and their gradients."""
 
 import math
 
@@ -11,7 +11,6 @@ from unicom import (
     SelectionPlan,
     apply_feature_dropout,
     full_plan,
-    instance_nce_loss,
     make_selection_plan,
     sample_classes,
     sample_feature_mask,
@@ -316,52 +315,6 @@ class TestSelectionBackward:
         plan = make_selection_plan(labels, 10, 5, cfg, 1)
         out = selection_backward(e, labels, prototypes, plan, cfg)
         assert out.grad_prototypes.shape == (plan.class_subset.size, 5)
-
-
-class TestInstanceNceLoss:
-    def test_aligned_positive_orthogonal_negatives(self):
-        d, m_neg = 6, 4
-        anchor = np.zeros((1, d))
-        anchor[0, 0] = 1.0
-        positives = anchor.copy()
-        negatives = np.zeros((1, m_neg, d))
-        for j in range(m_neg):
-            negatives[0, j, 1 + j] = 1.0
-        out = instance_nce_loss(anchor, positives, negatives, temperature=1.0)
-        assert abs(out.loss - (math.log(math.e + m_neg) - 1)) < 1e-12
-
-    def test_high_temperature_limit(self):
-        rng = np.random.default_rng(11)
-        anchors = random_units(rng, 3, 5)
-        positives = random_units(rng, 3, 5)
-        negatives = unit_rows(rng.standard_normal((3 * 6, 5))).reshape(3, 6, 5)
-        out = instance_nce_loss(anchors, positives, negatives, temperature=1e9)
-        assert abs(out.loss - math.log(1 + 6)) < 1e-6
-
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(12)
-        anchors = random_units(rng, 2, 4)
-        positives = random_units(rng, 2, 4)
-        negatives = unit_rows(rng.standard_normal((2 * 3, 4))).reshape(2, 3, 4)
-        out = instance_nce_loss(anchors, positives, negatives, temperature=0.5)
-        for grad, arg_index in (
-            (out.grad_anchors, 0),
-            (out.grad_positives, 1),
-            (out.grad_negatives, 2),
-        ):
-            args = [anchors, positives, negatives]
-
-            def f(x, i=arg_index):
-                moved = list(args)
-                moved[i] = x
-                return instance_nce_loss(*moved, temperature=0.5).loss
-
-            num = finite_difference(f, args[arg_index])
-            assert max_relative_error(grad, num) < 1e-5
-
-    def test_no_negatives_rejected(self):
-        with pytest.raises(ValidationError):
-            instance_nce_loss(np.ones((1, 3)), np.ones((1, 3)), np.ones((1, 0, 3)), 1.0)
 
 
 class TestDropout:

@@ -170,7 +170,8 @@ def test_map_at_100_matches_oracle_on_tied_cosines(seed, q, g, classes):
 
 def column_major_update(cols, st_, lr, optimizer, grad_sub, subset, mask):
     """The sparse prototype update on (d, k) columns and (d, k) optimizer
-    state, as it was before prototypes were stored class-major."""
+    state, as it was before prototypes were stored class-major, with the
+    AdamW step grouped as lr * (mh / den), like the encoder's."""
     mask_idx = np.flatnonzero(mask)
     ix = np.ix_(mask_idx, subset)
     sub = cols[ix]
@@ -182,7 +183,7 @@ def column_major_update(cols, st_, lr, optimizer, grad_sub, subset, mask):
         st_["v"][ix] = _ADAM_BETA2 * st_["v"][ix] + (1 - _ADAM_BETA2) * g * g
         mh = st_["m"][ix] / (1 - _ADAM_BETA1**t)[None, :]
         vh = st_["v"][ix] / (1 - _ADAM_BETA2**t)[None, :]
-        sub = sub - lr * mh / (np.sqrt(vh) + _ADAM_EPS)
+        sub = sub - lr * (mh / (np.sqrt(vh) + _ADAM_EPS))
     else:
         st_["vel"][ix] = _SGD_MOMENTUM * st_["vel"][ix] + g
         sub = sub - lr * st_["vel"][ix]
@@ -390,8 +391,10 @@ def test_corrupt_uceb_raises_only_documented_errors(blob):
 class ReferenceTrainer:
     """The training step as it was before it was rewritten with in-place
     arithmetic and fewer numpy calls: `Trainer.step` and everything under
-    it, copied verbatim apart from the names. Every output of the current
-    step must equal this one's bit for bit."""
+    it, copied verbatim apart from the names and the prototype AdamW step,
+    which is grouped as lr * (mh / den), like the encoder's, since both
+    share one optimizer step. Every output of the current step must equal
+    this one's bit for bit."""
 
     def __init__(self, encoder, prototypes, cfg):
         self.encoder, self.prototypes, self.cfg = encoder, prototypes, cfg
@@ -530,7 +533,7 @@ class ReferenceTrainer:
             v = update(st["v"], lambda old: _ADAM_BETA2 * old + (1 - _ADAM_BETA2) * g * g)
             mh = m / (1 - _ADAM_BETA1**t)
             vh = v / (1 - _ADAM_BETA2**t)
-            delta = cfg.lr * mh / (np.sqrt(vh) + _ADAM_EPS)
+            delta = cfg.lr * (mh / (np.sqrt(vh) + _ADAM_EPS))
         else:
             vel = update(st["vel"], lambda old: _SGD_MOMENTUM * old + g)
             delta = cfg.lr * vel
@@ -597,15 +600,16 @@ def recorded_step(trainer, x, labels):
        b=st.integers(1, 9), optimizer=st.sampled_from(["adamw", "sgd-momentum"]),
        margin=st.sampled_from([0.0, 0.3, 3.0]), r1=st.sampled_from([0.3, 0.5, 1.0]),
        r2=st.sampled_from([0.5, 0.8, 1.0]), r3=st.sampled_from([None, 0.3]),
-       lr=st.sampled_from([0.0, 0.01, 0.3]), fortran=st.booleans(), steps=st.integers(1, 4))
+       lr=st.sampled_from([0.0, 0.01, 0.3]), weight_decay=st.sampled_from([0.0, 0.05]),
+       fortran=st.booleans(), steps=st.integers(1, 4))
 def test_lean_step_matches_reference_step(seed, k, d, d_in, b, optimizer, margin, r1, r2, r3,
-                                          lr, fortran, steps):
+                                          lr, weight_decay, fortran, steps):
     if ratio_count(d, r2) < 1:
         return
     rng = np.random.default_rng(seed)
     init = rng.standard_normal((d, k))
     weights = rng.standard_normal((d_in, d))
-    cfg = TrainConfig(optimizer=optimizer, lr=lr, weight_decay=0.05, dropout_r3=r3,
+    cfg = TrainConfig(optimizer=optimizer, lr=lr, weight_decay=weight_decay, dropout_r3=r3,
                       loss=LossConfig(margin=margin, scale=8.0, r1=r1, r2=r2, seed=seed % 97))
     trainer = Trainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
     reference = ReferenceTrainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
