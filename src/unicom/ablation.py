@@ -60,19 +60,25 @@ class AblationRow:
 
 
 def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfig:
-    if param == "r1":
-        loss = replace(cfg.train.loss, r1=float(value))
-        return replace(cfg, train=replace(cfg.train, loss=loss))
-    if param == "r2":
-        loss = replace(cfg.train.loss, r2=float(value))
-        return replace(cfg, train=replace(cfg.train, loss=loss))
-    if param == "r3":
-        return replace(cfg, train=replace(cfg.train, dropout_r3=float(value)))
-    if param == "k":
+    """The configuration of one grid point, checked as far as it can be
+    before any data exists."""
+    if param in ("r1", "r2"):
+        loss = replace(cfg.train.loss, **{param: float(value)})
+        cfg = replace(cfg, train=replace(cfg.train, loss=loss))
+    elif param == "r3":
+        cfg = replace(cfg, train=replace(cfg.train, dropout_r3=float(value)))
+    elif param == "k":
         if not float(value).is_integer():
             raise ValidationError(f"a cluster count must be an integer, got {value}")
-        return replace(cfg, cluster_k=int(value))
-    raise ValidationError(f"param must be one of {ABLATION_PARAMS}")
+        cfg = replace(cfg, cluster_k=int(value))
+    else:
+        raise ValidationError(f"param must be one of {ABLATION_PARAMS}")
+    points = cfg.synth.true_classes * cfg.synth.per_class
+    if cfg.cluster_k is not None and not 1 <= cfg.cluster_k <= points:
+        raise ValidationError(
+            f"a cluster count must lie in [1, {points}], the number of points, got {cfg.cluster_k}"
+        )
+    return cfg
 
 
 def run_single(cfg: AblationConfig, seed: int) -> dict[int, float]:
@@ -125,9 +131,10 @@ def run_ablation(param: str, values, base: AblationConfig, seeds) -> list[Ablati
     if len(seed_list) < 3:
         raise ValidationError("an ablation needs at least 3 seeds")
 
+    # Every grid point is checked before the first one runs.
+    configs = [_apply_param(base, param, value) for value in values]
     rows: list[AblationRow] = []
-    for value in values:
-        cfg = _apply_param(base, param, value)
+    for value, cfg in zip(values, configs):
         per_dim: dict[int, list[float]] = {}
         for seed in seed_list:
             for dims, metric in run_single(cfg, seed).items():

@@ -66,6 +66,16 @@ def _points(data) -> np.ndarray:
 # doubled again for rounding in the bound itself.
 _ROUNDING_SLACK = 8 * np.finfo(np.float64).eps / 2
 _SUBNORMAL_SLACK = 8 * np.nextafter(0.0, 1.0)
+# Norms of huge rows may overflow where their differences do not; such
+# rows get a non-finite bound and are rescored in full, so the screen
+# stays silent about it.
+_QUIET = dict(over="ignore", invalid="ignore")
+
+
+def _screen_slack(x_norm, c_norm, d: int):
+    """How far a screened distance |x|^2 - 2 x.c + |c|^2 may lie from
+    sum((x - c)^2) on the same operands, with the margin described above."""
+    return (d + 4) * (_ROUNDING_SLACK * (x_norm + c_norm) ** 2 + _SUBNORMAL_SLACK)
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -95,21 +105,16 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     _require_finite(centroids, "centroids")
     points_t = np.ascontiguousarray(centroids.T)  # (k, d)
     k, d = points_t.shape
-    # Norms of huge rows may overflow where their differences do not; such
-    # rows get a non-finite bound and are rescored in full, so the screen
-    # stays silent about it.
-    quiet = dict(over="ignore", invalid="ignore")
-    with np.errstate(**quiet):
+    with np.errstate(**_QUIET):
         c_sq = np.einsum("kd,kd->k", points_t, points_t)
         c_norm = np.sqrt(c_sq.max())
 
     def chunk(a, b):
         rows = x[a:b]
-        with np.errstate(**quiet):
+        with np.errstate(**_QUIET):
             x_sq = np.einsum("id,id->i", rows, rows)
             screened = x_sq[:, None] - 2.0 * (rows @ points_t.T) + c_sq[None, :]
-            slack = (d + 4) * (_ROUNDING_SLACK * (np.sqrt(x_sq) + c_norm) ** 2 + _SUBNORMAL_SLACK)
-            limit = screened.min(axis=1) + slack
+            limit = screened.min(axis=1) + _screen_slack(np.sqrt(x_sq), c_norm, d)
         near = screened <= limit[:, None]
         near[~np.isfinite(limit)] = True
         r, j = np.divmod(np.flatnonzero(near), k)
@@ -140,18 +145,31 @@ def objective(data, centroids: np.ndarray, assignments: np.ndarray) -> float:
 
 
 def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
-    n = x.shape[0]
+    """Starting centroids as rows: `cfg.k` distinct points drawn uniformly,
+    or by kmeans++.
+
+    kmeans++ seeds with one uniform point, then samples each next point
+    with probability proportional to its squared distance sum((x - c)^2)
+    from the nearest centroid chosen so far. Each step screens every row
+    with one matrix-vector product through |x|^2 - 2 x.c + |c|^2 and
+    rescores, with the exact formula, only the rows whose screened distance
+    could lie below their current nearest within the rounding bound of
+    `assign`. The distances, and so every draw, equal those of an
+    exhaustive scan with that formula.
+    """
+    n, d = x.shape
     rng = stream_rng(cfg.seed, "kmeans-init")
     if cfg.init == "random-points":
         idx = rng.choice(n, size=cfg.k, replace=False)
         return x[idx].copy()
 
-    # kmeans++: seed with one uniform point, then sample proportionally to
-    # the squared distance from the nearest centroid chosen so far.
     chosen = np.empty(cfg.k, dtype=np.int64)
     chosen[0] = rng.integers(n)
     diff = x - x[chosen[0]]
     closest = np.einsum("ij,ij->i", diff, diff)
+    with np.errstate(**_QUIET):
+        x_sq = np.einsum("id,id->i", x, x)
+        x_norm = np.sqrt(x_sq)
     for i in range(1, cfg.k):
         total = closest.sum()
         if total <= 0.0:
@@ -161,8 +179,13 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
             chosen[i] = rng.choice(unchosen)
         else:
             chosen[i] = rng.choice(n, p=closest / total)
-        diff = x - x[chosen[i]]
-        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
+        c = chosen[i]
+        with np.errstate(**_QUIET):
+            screened = x_sq - 2.0 * (x @ x[c]) + x_sq[c]
+            # Negated, so NaN and infinite screens are rescored too.
+            rows = np.flatnonzero(~(screened - _screen_slack(x_norm, x_norm[c], d) >= closest))
+        diff = x[rows] - x[c]
+        closest[rows] = np.minimum(closest[rows], np.einsum("ij,ij->i", diff, diff))
     return x[chosen].copy()
 
 

@@ -48,14 +48,21 @@ def _top_k(sims: np.ndarray, depth: int) -> np.ndarray:
     """Column indices of each row's `depth` largest entries, ordered.
 
     Equals the first `depth` columns of a stable argsort of `-sims`: higher
-    similarity first, ties toward the lower index. Only the entries at or
-    above each row's depth-th largest value are sorted, every entry tied
-    with it included, so a tie at the cut still resolves by index.
+    similarity first, ties toward the lower index. The columns are dealt
+    into `groups` strided sets and each set's maximum is taken; those
+    maxima are distinct entries of the row, so the depth-th largest of them
+    lies at or below the row's depth-th largest value. Only the entries at
+    or above that cut are sorted, every entry tied with the true cut
+    included, so a tie at the cut still resolves by index.
     """
     m, n = sims.shape
-    cut = np.partition(sims, n - depth, axis=1)[:, n - depth]
+    groups = min(n, max(64, 4 * depth))
+    w = n // groups
+    maxima = sims[:, : groups * w].reshape(m, w, groups).max(axis=1)
+    cut = np.partition(maxima, groups - depth, axis=1)[:, groups - depth]
     rows, cols = np.divmod(np.flatnonzero(sims >= cut[:, None]), n)
-    order = np.lexsort((cols, -sims[rows, cols], rows))
+    # Stable, and candidates arrive in column order, so ties keep it.
+    order = np.lexsort((-sims[rows, cols], rows))
     starts = np.searchsorted(rows, np.arange(m))
     return cols[order][starts[:, None] + np.arange(depth)]
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from unicom import AblationConfig, LossConfig, SyntheticSpec, TrainConfig, run_ablation
+from unicom import AblationConfig, LossConfig, SyntheticSpec, TrainConfig, ablation, run_ablation
 from unicom.ablation import ablation_to_json, ablation_to_tsv, run_single
 from unicom.errors import ValidationError
 
@@ -69,6 +69,24 @@ class TestRunAblation:
     def test_too_few_seeds_rejected(self):
         with pytest.raises(ValidationError):
             run_ablation("r1", [0.5, 1.0], tiny_config(), seeds=2)
+
+    @pytest.mark.parametrize("param, values", [
+        ("k", [5, 0]),
+        ("k", [5, 33]),  # more clusters than the 4 x 8 points
+        ("k", [5, 6.5]),
+        ("r1", [0.5, 1.5]),
+        ("r2", [0.5, 0.0]),
+        ("r3", [0.0, 1.0]),
+    ])
+    def test_whole_grid_validated_before_any_training(self, param, values, monkeypatch):
+        monkeypatch.setattr(ablation, "train", lambda *a, **kw: pytest.fail("trained"))
+        with pytest.raises(ValidationError):
+            run_ablation(param, values, tiny_config(), seeds=3)
+
+    def test_out_of_range_base_cluster_count_rejected(self, monkeypatch):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        with pytest.raises(ValidationError):
+            run_ablation("r1", [0.5, 1.0], tiny_config(cluster_k=33), seeds=3)
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValidationError):

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from unicom import EmbeddingSet, cli, load_embeddings, save_embeddings
+from unicom import EmbeddingSet, ablation, cli, load_embeddings, save_embeddings
 from unicom.cli import main
 from unicom.errors import NonFiniteLossError
 from unicom.util import unit_rows
@@ -333,6 +333,17 @@ class TestAblateCommand:
         assert rc == 2
         assert "usage error:" in capsys.readouterr().err
         assert not (out / "ablation.tsv").exists()
+
+    def test_bad_late_grid_value_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        out = tmp_path / "a"
+        rc = main([
+            "ablate", "--param", "k", "--values", "5,0", "--seeds", "3",
+            "--classes", "4", "--per-class", "8", "--dim", "12", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 class TestDeterminismAndConfig:

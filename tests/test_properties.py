@@ -1,9 +1,9 @@
 """Property tests of the blocked kernels (nearest-centroid assignment,
-top-k neighbor ranking and mAP@100) against exhaustive references, and of
-the class-major sparse prototype update, the class and feature samplers
-and the per-label sums against the column-major and O(k) code they
-replaced, of the whole training step against the out-of-place formulas
-it replaced, and of the UCEB reader on corrupt files.
+kmeans++ seeding, top-k neighbor ranking and mAP@100) against exhaustive
+references, and of the class-major sparse prototype update, the class and
+feature samplers and the per-label sums against the column-major and O(k)
+code they replaced, of the whole training step against the out-of-place
+formulas it replaced, and of the UCEB reader on corrupt files.
 
 Kernel inputs are built to be full of exact ties, and row counts run
 below, at and across the row-block size, with one and three threads.
@@ -24,6 +24,7 @@ from test_clustering import brute_force_assign
 from test_evaluation import brute_force_map100, brute_force_recall
 from unicom import (
     EmbeddingSet,
+    KMeansConfig,
     LinearEncoder,
     LossConfig,
     PrototypeMatrix,
@@ -41,6 +42,7 @@ from unicom import (
     sample_feature_mask,
     save_embeddings,
 )
+from unicom.clustering import _init_centroids
 from unicom.errors import (
     DegenerateVectorError,
     DuplicateIdError,
@@ -103,17 +105,92 @@ def test_assign_matches_einsum_scan_on_near_ties(seed, n, k, d, scale):
     assert_assign_exact(x, rows.T)
 
 
-TIED_SIMS = hnp.arrays(
-    np.float64,
-    st.tuples(st.integers(1, 6), st.integers(1, 30)),
-    elements=st.sampled_from([-np.inf, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]),
+def reference_kmeanspp(x, cfg):
+    """kmeans++ seeding as an exhaustive einsum scan at every step, the
+    formula `_init_centroids` must reproduce bit for bit."""
+    n = x.shape[0]
+    rng = stream_rng(cfg.seed, "kmeans-init")
+    chosen = np.empty(cfg.k, dtype=np.int64)
+    chosen[0] = rng.integers(n)
+    diff = x - x[chosen[0]]
+    closest = np.einsum("ij,ij->i", diff, diff)
+    for i in range(1, cfg.k):
+        total = closest.sum()
+        if total <= 0.0:
+            chosen[i] = rng.choice(np.setdiff1d(np.arange(n), chosen[:i]))
+        else:
+            chosen[i] = rng.choice(n, p=closest / total)
+        diff = x - x[chosen[i]]
+        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
+    return x[chosen].copy()
+
+
+def assert_kmeanspp_exact(x, k, seed):
+    cfg = KMeansConfig(k=k, seed=seed)
+    got, want = _init_centroids(x, cfg), reference_kmeanspp(x, cfg)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 60), distinct=st.integers(1, 12), d=st.integers(1, 6),
+       scale=st.sampled_from([1.0, 1e-310]), data=st.data())
+def test_kmeanspp_matches_einsum_scan_on_duplicates(seed, n, distinct, d, scale, data):
+    # Few distinct half-integer points, so k often exceeds them and the
+    # seeding reaches its uniform fallback; at 1e-310 they are subnormal.
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-2, 3, size=(distinct, d)) * 0.5 * scale
+    x = points[rng.integers(0, distinct, size=n)]
+    assert_kmeanspp_exact(x, data.draw(st.integers(1, n)), seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 60), distinct=st.integers(2, 12), d=st.integers(1, 24),
+       scale=st.sampled_from([1e-310, 1e-150, 1e-3, 1.0, 1e4, 1e150]),
+       huge=st.booleans(), data=st.data())
+def test_kmeanspp_matches_einsum_scan_on_near_ties(seed, n, distinct, d, scale, huge, data):
+    # The near-tie palette of the `assign` properties. With `huge`, every
+    # row gains the same 1e200 coordinate: the norms overflow while the
+    # distances stay finite, so the screen is NaN and every row rescored.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((distinct, d)) * scale
+    rows[1::3] = rows[0::3][: rows[1::3].shape[0]]
+    rows[2::3] = np.nextafter(rows[0::3][: rows[2::3].shape[0]], np.inf)
+    a = rows[rng.integers(0, distinct, size=n)]
+    b = rows[rng.integers(0, distinct, size=n)]
+    x = np.where(rng.random((n, 1)) < 0.5, a, (a + b) / 2)
+    if huge:
+        x = np.hstack([np.full((n, 1), 1e200), x])
+    assert_kmeanspp_exact(x, data.draw(st.integers(1, n)), seed)
+
+
+TIE_VALUES = [-np.inf, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def wide_tied_sims(draw):
+    """Up to 600 columns of TIE_VALUES under skewed weights, wide enough
+    for `_top_k` to take its cut from column-group maxima."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(31, 600)))
+    rng = np.random.default_rng(draw(SEEDS))
+    return rng.choice(TIE_VALUES, size=shape, p=rng.dirichlet(np.full(len(TIE_VALUES), 0.3)))
+
+
+TIED_SIMS = st.one_of(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 30)),
+        elements=st.sampled_from(TIE_VALUES),
+    ),
+    wide_tied_sims(),
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(sims=TIED_SIMS, data=st.data())
 def test_top_k_is_a_stable_full_sort_prefix(sims, data):
-    depth = data.draw(st.integers(1, sims.shape[1]))
+    # Small depths often, so that the column groups hold several columns.
+    n = sims.shape[1]
+    depth = data.draw(st.one_of(st.integers(1, max(1, n // 8)), st.integers(1, n)))
     want = np.argsort(-sims, axis=1, kind="stable")[:, :depth]
     np.testing.assert_array_equal(_top_k(sims, depth), want)
 
