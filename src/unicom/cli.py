@@ -18,14 +18,7 @@ from . import __version__
 from .ablation import ABLATION_PARAMS, AblationConfig, ablation_to_json, ablation_to_tsv, run_ablation
 from .clustering import KMeansConfig, kmeans_fit, INIT_METHODS
 from .data import EmbeddingSet, SyntheticSpec, load_embeddings, save_embeddings, synth_conflict_dataset
-from .errors import (
-    DegenerateVectorError,
-    DimensionMismatchError,
-    DuplicateIdError,
-    UcebFormatError,
-    UnicomError,
-    ValidationError,
-)
+from .errors import UcebFormatError, UnicomError, ValidationError
 from .evaluation import RetrievalReport, map_at_100, retrieval_report, truncate_dims
 from .gradcheck import check_selection_gradients
 from .losses import LossConfig
@@ -113,9 +106,8 @@ def cmd_cluster(args) -> int:
     _write_manifest(args, out, [args.input], ["centroids.uceb", "assigned.uceb", "objective_trace.txt"])
     data = load_embeddings(args.input)
     result = kmeans_fit(data, cfg, threads=resolve_threads(args.threads))
-    centroids = result.centroids.T.astype(np.float32)
     save_embeddings(
-        EmbeddingSet(centroids, [f"cluster-{i:06d}" for i in range(cfg.k)]),
+        EmbeddingSet(result.centroids, [f"cluster-{i:06d}" for i in range(cfg.k)]),
         out / "centroids.uceb",
     )
     save_embeddings(data.with_labels(result.assignments), out / "assigned.uceb")
@@ -251,9 +243,12 @@ def cmd_gradcheck(args) -> int:
 
 def _add_common(parser, out_required=True):
     parser.add_argument("--seed", type=int, default=0, help="master seed for all named random streams")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     parser.add_argument("--config", default=None, help="JSON file (or manifest.json) supplying flag defaults")
     parser.add_argument("--out", required=out_required, help="output directory")
+
+
+def _add_threads(parser):
+    parser.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
 
 
 def _add_train_flags(parser):
@@ -298,6 +293,7 @@ def build_parser():
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--init", choices=INIT_METHODS, default="kmeanspp")
+    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
     registry["cluster"] = p
@@ -318,6 +314,7 @@ def build_parser():
     p.add_argument("--labels", default=None, help="UCEB file whose labels override the input's")
     p.add_argument("--queries", default=None, help="query UCEB file (map100)")
     p.add_argument("--gallery", default=None, help="gallery UCEB file (map100)")
+    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
     registry["eval"] = p
@@ -387,7 +384,7 @@ def main(argv=None) -> int:
     except (UcebFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (DegenerateVectorError, DimensionMismatchError, DuplicateIdError, UnicomError) as exc:
+    except UnicomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

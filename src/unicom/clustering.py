@@ -40,16 +40,16 @@ class KMeansConfig:
 
 @dataclass
 class ClusterResult:
-    """Centroids (one per column), assignments, and the objective trace."""
+    """Centroids (one per row), assignments, and the objective trace."""
 
-    centroids: np.ndarray  # (d, k)
+    centroids: np.ndarray  # (k, d)
     assignments: np.ndarray  # (n,) int64
     objective_trace: list[float] = field(default_factory=list)
     iterations_run: int = 0
 
     @property
     def k(self) -> int:
-        return self.centroids.shape[1]
+        return self.centroids.shape[0]
 
 
 def _points(data) -> np.ndarray:
@@ -86,8 +86,8 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     """Map each row to its nearest centroid (squared Euclidean distance).
 
-    `centroids` holds one centroid per column. Ties break toward the
-    lowest centroid index.
+    `centroids` holds one centroid per row. Ties break toward the lowest
+    centroid index.
 
     Each block of rows is screened with one matrix product through
     |x|^2 - 2 x.c + |c|^2. The few centroids whose screened distance lies
@@ -96,29 +96,28 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     equals an exhaustive scan with that formula.
     """
     x = _points(data)
-    centroids = np.asarray(centroids, dtype=np.float64)
-    if centroids.ndim != 2 or centroids.shape[0] != x.shape[1]:
+    c = np.ascontiguousarray(centroids, dtype=np.float64)
+    if c.ndim != 2 or c.shape[1] != x.shape[1]:
         raise DimensionMismatchError(
-            f"centroids of shape {centroids.shape} do not match dimension {x.shape[1]}"
+            f"centroids of shape {c.shape} do not match dimension {x.shape[1]}"
         )
     _require_finite(x, "points")
-    _require_finite(centroids, "centroids")
-    points_t = np.ascontiguousarray(centroids.T)  # (k, d)
-    k, d = points_t.shape
+    _require_finite(c, "centroids")
+    k, d = c.shape
     with np.errstate(**_QUIET):
-        c_sq = np.einsum("kd,kd->k", points_t, points_t)
+        c_sq = np.einsum("kd,kd->k", c, c)
         c_norm = np.sqrt(c_sq.max())
 
     def chunk(a, b):
         rows = x[a:b]
         with np.errstate(**_QUIET):
             x_sq = np.einsum("id,id->i", rows, rows)
-            screened = x_sq[:, None] - 2.0 * (rows @ points_t.T) + c_sq[None, :]
+            screened = x_sq[:, None] - 2.0 * (rows @ c.T) + c_sq[None, :]
             limit = screened.min(axis=1) + _screen_slack(np.sqrt(x_sq), c_norm, d)
         near = screened <= limit[:, None]
         near[~np.isfinite(limit)] = True
         r, j = np.divmod(np.flatnonzero(near), k)
-        diff = rows[r] - points_t[j]
+        diff = rows[r] - c[j]
         d2 = np.einsum("ij,ij->i", diff, diff)
         starts = np.searchsorted(r, np.arange(b - a))
         best = np.minimum.reduceat(d2, starts)
@@ -135,12 +134,12 @@ def objective(data, centroids: np.ndarray, assignments: np.ndarray) -> float:
     assignments = np.asarray(assignments, dtype=np.int64)
     if assignments.shape != (x.shape[0],):
         raise DimensionMismatchError("one assignment per row is required")
-    if centroids.shape[0] != x.shape[1]:
+    if centroids.ndim != 2 or centroids.shape[1] != x.shape[1]:
         raise DimensionMismatchError("centroid dimension does not match data")
-    k = centroids.shape[1]
+    k = centroids.shape[0]
     if np.any(assignments < 0) or np.any(assignments >= k):
         raise ValidationError(f"assignments must lie in [0, {k})")
-    diff = x - centroids.T[assignments]
+    diff = x - centroids[assignments]
     return float(np.sum(diff * diff) / x.shape[0])
 
 
@@ -155,7 +154,8 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
     rescores, with the exact formula, only the rows whose screened distance
     could lie below their current nearest within the rounding bound of
     `assign`. The distances, and so every draw, equal those of an
-    exhaustive scan with that formula.
+    exhaustive scan with that formula. Squared distances that overflow
+    float64 raise ValidationError.
     """
     n, d = x.shape
     rng = stream_rng(cfg.seed, "kmeans-init")
@@ -172,6 +172,8 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
         x_norm = np.sqrt(x_sq)
     for i in range(1, cfg.k):
         total = closest.sum()
+        if not math.isfinite(total):
+            raise ValidationError("squared distances between the points overflow float64")
         if total <= 0.0:
             # All remaining mass is on already-chosen points (duplicates);
             # fall back to a uniform pick among unchosen indices.
@@ -189,7 +191,7 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
     return x[chosen].copy()
 
 
-def _respawn_empty(x, centroids_rows, assignments, counts):
+def _respawn_empty(x, centroids, assignments, counts):
     """Move each empty cluster onto the point farthest from its centroid.
 
     Points are considered in decreasing order of distance to their assigned
@@ -199,7 +201,7 @@ def _respawn_empty(x, centroids_rows, assignments, counts):
     empty = np.flatnonzero(counts == 0)
     if empty.size == 0:
         return
-    diff = x - centroids_rows[assignments]
+    diff = x - centroids[assignments]
     dist2 = np.einsum("ij,ij->i", diff, diff)
     order = np.argsort(-dist2, kind="stable")
     pos = 0
@@ -211,7 +213,7 @@ def _respawn_empty(x, centroids_rows, assignments, counts):
                 counts[assignments[p]] -= 1
                 assignments[p] = j
                 counts[j] = 1
-                centroids_rows[j] = x[p]
+                centroids[j] = x[p]
                 break
         else:  # pragma: no cover - n >= k guarantees a donor exists
             raise ValidationError("cannot respawn empty cluster")
@@ -231,14 +233,14 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds the number of points {n}")
 
-    centroids_rows = _init_centroids(x, cfg)
+    centroids = _init_centroids(x, cfg)
     trace: list[float] = []
     assignments = np.zeros(n, dtype=np.int64)
     for _ in range(cfg.max_iters):
-        assignments = assign(x, centroids_rows.T, threads=threads)
+        assignments = assign(x, centroids, threads=threads)
         counts = np.bincount(assignments, minlength=cfg.k)
-        _respawn_empty(x, centroids_rows, assignments, counts)
-        trace.append(objective(x, centroids_rows.T, assignments))
+        _respawn_empty(x, centroids, assignments, counts)
+        trace.append(objective(x, centroids, assignments))
         if len(trace) >= 2:
             prev, cur = trace[-2], trace[-1]
             if prev <= 0.0 or (prev - cur) / prev < cfg.tol:
@@ -247,10 +249,10 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
             break
         # Update step: per-cluster ordered accumulation by point index,
         # so results are identical for any thread count.
-        centroids_rows = label_sums(x, assignments, cfg.k) / counts[:, None]
+        centroids = label_sums(x, assignments, cfg.k) / counts[:, None]
 
     return ClusterResult(
-        centroids=centroids_rows.T.copy(),
+        centroids=centroids,
         assignments=assignments,
         objective_trace=trace,
         iterations_run=len(trace),

@@ -7,7 +7,7 @@ the analytic gradient at a configurable relative tolerance.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,6 @@ class GradCheckReport:
     tolerance: float
     max_error: float = 0.0
     failures: int = 0
-    worst_trial: int = -1
-    errors: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -70,7 +68,7 @@ def random_instance(rng: np.random.Generator):
     k = int(rng.integers(4, 33))
     embeddings = unit_rows(rng.standard_normal((b, d)))
     labels = rng.integers(0, k, size=b)
-    prototypes = PrototypeMatrix(rng.standard_normal((d, k)))
+    prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
     cfg = LossConfig(
         margin=float(rng.uniform(0.1, 0.5)),
         scale=float(rng.uniform(1.0, 8.0)),
@@ -104,7 +102,7 @@ def check_selection_gradients(
         raise ValidationError("fd_step must be finite and > 0")
     rng = np.random.default_rng(seed)
     report = GradCheckReport(trials=trials, tolerance=tolerance)
-    for trial in range(trials):
+    for _ in range(trials):
         embeddings, labels, prototypes, plan, cfg = random_instance(rng)
         out = selection_backward(embeddings, labels, prototypes, plan, cfg)
         grad_e = -out.grad_embeddings if inject_bug else out.grad_embeddings
@@ -114,23 +112,20 @@ def check_selection_gradients(
 
         def loss_of_selected(w_sub, subset=plan.class_subset):
             # The loss renormalizes masked sub-vectors, so it is invariant
-            # to the column rescaling done by the PrototypeMatrix ctor.
-            cols = prototypes.columns.copy()
-            cols[:, subset] = w_sub.T
-            return selection_forward(embeddings, labels, PrototypeMatrix(cols), plan, cfg).loss
+            # to the row rescaling done by the PrototypeMatrix ctor.
+            rows = prototypes.rows.copy()
+            rows[subset] = w_sub
+            return selection_forward(embeddings, labels, PrototypeMatrix(rows), plan, cfg).loss
 
         num_e = finite_difference(loss_of_embeddings, embeddings, fd_step)
-        w_sub = prototypes.columns[:, plan.class_subset].T.copy()
+        w_sub = prototypes.rows[plan.class_subset]
         num_w = finite_difference(loss_of_selected, w_sub, fd_step)
 
         err = max(
             max_relative_error(grad_e, num_e),
             max_relative_error(out.grad_prototypes, num_w),
         )
-        report.errors.append(err)
-        if err > report.max_error:
-            report.max_error = err
-            report.worst_trial = trial
+        report.max_error = max(report.max_error, err)
         if not err <= tolerance:  # a NaN error fails too
             report.failures += 1
     return report

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateVectorError, DimensionMismatchError, ValidationError
 from .rng import stream_rng
-from .util import ratio_count, unit_rows_backward
+from .util import ratio_count, unit_rows, unit_rows_backward
 
 _NORM_EPS = 1e-12
 
@@ -54,30 +54,20 @@ class LossConfig:
 class PrototypeMatrix:
     """One unit-norm prototype per class; always at least two classes.
 
-    Built from a (d, k) matrix with one column per class. The prototypes
-    are stored class-major, as contiguous (k, d) `rows`, so a step that
-    touches a few classes reads and writes whole rows; `columns` is a
-    read-only (d, k) view of the same memory.
+    Built from a (k, d) matrix with one row per class, and stored as
+    contiguous (k, d) `rows`, so a step that touches a few classes reads
+    and writes whole rows. The rows are normalized in that C order, so
+    their bits do not depend on the memory order of the input; a row
+    that is near zero or not finite raises DegenerateVectorError.
     """
 
-    def __init__(self, columns: np.ndarray):
-        columns = np.array(columns, dtype=np.float64)
-        if columns.ndim != 2:
-            raise ValidationError("prototype columns must form a 2-D matrix")
-        if columns.shape[1] < 2:
+    def __init__(self, rows: np.ndarray):
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValidationError("prototype rows must form a 2-D matrix")
+        if rows.shape[0] < 2:
             raise ValidationError("a prototype matrix needs k >= 2 classes")
-        norms = np.linalg.norm(columns, axis=0)
-        if np.any(norms < _NORM_EPS):
-            bad = int(np.argmin(norms))
-            raise DegenerateVectorError(f"prototype column {bad} has zero norm")
-        self.rows = np.ascontiguousarray(columns.T)
-        self.rows /= norms[:, None]
-
-    @property
-    def columns(self) -> np.ndarray:
-        view = self.rows.T
-        view.flags.writeable = False
-        return view
+        self.rows = unit_rows(rows, _NORM_EPS)
 
     @property
     def dim(self) -> int:

@@ -98,14 +98,14 @@ def _encode_cache(weights, inputs):
 
 
 def init_prototypes(clusters: ClusterResult) -> PrototypeMatrix:
-    """Prototype matrix from cluster centroids (columns renormalized)."""
+    """Prototype matrix from cluster centroids (rows renormalized)."""
     return PrototypeMatrix(clusters.centroids)
 
 
 def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed: int = 0) -> PrototypeMatrix:
     """Prototype matrix from per-class mean vectors.
 
-    Classes with no members (label gaps) get random unit columns so the
+    Classes with no members (label gaps) get random unit rows so the
     matrix stays well formed.
     """
     x = np.asarray(vectors, dtype=np.float64)
@@ -122,7 +122,7 @@ def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed
         rng = stream_rng(seed, "proto-init")
         sums[empty] = rng.standard_normal((int(empty.sum()), x.shape[1]))
         counts = np.where(empty, 1, counts)
-    return PrototypeMatrix((sums / counts[:, None]).T)
+    return PrototypeMatrix(sums / counts[:, None])
 
 
 @dataclass
@@ -373,4 +373,4 @@ def load_encoder(path) -> LinearEncoder:
 
 
 def load_prototypes(path) -> PrototypeMatrix:
-    return PrototypeMatrix(load_embeddings(path).vectors.T.astype(np.float64))
+    return PrototypeMatrix(load_embeddings(path).vectors)

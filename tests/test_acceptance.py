@@ -83,12 +83,12 @@ def test_criterion_2_reduction_equivalence():
         b, d, k = int(rng.integers(1, 5)), int(rng.integers(3, 17)), int(rng.integers(2, 33))
         e = unit_rows(rng.standard_normal((b, d)))
         labels = rng.integers(0, k, size=b)
-        prototypes = PrototypeMatrix(rng.standard_normal((d, k)))
+        prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
         scale = float(rng.uniform(0.5, 32.0))
         cfg = LossConfig(margin=0.0, scale=scale, r1=1.0, r2=1.0)
         plan = make_selection_plan(labels, k, d, cfg, 0)
         got = selection_forward(e, labels, prototypes, plan, cfg).loss
-        expected = _plain_softmax_oracle(e, labels, prototypes.columns, scale)
+        expected = _plain_softmax_oracle(e, labels, prototypes.rows.T, scale)
         worst = max(worst, abs(got - expected))
     report(
         2, "reduction equivalence",
@@ -108,7 +108,7 @@ def test_criterion_3_sparse_update_bit_identity():
     for optimizer in ("adamw", "sgd-momentum"):
         for trial in range(5):
             d, k, b = 12, 16, 5
-            prototypes = PrototypeMatrix(rng.standard_normal((d, k)))
+            prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
             cfg = TrainConfig(
                 optimizer=optimizer, lr=0.01, seed=trial,
                 loss=LossConfig(margin=0.3, scale=16.0, r1=0.4, r2=0.5, seed=trial),
@@ -118,24 +118,24 @@ def test_criterion_3_sparse_update_bit_identity():
                 x = unit_rows(rng.standard_normal((b, d)))
                 labels = rng.integers(0, k, size=b)
                 plan = make_selection_plan(labels, k, d, cfg.loss, trainer.step_count)
-                before = trainer.prototypes.columns.copy()
+                before = trainer.prototypes.rows.copy()
                 trainer.step(x, labels, plan)
-                after = trainer.prototypes.columns
+                after = trainer.prototypes.rows
                 outside = np.setdiff1d(np.arange(k), plan.class_subset)
                 off = ~plan.feature_mask
                 checked += 1
-                if after[:, outside].tobytes() != before[:, outside].tobytes():
+                if after[outside].tobytes() != before[outside].tobytes():
                     violations += 1
                 if (
-                    after[np.ix_(off, plan.class_subset)].tobytes()
-                    != before[np.ix_(off, plan.class_subset)].tobytes()
+                    after[np.ix_(plan.class_subset, off)].tobytes()
+                    != before[np.ix_(plan.class_subset, off)].tobytes()
                 ):
                     violations += 1
     report(
         3, "sparse-update contract",
         violations == 0,
         f"{checked} steps over both optimizers, {violations} bit-level violations "
-        "(unselected columns and off-mask coordinates, zero tolerance)",
+        "(unselected rows and off-mask coordinates, zero tolerance)",
     )
 
 

@@ -405,6 +405,21 @@ class TestDeterminismAndConfig:
         rc = main(["synth", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--input", "DATA"],
+        ["gradcheck", "--trials", "1"],
+        ["synth"],
+        ["ablate", "--param", "r1", "--values", "0.5,1.0", "--seeds", "3", "--epochs", "1"],
+    ], ids=lambda c: c[0])
+    def test_threads_only_on_commands_that_use_it(self, tmp_path, command):
+        data_dir = tmp_path / "d"
+        main(synth_args(data_dir))
+        argv = [str(data_dir / "data.uceb") if a == "DATA" else a for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "0", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_zero_threads_is_usage_error(self, tmp_path, capsys):
         data_dir = tmp_path / "d"
         main(synth_args(data_dir))

@@ -22,9 +22,8 @@ def two_blob_points():
     )
 
 
-def brute_force_assign(x, centroids_cols):
+def brute_force_assign(x, c):
     """Direct O(n*k*d) scan, ties toward the lower centroid index."""
-    c = centroids_cols.T
     labels = []
     for row in x:
         best, best_d = 0, None
@@ -60,25 +59,25 @@ def exhaustive_partition_objective(x, k):
 class TestAssign:
     def test_exact_hit_maps_to_that_centroid(self):
         rng = np.random.default_rng(0)
-        centroids = rng.standard_normal((4, 6))  # (d, k=6)
-        point = centroids[:, 3].copy()
+        centroids = rng.standard_normal((6, 4))  # (k=6, d)
+        point = centroids[3].copy()
         assert assign(point[None, :], centroids)[0] == 3
 
     def test_tie_breaks_toward_lower_index(self):
-        centroids = np.array([[5.0, 2.0, -1.0, 3.0, 1.0]])  # 1-D, k=5
+        centroids = np.array([[5.0], [2.0], [-1.0], [3.0], [1.0]])  # 1-D, k=5
         point = np.array([[0.0]])  # equidistant to centroids 2 and 4
         assert assign(point, centroids)[0] == 2
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((20, 8))
-        centroids = rng.standard_normal((8, 5))
+        centroids = rng.standard_normal((5, 8))
         np.testing.assert_array_equal(assign(x, centroids), brute_force_assign(x, centroids))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((15, 4))
-        centroids = rng.standard_normal((4, 3))
+        centroids = rng.standard_normal((3, 4))
         perm = rng.permutation(15)
         np.testing.assert_array_equal(assign(x[perm], centroids), assign(x, centroids)[perm])
 
@@ -93,8 +92,8 @@ class TestAssign:
             assign(x, np.ones((2, 2)))
 
     def test_non_finite_centroids_rejected(self):
-        centroids = np.ones((2, 3))
-        centroids[0, 2] = np.inf
+        centroids = np.ones((3, 2))
+        centroids[2, 0] = np.inf
         with pytest.raises(ValidationError):
             assign(np.zeros((4, 2)), centroids)
 
@@ -102,21 +101,21 @@ class TestAssign:
 class TestObjective:
     def test_zero_when_points_sit_on_centroids(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert objective(x, x.T, [0, 1]) == 0.0
+        assert objective(x, x, [0, 1]) == 0.0
 
     def test_single_point_at_distance_two(self):
         x = np.array([[2.0, 0.0]])
-        centroids = np.array([[0.0], [0.0]])  # one centroid at the origin
+        centroids = np.array([[0.0, 0.0]])  # one centroid at the origin
         assert objective(x, centroids, [0]) == 4.0
 
     def test_matches_compensated_summation_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((40, 6))
-        centroids = rng.standard_normal((6, 5))
+        centroids = rng.standard_normal((5, 6))
         labels = rng.integers(0, 5, size=40)
         terms = []
         for i in range(40):
-            diff = x[i] - centroids[:, labels[i]]
+            diff = x[i] - centroids[labels[i]]
             terms.extend((float(v) * float(v) for v in diff))
         expected = math.fsum(terms) / 40
         assert abs(objective(x, centroids, labels) - expected) < 1e-12
@@ -138,7 +137,7 @@ class TestKMeansFit:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((30, 5))
         res = kmeans_fit(x, KMeansConfig(k=1, seed=0))
-        np.testing.assert_allclose(res.centroids[:, 0], x.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(res.centroids[0], x.mean(axis=0), atol=1e-12)
         expected = float(np.sum((x - x.mean(axis=0)) ** 2) / 30)
         assert abs(res.objective_trace[-1] - expected) < 1e-12
 
@@ -172,7 +171,7 @@ class TestKMeansFit:
         for j in range(4):
             members = x[res.assignments == j]
             assert len(members) >= 1
-            np.testing.assert_allclose(res.centroids[:, j], members.mean(axis=0), atol=1e-6)
+            np.testing.assert_allclose(res.centroids[j], members.mean(axis=0), atol=1e-6)
 
     def test_no_empty_clusters_with_duplicate_points(self):
         x = np.array([[0.0, 0.0]] * 5 + [[9.0, 9.0]] * 5)
@@ -218,6 +217,13 @@ class TestKMeansFit:
         with pytest.raises(ValidationError):
             kmeans_fit(x, KMeansConfig(k=2))
 
+    def test_overflowing_distances_rejected(self):
+        # Finite points whose squared distances overflow float64 leave
+        # kmeans++ no distribution to sample from.
+        x = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="overflow"):
+            kmeans_fit(x, KMeansConfig(k=3, seed=1))
+
     def test_k_zero_rejected(self):
         with pytest.raises(ValidationError):
             KMeansConfig(k=0)
@@ -228,4 +234,4 @@ class TestKMeansFit:
         s = EmbeddingSet(vectors, [str(i) for i in range(12)])
         res = kmeans_fit(s, KMeansConfig(k=3, seed=2))
         assert res.assignments.shape == (12,)
-        assert res.centroids.shape == (4, 3)
+        assert res.centroids.shape == (3, 4)

@@ -140,10 +140,26 @@ class TestSampleFeatureMask:
             sample_feature_mask(10, 0.01, seed=0, step=0)
 
 
+class TestPrototypeMatrix:
+    def test_bits_do_not_depend_on_memory_order(self):
+        rows = np.random.default_rng(12).standard_normal((2000, 128))
+        c_order = PrototypeMatrix(rows).rows
+        f_order = PrototypeMatrix(np.asfortranarray(rows)).rows
+        assert c_order.flags.c_contiguous and f_order.flags.c_contiguous
+        assert c_order.tobytes() == f_order.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_or_zero_row_rejected(self, bad):
+        rows = np.ones((3, 4))
+        rows[1] = [0.0, 0.0, bad, 0.0]
+        with pytest.raises(DegenerateVectorError, match="row 1"):
+            PrototypeMatrix(rows)
+
+
 class TestSelectionForward:
     def test_two_class_analytic_value(self):
         # aligned positive, orthogonal negative, m=0, s=1
-        w = np.array([[1.0, 0.0], [0.0, 1.0]])  # columns: e1, e2
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])  # rows: e1, e2
         prototypes = PrototypeMatrix(w)
         e = np.array([[1.0, 0.0]])
         cfg = LossConfig(margin=0.0, scale=1.0, r1=1.0, r2=1.0)
@@ -158,11 +174,11 @@ class TestSelectionForward:
             k = int(rng.integers(2, 16))
             e = random_units(rng, b, d)
             labels = rng.integers(0, k, size=b)
-            prototypes = PrototypeMatrix(rng.standard_normal((d, k)))
+            prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
             scale = float(rng.uniform(0.5, 16))
             cfg = LossConfig(margin=0.0, scale=scale, r1=1.0, r2=1.0)
             out = selection_forward(e, labels, prototypes, full_plan(k, d), cfg)
-            oracle = full_softmax_oracle(e, labels, prototypes.columns, scale)
+            oracle = full_softmax_oracle(e, labels, prototypes.rows.T, scale)
             assert abs(out.loss - oracle) < 1e-10
 
     def test_probability_rows_sum_to_one(self):
@@ -180,7 +196,7 @@ class TestSelectionForward:
             )
             e = random_units(rng, b, d)
             labels = rng.integers(0, k, size=b)
-            prototypes = PrototypeMatrix(rng.standard_normal((d, k)))
+            prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
             plan = make_selection_plan(labels, k, d, cfg, int(rng.integers(50)))
             out = selection_forward(e, labels, prototypes, plan, cfg)
             np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-9)
@@ -189,7 +205,7 @@ class TestSelectionForward:
         rng = np.random.default_rng(3)
         e = random_units(rng, 4, 8)
         labels = np.array([0, 1, 2, 3])
-        prototypes = PrototypeMatrix(rng.standard_normal((8, 6)))
+        prototypes = PrototypeMatrix(rng.standard_normal((6, 8)))
         plan = full_plan(6, 8)
         base = selection_forward(e, labels, prototypes, plan, LossConfig(margin=0.0, scale=64, r1=1, r2=1))
         with_margin = selection_forward(e, labels, prototypes, plan, LossConfig(margin=0.3, scale=64, r1=1, r2=1))
@@ -199,7 +215,7 @@ class TestSelectionForward:
         rng = np.random.default_rng(4)
         e = random_units(rng, 5, 7)
         labels = rng.integers(0, 9, size=5)
-        prototypes = PrototypeMatrix(rng.standard_normal((7, 9)))
+        prototypes = PrototypeMatrix(rng.standard_normal((9, 7)))
         plan = full_plan(9, 7)
         arg = None
         for scale in (1.0, 8.0, 64.0):
@@ -213,7 +229,7 @@ class TestSelectionForward:
     def test_label_outside_subset_rejected(self):
         rng = np.random.default_rng(5)
         e = random_units(rng, 1, 4)
-        prototypes = PrototypeMatrix(rng.standard_normal((4, 6)))
+        prototypes = PrototypeMatrix(rng.standard_normal((6, 4)))
         plan = SelectionPlan(np.array([0, 2, 4]), np.ones(4, dtype=bool))
         cfg = LossConfig(margin=0.0, scale=1.0, r1=0.5, r2=1.0)
         # Between two selected classes, and above every one of them.
@@ -223,7 +239,7 @@ class TestSelectionForward:
 
     def test_zero_norm_masked_embedding_rejected(self):
         e = np.array([[1.0, 0.0, 0.0, 0.0]])
-        prototypes = PrototypeMatrix(np.eye(4)[:, :2] + 0.1)
+        prototypes = PrototypeMatrix(np.eye(4)[:2] + 0.1)
         mask = np.array([False, True, True, True])
         plan = SelectionPlan(np.array([0, 1]), mask)
         cfg = LossConfig(margin=0.0, scale=1.0, r1=1.0, r2=0.75)
@@ -249,7 +265,7 @@ class TestClassSubsetValidation:
         rng = np.random.default_rng(9)
         e = random_units(rng, 3, 4)
         labels = np.array([0, 1, 1])
-        prototypes = PrototypeMatrix(rng.standard_normal((4, 5)))
+        prototypes = PrototypeMatrix(rng.standard_normal((5, 4)))
         plan = SelectionPlan(np.array(subset, dtype=np.int64), np.ones(4, dtype=bool))
         arrays = (e, labels, prototypes.rows, plan.class_subset, plan.feature_mask)
         before = [a.tobytes() for a in arrays]
@@ -264,7 +280,7 @@ class TestSelectionBackward:
         b, d, k = 3, 6, 8
         e = random_units(rng, b, d)
         labels = rng.integers(0, k, size=b)
-        prototypes = PrototypeMatrix(rng.standard_normal((d, k)))
+        prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
         cfg = LossConfig(margin=0.3, scale=4.0, r1=0.625, r2=0.8, seed=11)
         plan = make_selection_plan(labels, k, d, cfg, 2)
         assert plan.class_subset.size == 5
@@ -275,13 +291,13 @@ class TestSelectionBackward:
         )
         assert max_relative_error(out.grad_embeddings, num_e) < 1e-5
 
-        def loss_of_cols(sub):
-            cols = prototypes.columns.copy()
-            cols[:, plan.class_subset] = sub.T
-            return selection_forward(e, labels, PrototypeMatrix(cols), plan, cfg).loss
+        def loss_of_rows(sub):
+            rows = prototypes.rows.copy()
+            rows[plan.class_subset] = sub
+            return selection_forward(e, labels, PrototypeMatrix(rows), plan, cfg).loss
 
-        sub = prototypes.columns[:, plan.class_subset].T.copy()
-        num_w = finite_difference(loss_of_cols, sub)
+        sub = prototypes.rows[plan.class_subset]
+        num_w = finite_difference(loss_of_rows, sub)
         assert max_relative_error(out.grad_prototypes, num_w) < 1e-5
 
     def test_one_hot_probabilities_kill_gradients(self):
@@ -298,7 +314,7 @@ class TestSelectionBackward:
         b, d, k = 4, 10, 12
         e = random_units(rng, b, d)
         labels = rng.integers(0, k, size=b)
-        prototypes = PrototypeMatrix(rng.standard_normal((d, k)))
+        prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
         cfg = LossConfig(margin=0.3, scale=16.0, r1=0.5, r2=0.5, seed=3)
         plan = make_selection_plan(labels, k, d, cfg, 0)
         out = selection_backward(e, labels, prototypes, plan, cfg)
@@ -310,7 +326,7 @@ class TestSelectionBackward:
         rng = np.random.default_rng(8)
         e = random_units(rng, 2, 5)
         labels = np.array([1, 3])
-        prototypes = PrototypeMatrix(rng.standard_normal((5, 10)))
+        prototypes = PrototypeMatrix(rng.standard_normal((10, 5)))
         cfg = LossConfig(margin=0.1, scale=8.0, r1=0.5, r2=1.0, seed=5)
         plan = make_selection_plan(labels, 10, 5, cfg, 1)
         out = selection_backward(e, labels, prototypes, plan, cfg)

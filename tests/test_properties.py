@@ -63,7 +63,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 def einsum_scan(x, centroids):
     """The exhaustive formula `assign` must reproduce: argmin over every
     centroid of sum((x - c)^2), ties toward the lower index."""
-    diff = x[:, None, :] - centroids.T[None, :, :]
+    diff = x[:, None, :] - centroids[None, :, :]
     return np.argmin(np.einsum("ikd,ikd->ik", diff, diff), axis=1)
 
 
@@ -80,7 +80,7 @@ def test_assign_matches_brute_force_on_quantized_points(seed, n, k, d):
     # Half-integer coordinates make every distance exact, so equal
     # distances are real ties and any summation order agrees.
     rng = np.random.default_rng(seed)
-    centroids = rng.integers(-2, 3, size=(d, k)) * 0.5
+    centroids = rng.integers(-2, 3, size=(k, d)) * 0.5
     x = rng.integers(-2, 3, size=(n, d)) * 0.5
     want = assert_assign_exact(x, centroids)
     np.testing.assert_array_equal(want, brute_force_assign(x, centroids))
@@ -102,7 +102,7 @@ def test_assign_matches_einsum_scan_on_near_ties(seed, n, k, d, scale):
     a = rows[rng.integers(0, k, size=n)]
     b = rows[rng.integers(0, k, size=n)]
     x = np.where(rng.random((n, 1)) < 0.5, a, (a + b) / 2)
-    assert_assign_exact(x, rows.T)
+    assert_assign_exact(x, rows)
 
 
 def reference_kmeanspp(x, cfg):
@@ -289,14 +289,11 @@ def _raised(fn, *args):
        fortran=st.booleans())
 def test_class_major_update_matches_column_major(seed, k, d, optimizer, r2, steps, fortran):
     rng = np.random.default_rng(seed)
-    init = rng.standard_normal((d, k))
-    # Label means arrive as a transposed (k, d) array; both layouts are
-    # normalized as given.
-    init = np.asfortranarray(init) if fortran else init
-    protos = PrototypeMatrix(init)
-    cols = np.array(init)
-    cols = cols / np.linalg.norm(cols, axis=0)[None, :]
-    assert protos.columns.tobytes() == cols.tobytes()
+    init = rng.standard_normal((k, d))
+    # Rows are normalized in C order, whatever the memory order given.
+    protos = PrototypeMatrix(np.asfortranarray(init) if fortran else init)
+    assert protos.rows.tobytes() == (init / np.linalg.norm(init, axis=1)[:, None]).tobytes()
+    cols = protos.rows.T.copy()
 
     lr = 0.05
     cfg = TrainConfig(optimizer=optimizer, lr=lr)
@@ -317,7 +314,7 @@ def test_class_major_update_matches_column_major(seed, k, d, optimizer, r2, step
         ref_raised = _raised(column_major_update, cols, ref, lr, optimizer, grad, subset, mask)
         assert _raised(trainer._update_prototypes, grad, subset, mask) == ref_raised
 
-        assert protos.columns.tobytes() == cols.tobytes()
+        assert protos.rows.T.tobytes() == cols.tobytes()
         for name, array in ref.items():
             got = trainer._proto_state[name]
             assert (got if name == "t" else got.T).tobytes() == array.tobytes()
@@ -684,7 +681,7 @@ def test_lean_step_matches_reference_step(seed, k, d, d_in, b, optimizer, margin
     if ratio_count(d, r2) < 1:
         return
     rng = np.random.default_rng(seed)
-    init = rng.standard_normal((d, k))
+    init = rng.standard_normal((k, d))
     weights = rng.standard_normal((d_in, d))
     cfg = TrainConfig(optimizer=optimizer, lr=lr, weight_decay=weight_decay, dropout_r3=r3,
                       loss=LossConfig(margin=margin, scale=8.0, r1=r1, r2=r2, seed=seed % 97))

@@ -60,30 +60,30 @@ class TestEncode:
 
 class TestInitPrototypes:
     def test_unit_centroids_pass_through(self):
-        cols = unit_rows(np.random.default_rng(3).standard_normal((4, 5))).T
-        clusters = ClusterResult(centroids=cols, assignments=np.zeros(4, dtype=np.int64))
-        np.testing.assert_allclose(init_prototypes(clusters).columns, cols, atol=1e-12)
+        rows = unit_rows(np.random.default_rng(3).standard_normal((5, 4)))
+        clusters = ClusterResult(centroids=rows, assignments=np.zeros(4, dtype=np.int64))
+        np.testing.assert_allclose(init_prototypes(clusters).rows, rows, atol=1e-12)
 
     def test_scaled_centroid_is_renormalized(self):
-        cols = np.array([[2.0, 0.0], [0.0, 0.5]])
-        clusters = ClusterResult(centroids=cols, assignments=np.zeros(2, dtype=np.int64))
-        got = init_prototypes(clusters).columns
+        rows = np.array([[2.0, 0.0], [0.0, 0.5]])
+        clusters = ClusterResult(centroids=rows, assignments=np.zeros(2, dtype=np.int64))
+        got = init_prototypes(clusters).rows
         np.testing.assert_allclose(got, np.eye(2), atol=1e-12)
 
     def test_single_cluster_rejected(self):
         clusters = ClusterResult(
-            centroids=np.ones((3, 1)), assignments=np.zeros(2, dtype=np.int64)
+            centroids=np.ones((1, 3)), assignments=np.zeros(2, dtype=np.int64)
         )
         with pytest.raises(ValidationError):
             init_prototypes(clusters)
 
-    def test_label_gaps_get_random_columns(self):
+    def test_label_gaps_get_random_rows(self):
         rng = np.random.default_rng(4)
         x = unit_rows(rng.standard_normal((6, 4)))
         labels = np.array([0, 0, 3, 3, 3, 0])
         protos = prototypes_from_labels(x, labels, seed=1)
         assert protos.classes == 4
-        np.testing.assert_allclose(np.linalg.norm(protos.columns, axis=0), 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(protos.rows, axis=1), 1.0, atol=1e-9)
 
     def test_labels_outside_class_range_rejected(self):
         x = unit_rows(np.random.default_rng(5).standard_normal((4, 3)))
@@ -96,7 +96,7 @@ def _small_problem(seed=0, k=8, d=10, b=6):
     rng = np.random.default_rng(seed)
     x = unit_rows(rng.standard_normal((b, d)))
     labels = rng.integers(0, k, size=b)
-    prototypes = PrototypeMatrix(rng.standard_normal((d, k)))
+    prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
     return x, labels, prototypes
 
 
@@ -106,26 +106,26 @@ class TestTrainStep:
         cfg = TrainConfig(lr=0.0, loss=LossConfig(r1=0.5, r2=0.5, seed=2), seed=2)
         trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
         before_w = trainer.encoder.weights.tobytes()
-        before_p = trainer.prototypes.columns.tobytes()
+        before_p = trainer.prototypes.rows.tobytes()
         trainer.step(x, labels)
         assert trainer.encoder.weights.tobytes() == before_w
-        assert trainer.prototypes.columns.tobytes() == before_p
+        assert trainer.prototypes.rows.tobytes() == before_p
 
-    def test_unselected_columns_and_masked_coords_untouched(self):
+    def test_unselected_rows_and_masked_coords_untouched(self):
         x, labels, prototypes = _small_problem(seed=5)
         cfg = TrainConfig(lr=0.01, loss=LossConfig(r1=0.5, r2=0.5, seed=7), seed=7)
         trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
         plan = make_selection_plan(labels, prototypes.classes, prototypes.dim, cfg.loss, 0)
-        before = trainer.prototypes.columns.copy()
+        before = trainer.prototypes.rows.copy()
         trainer.step(x, labels, plan)
-        after = trainer.prototypes.columns
+        after = trainer.prototypes.rows
         outside = np.setdiff1d(np.arange(prototypes.classes), plan.class_subset)
-        assert after[:, outside].tobytes() == before[:, outside].tobytes()
+        assert after[outside].tobytes() == before[outside].tobytes()
         off = ~plan.feature_mask
-        assert after[np.ix_(off, plan.class_subset)].tobytes() == before[np.ix_(off, plan.class_subset)].tobytes()
+        assert after[np.ix_(plan.class_subset, off)].tobytes() == before[np.ix_(plan.class_subset, off)].tobytes()
         # and the selected block did move
         on = plan.feature_mask
-        assert after[np.ix_(on, plan.class_subset)].tobytes() != before[np.ix_(on, plan.class_subset)].tobytes()
+        assert after[np.ix_(plan.class_subset, on)].tobytes() != before[np.ix_(plan.class_subset, on)].tobytes()
 
     @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
     def test_non_finite_loss_raises_before_any_update(self, optimizer):
@@ -145,19 +145,19 @@ class TestTrainStep:
         assert after == state
         assert trainer.step_count == 1
 
-    def test_columns_stay_unit_after_sparse_update(self):
+    def test_rows_stay_unit_after_sparse_update(self):
         x, labels, prototypes = _small_problem(seed=6)
         cfg = TrainConfig(lr=0.05, loss=LossConfig(r1=0.5, r2=0.5, seed=3), seed=3)
         trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
         for _ in range(20):
             trainer.step(x, labels)
-        norms = np.linalg.norm(trainer.prototypes.columns, axis=0)
+        norms = np.linalg.norm(trainer.prototypes.rows, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
     def test_loss_decreases_over_200_steps(self):
         spec = SyntheticSpec(true_classes=10, per_class=32, dim=16, intra_noise=0.05, seed=1)
         data, _ = synth_conflict_dataset(spec)
-        protos = PrototypeMatrix(stream_rng(1, "test-protos").standard_normal((16, 10)))
+        protos = PrototypeMatrix(stream_rng(1, "test-protos").standard_normal((10, 16)))
         cfg = TrainConfig(epochs=20, batch_size=32, lr=0.001, seed=1,
                           loss=LossConfig(margin=0.3, scale=64.0, r1=1.0, r2=1.0, seed=1))
         result = train(data, cfg, prototypes=protos)
@@ -210,7 +210,7 @@ class TestDropoutStep:
         rng = np.random.default_rng(15)
         x = rng.standard_normal((3, 6))
         labels = rng.integers(0, 5, size=3)
-        prototypes = PrototypeMatrix(rng.standard_normal((7, 5)))
+        prototypes = PrototypeMatrix(rng.standard_normal((5, 7)))
         cfg = TrainConfig(dropout_r3=0.4, loss=LossConfig(margin=0.3, scale=4.0, seed=8))
         weights = LinearEncoder.random(6, 7, seed=2).weights
 
@@ -251,7 +251,7 @@ class TestOptimizers:
     def test_both_optimizers_converge_on_separable_data(self, optimizer):
         spec = SyntheticSpec(true_classes=5, per_class=80, dim=16, intra_noise=0.01, seed=0)
         data, _ = synth_conflict_dataset(spec)
-        protos = PrototypeMatrix(stream_rng(0, "test-protos").standard_normal((16, 5)))
+        protos = PrototypeMatrix(stream_rng(0, "test-protos").standard_normal((5, 16)))
         cfg = TrainConfig(epochs=40, batch_size=32, optimizer=optimizer, lr=0.001,
                           loss=LossConfig(margin=0.3, scale=64.0, r1=1.0, r2=1.0, seed=0), seed=0)
         result = train(data, cfg, prototypes=protos)
@@ -287,7 +287,7 @@ class TestTrainLoop:
         b = train(data, cfg)
         assert a.losses == b.losses
         assert a.encoder.weights.tobytes() == b.encoder.weights.tobytes()
-        assert a.prototypes.columns.tobytes() == b.prototypes.columns.tobytes()
+        assert a.prototypes.rows.tobytes() == b.prototypes.rows.tobytes()
 
     def test_shuffle_depends_on_epoch(self):
         n = 100
@@ -318,11 +318,8 @@ class TestTrainLoop:
         np.testing.assert_allclose(
             enc.weights, result.encoder.weights.astype(np.float32), atol=0
         )
-        np.testing.assert_allclose(
-            protos.columns,
-            PrototypeMatrix(result.prototypes.columns.astype(np.float32)).columns,
-            atol=1e-7,
-        )
+        want = PrototypeMatrix(result.prototypes.rows.astype(np.float32))
+        assert protos.rows.tobytes() == want.rows.tobytes()
         sidecar = json.loads((tmp_path / "train_config.json").read_text())
         assert sidecar["steps"] == result.steps
         assert sidecar["config"]["lr"] == cfg.lr
