@@ -128,7 +128,8 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
 
 
 def objective(data, centroids: np.ndarray, assignments: np.ndarray) -> float:
-    """Mean squared distance of each row to its assigned centroid."""
+    """Mean squared distance of each row to its assigned centroid; inf,
+    without a warning, when the squared distances overflow float64."""
     x = _points(data)
     centroids = np.asarray(centroids, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.int64)
@@ -139,8 +140,9 @@ def objective(data, centroids: np.ndarray, assignments: np.ndarray) -> float:
     k = centroids.shape[0]
     if np.any(assignments < 0) or np.any(assignments >= k):
         raise ValidationError(f"assignments must lie in [0, {k})")
-    diff = x - centroids[assignments]
-    return float(np.sum(diff * diff) / x.shape[0])
+    with np.errstate(over="ignore"):
+        diff = x - centroids[assignments]
+        return float(np.sum(diff * diff) / x.shape[0])
 
 
 def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
@@ -225,7 +227,8 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
     Alternates nearest-centroid assignment with member-mean updates,
     recording the objective after every assignment pass. Empty clusters
     are respawned on the point farthest from its current centroid, so no
-    cluster is empty in the returned result.
+    cluster is empty in the returned result. Squared distances that
+    overflow float64 raise ValidationError.
     """
     x = _points(data)
     n = x.shape[0]
@@ -241,6 +244,8 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
         counts = np.bincount(assignments, minlength=cfg.k)
         _respawn_empty(x, centroids, assignments, counts)
         trace.append(objective(x, centroids, assignments))
+        if not math.isfinite(trace[-1]):
+            raise ValidationError("squared distances between the points overflow float64")
         if len(trace) >= 2:
             prev, cur = trace[-2], trace[-1]
             if prev <= 0.0 or (prev - cur) / prev < cfg.tol:

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .rng import stream_rng
-from .util import ratio_count, unit_rows
+from .util import BLOCK_ROWS, ratio_count, unit_rows
 
 UCEB_MAGIC = b"UCEB"
 UCEB_VERSION = 1
@@ -152,12 +152,13 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
         fh.write(embeddings.vectors.astype("<f4", copy=False).tobytes())
         if embeddings.labels is not None:
             fh.write(embeddings.labels.astype("<i8", copy=False).tobytes())
+        table = bytearray()
         for item in embeddings.ids:
             raw = item.encode("utf-8")
             if len(raw) > 0xFFFF:
                 raise ValidationError(f"id too long to encode: {item[:32]}...")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+            table += len(raw).to_bytes(2, "little") + raw
+        fh.write(table)
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -194,18 +195,21 @@ def load_embeddings(path) -> EmbeddingSet:
         offset += n * 8
 
     ids: list[str] = []
-    for row in range(n):
-        if len(blob) < offset + 2:
-            raise TruncatedPayloadError(f"id table truncated in {path}")
-        (length,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        if len(blob) < offset + length:
-            raise TruncatedPayloadError(f"id table truncated in {path}")
-        try:
-            ids.append(blob[offset : offset + length].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise UcebFormatError(f"id of row {row} is not valid UTF-8 in {path}") from None
-        offset += length
+    size = len(blob)
+    try:
+        for row in range(n):
+            # One bounds check per id: a length field or an id that runs
+            # past the end of the file is an IndexError.
+            start = offset + 2
+            end = start + (blob[offset] | blob[offset + 1] << 8)
+            if end > size:
+                raise IndexError
+            ids.append(blob[start:end].decode("utf-8"))
+            offset = end
+    except IndexError:
+        raise TruncatedPayloadError(f"id table truncated in {path}") from None
+    except UnicodeDecodeError:
+        raise UcebFormatError(f"id of row {row} is not valid UTF-8 in {path}") from None
     if offset != len(blob):
         raise UcebFormatError(f"{len(blob) - offset} trailing bytes in {path}")
 
@@ -249,21 +253,31 @@ def synth_conflict_dataset(spec: SyntheticSpec):
     pseudo label and a fresh one, mimicking one concept that clustering
     assigned to two clusters.
 
+    Takes O(n) time for n = C * per_class samples; beyond the float32
+    output and the (C, d) centers it needs one block of BLOCK_ROWS rows.
+
     Returns (embedding set carrying pseudo labels, true labels array).
     """
     c, m, d = spec.true_classes, spec.per_class, spec.dim
     n = c * m
 
     center_rng = stream_rng(spec.seed, "synth-centers")
-    centers = center_rng.standard_normal((c, d))
-    centers = unit_rows(centers)
+    centers = unit_rows(center_rng.standard_normal((c, d)))
 
+    # Blocks of rows draw their noise one after the other, which consumes
+    # the stream exactly as one (n, d) draw would, and each block takes the
+    # same two operations per entry as center + noise_sigma * noise.
     truth = np.repeat(np.arange(c, dtype=np.int64), m)
     noise_rng = stream_rng(spec.seed, "synth-noise")
-    samples = centers[truth]
-    if spec.intra_noise > 0:
-        samples = samples + spec.intra_noise * noise_rng.standard_normal((n, d))
-    samples = unit_rows(samples)
+    samples = np.empty((n, d), dtype=np.float32)
+    for a in range(0, n, BLOCK_ROWS):
+        rows = centers.take(truth[a : a + BLOCK_ROWS], axis=0)
+        if spec.intra_noise > 0:
+            noise = noise_rng.standard_normal(rows.shape)
+            noise *= spec.intra_noise
+            noise += rows
+            rows = noise
+        samples[a : a + BLOCK_ROWS] = unit_rows(rows)
 
     pseudo = truth.copy()
     n_conflict = ratio_count(c, spec.conflict_ratio)
@@ -271,9 +285,9 @@ def synth_conflict_dataset(spec: SyntheticSpec):
         conflict_rng = stream_rng(spec.seed, "synth-conflict")
         chosen = np.sort(conflict_rng.choice(c, size=n_conflict, replace=False))
         for j, cls in enumerate(chosen):
-            members = np.flatnonzero(truth == cls)
-            shuffled = conflict_rng.permutation(members)
-            pseudo[shuffled[len(members) // 2 :]] = c + j
+            # The members of class cls are rows cls*m .. cls*m + m - 1.
+            shuffled = cls * m + conflict_rng.permutation(m)
+            pseudo[shuffled[m // 2 :]] = c + j
 
     ids = [f"sample-{i:08d}" for i in range(n)]
-    return EmbeddingSet(samples.astype(np.float32), ids, pseudo), truth
+    return EmbeddingSet(samples, ids, pseudo), truth

@@ -108,7 +108,7 @@ def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed
     Classes with no members (label gaps) get random unit rows so the
     matrix stays well formed.
     """
-    x = np.asarray(vectors, dtype=np.float64)
+    x = np.asarray(vectors)
     labels = np.asarray(labels, dtype=np.int64)
     k = int(labels.max()) + 1 if num_classes is None else int(num_classes)
     if k < 2:
@@ -122,7 +122,8 @@ def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed
         rng = stream_rng(seed, "proto-init")
         sums[empty] = rng.standard_normal((int(empty.sum()), x.shape[1]))
         counts = np.where(empty, 1, counts)
-    return PrototypeMatrix(sums / counts[:, None])
+    sums /= counts[:, None]
+    return PrototypeMatrix(sums)
 
 
 @dataclass

@@ -11,6 +11,12 @@ from .errors import DegenerateVectorError, ValidationError
 # scratch per block, whatever the row count or the thread count.
 BLOCK_ROWS = 512
 
+# Entries per bincount in label_sums, unless one column of n rows or of k
+# bins is longer. Bin indices, float64 weights and counted bins take 8 bytes
+# an entry each, about 25 MB in all; k-means' sums over 5,000 rows of 128
+# dimensions still take a single block.
+LABEL_SUM_ENTRIES = 1 << 20
+
 
 def ratio_count(total: int, ratio: float) -> int:
     """Number of items selected by a fractional ratio, round-to-nearest."""
@@ -38,15 +44,24 @@ def unit_rows_backward(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) ->
 
 
 def label_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """(k, d) sums of the float64 rows of x grouped by label in [0, k).
+    """(k, d) float64 sums of the rows of x grouped by label in [0, k).
 
-    One bincount over every entry: entry (i, j) goes to bin labels[i]*d + j,
-    so each label's rows are added in row order starting from 0.0, exactly
-    as np.add.at(zeros, labels, x) adds them.
+    One bincount per block of columns: entry (i, j) of a block w columns
+    wide goes to bin labels[i]*w + j, so each label's rows are added in row
+    order starting from 0.0, exactly as np.add.at(zeros, labels, x) adds
+    them. A block spans LABEL_SUM_ENTRIES // max(n, k) columns, at least
+    one, and is converted to float64 on its own; a C-ordered float64 x
+    that fits in one block is not copied.
     """
-    d = x.shape[1]
-    bins = (labels[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(bins, weights=x.ravel(), minlength=k * d).reshape(k, d)
+    n, d = x.shape
+    width = max(1, LABEL_SUM_ENTRIES // max(n, k, 1))
+    sums = np.empty((k, d))
+    for a in range(0, d, width):
+        b = min(a + width, d)
+        bins = (labels[:, None] * (b - a) + np.arange(b - a)).ravel()
+        weights = np.ascontiguousarray(x[:, a:b], dtype=np.float64).ravel()
+        sums[:, a:b] = np.bincount(bins, weights, minlength=k * (b - a)).reshape(k, b - a)
+    return sums
 
 
 def resolve_threads(requested: int | None) -> int:

@@ -4,6 +4,7 @@ compensated summation)."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,16 @@ class TestKMeansFit:
         x = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match="overflow"):
             kmeans_fit(x, KMeansConfig(k=3, seed=1))
+
+    def test_overflowing_distances_rejected_with_random_points(self):
+        # Without the check the objective trace is inf at every iteration,
+        # all max_iters run, and numpy warns about the overflow.
+        x = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
+        cfg = KMeansConfig(k=3, seed=1, init="random-points", max_iters=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflow"):
+                kmeans_fit(x, cfg)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,8 @@ kmeans++ seeding, top-k neighbor ranking and mAP@100) against exhaustive
 references, and of the class-major sparse prototype update, the class and
 feature samplers and the per-label sums against the column-major and O(k)
 code they replaced, of the whole training step against the out-of-place
-formulas it replaced, and of the UCEB reader on corrupt files.
+formulas it replaced, of the streamed synthetic dataset against the
+whole-array code it replaced, and of the UCEB reader on corrupt files.
 
 Kernel inputs are built to be full of exact ties, and row counts run
 below, at and across the row-block size, with one and three threads.
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -43,6 +44,7 @@ from unicom import (
     save_embeddings,
 )
 from unicom.clustering import _init_centroids
+from unicom.data import SyntheticSpec, synth_conflict_dataset
 from unicom.errors import (
     DegenerateVectorError,
     DuplicateIdError,
@@ -54,7 +56,7 @@ from unicom.evaluation import _top_k
 from unicom.losses import LossOutput
 from unicom.rng import stream_rng
 from unicom.training import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, _SGD_MOMENTUM
-from unicom.util import BLOCK_ROWS, label_sums, ratio_count, unit_rows
+from unicom.util import BLOCK_ROWS, LABEL_SUM_ENTRIES, label_sums, ratio_count, unit_rows
 
 ROW_COUNTS = st.sampled_from([1, 2, 9, 40, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
 SEEDS = st.integers(0, 2**32 - 1)
@@ -394,27 +396,84 @@ def test_sample_feature_mask_matches_drawn_mask(seed, step, dim, r2):
     np.testing.assert_array_equal(got, drawn_feature_mask(dim, r2, seed, step))
 
 
-SUM_VALUES = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0, 1 / 3, 1e16, -1e16, 1e308])
+SUM_PALETTE = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0, 1 / 3, 1e16, -1e16, 1e308]
+SUM_VALUES = st.sampled_from(SUM_PALETTE)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, n=st.integers(0, 40), d=st.integers(1, 6), k=st.integers(1, 12),
-       palette=st.booleans(), data=st.data())
-def test_label_sums_match_add_at(seed, n, d, k, palette, data):
+       palette=st.booleans(), tall=st.booleans(),
+       dtype=st.sampled_from([np.float64, np.float32]), data=st.data())
+def test_label_sums_match_add_at(seed, n, d, k, palette, tall, dtype, data):
     rng = np.random.default_rng(seed)
-    if palette:
+    if tall:
+        # More than LABEL_SUM_ENTRIES // d rows, so at d >= 2 the columns
+        # are summed in blocks narrower than d, the last one narrower still.
+        n += LABEL_SUM_ENTRIES // d + 1
+        d = max(d, 2)
+    if palette and not tall:
         # Signed zeros, subnormals, cancellation and overflow to inf.
         x = np.array(data.draw(st.lists(SUM_VALUES, min_size=n * d, max_size=n * d))).reshape(n, d)
+    elif palette:
+        x = np.array(SUM_PALETTE)[rng.integers(0, len(SUM_PALETTE), size=(n, d))]
     else:
         x = rng.standard_normal((n, d))
-    # Labels below k // 2 + 1 only, so the upper classes stay empty.
-    labels = rng.integers(0, k // 2 + 1, size=n)
-    want = np.zeros((k, d))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(want, labels, x)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        x = x.astype(dtype)
+        # Labels below k // 2 + 1 only, so the upper classes stay empty.
+        labels = rng.integers(0, k // 2 + 1, size=n)
+        want = np.zeros((k, d))
+        np.add.at(want, labels, x.astype(np.float64))
         got = label_sums(x, labels, k)
     assert got.shape == (k, d)
     assert got.tobytes() == want.tobytes()
+
+
+def whole_array_synth(spec):
+    """synth_conflict_dataset as it was before it streamed blocks of rows:
+    the whole float64 sample array at once, and one scan of all labels per
+    conflicted class."""
+    c, m, d = spec.true_classes, spec.per_class, spec.dim
+    n = c * m
+    centers = unit_rows(stream_rng(spec.seed, "synth-centers").standard_normal((c, d)))
+    truth = np.repeat(np.arange(c, dtype=np.int64), m)
+    noise_rng = stream_rng(spec.seed, "synth-noise")
+    samples = centers[truth]
+    if spec.intra_noise > 0:
+        samples = samples + spec.intra_noise * noise_rng.standard_normal((n, d))
+    samples = unit_rows(samples)
+    pseudo = truth.copy()
+    n_conflict = ratio_count(c, spec.conflict_ratio)
+    if n_conflict > 0:
+        conflict_rng = stream_rng(spec.seed, "synth-conflict")
+        chosen = np.sort(conflict_rng.choice(c, size=n_conflict, replace=False))
+        for j, cls in enumerate(chosen):
+            members = np.flatnonzero(truth == cls)
+            shuffled = conflict_rng.permutation(members)
+            pseudo[shuffled[len(members) // 2 :]] = c + j
+    ids = [f"sample-{i:08d}" for i in range(n)]
+    return samples.astype(np.float32), pseudo, truth, ids
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS,
+       rows=st.sampled_from([4, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 5]),
+       per_class=st.integers(2, 7), dim=st.sampled_from([1, 2, 3, 8, 9, 17, 128]),
+       noise=st.sampled_from([0.0, 0.1, 0.7]), conflict=st.sampled_from([0.0, 0.3, 1.0]))
+@example(seed=0, rows=BLOCK_ROWS, per_class=2, dim=9, noise=0.1, conflict=0.3)  # n at a block edge
+@example(seed=0, rows=2 * BLOCK_ROWS, per_class=2, dim=3, noise=0.0, conflict=1.0)
+@example(seed=0, rows=BLOCK_ROWS + 1, per_class=3, dim=17, noise=0.7, conflict=1.0)  # n = 513
+def test_streamed_synth_matches_whole_array_synth(seed, rows, per_class, dim, noise, conflict):
+    spec = SyntheticSpec(
+        true_classes=max(2, rows // per_class), per_class=per_class, dim=dim,
+        intra_noise=noise, conflict_ratio=conflict, seed=seed,
+    )
+    samples, truth = synth_conflict_dataset(spec)
+    vectors, pseudo, want_truth, ids = whole_array_synth(spec)
+    assert samples.vectors.tobytes() == vectors.tobytes()
+    assert samples.labels.tobytes() == pseudo.tobytes()
+    assert truth.tobytes() == want_truth.tobytes()
+    assert samples.ids == ids
 
 
 @st.composite
