@@ -29,7 +29,6 @@ from .training import (
     save_checkpoint,
     train,
 )
-from .util import resolve_threads
 
 _SKIP_MANIFEST_KEYS = {"func", "config", "out"}
 
@@ -71,17 +70,8 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _number_list(text: str, convert, flag: str, skip_empty: bool = False) -> list:
-    """Comma-separated numbers of one flag; a bad entry is a usage error."""
-    items = [item for item in str(text).split(",") if item or not skip_empty]
-    try:
-        return [convert(item) for item in items]
-    except ValueError:
-        raise ValidationError(f"{flag} takes comma-separated numbers, got {text!r}") from None
-
-
-def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
+def _synth_spec(args) -> SyntheticSpec:
+    return SyntheticSpec(
         true_classes=args.classes,
         per_class=args.per_class,
         dim=args.dim,
@@ -89,6 +79,18 @@ def cmd_synth(args) -> int:
         conflict_ratio=args.conflict,
         seed=args.seed,
     )
+
+
+def _number_list(text: str, convert, flag: str) -> list:
+    """Comma-separated numbers of one flag; a bad or empty entry is a usage error."""
+    try:
+        return [convert(item) for item in str(text).split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
+def cmd_synth(args) -> int:
+    spec = _synth_spec(args)
     out = Path(args.out)
     _write_manifest(args, out, [], ["data.uceb", "truth.uceb"])
     data, truth = synth_conflict_dataset(spec)
@@ -105,7 +107,7 @@ def cmd_cluster(args) -> int:
     out = Path(args.out)
     _write_manifest(args, out, [args.input], ["centroids.uceb", "assigned.uceb", "objective_trace.txt"])
     data = load_embeddings(args.input)
-    result = kmeans_fit(data, cfg, threads=resolve_threads(args.threads))
+    result = kmeans_fit(data, cfg, threads=args.threads)
     save_embeddings(
         EmbeddingSet(result.centroids, [f"cluster-{i:06d}" for i in range(cfg.k)]),
         out / "centroids.uceb",
@@ -142,7 +144,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    threads = resolve_threads(args.threads)
     out = Path(args.out)
     if args.metric == "recall":
         if not args.input:
@@ -158,7 +159,7 @@ def cmd_eval(args) -> int:
         if args.dims is not None:
             data = truncate_dims(data, args.dims)
         report = retrieval_report(
-            data, ks, threads=threads, config={"dims": args.dims, "k": args.k}
+            data, ks, threads=args.threads, config={"dims": args.dims, "k": args.k}
         )
     else:
         if not (args.queries and args.gallery):
@@ -169,7 +170,7 @@ def cmd_eval(args) -> int:
         if args.dims is not None:
             queries = truncate_dims(queries, args.dims)
             gallery = truncate_dims(gallery, args.dims)
-        value = map_at_100(queries, gallery, threads=threads)
+        value = map_at_100(queries, gallery, threads=args.threads)
         report = RetrievalReport(
             recall_at={}, dims_used=gallery.dim, map_at_100=value,
             config={"dims": args.dims},
@@ -181,20 +182,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    values = _number_list(args.values, float, "--values", skip_empty=True)
-    if len(values) < 2:
-        raise ValidationError("--values needs at least 2 grid points")
-    if args.seeds < 3:
-        raise ValidationError("--seeds must be >= 3")
+    values = _number_list(args.values, float, "--values")
     base = AblationConfig(
-        synth=SyntheticSpec(
-            true_classes=args.classes,
-            per_class=args.per_class,
-            dim=args.dim,
-            intra_noise=args.noise,
-            conflict_ratio=args.conflict,
-            seed=args.seed,
-        ),
+        synth=_synth_spec(args),
         train=_train_config(args),
         recall_k=args.recall_k,
         report_dims=args.report_dims,
@@ -212,14 +202,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        raise ValidationError("--trials must be >= 1")
     report = check_selection_gradients(
-        trials=args.trials,
-        tolerance=args.tol,
-        seed=args.seed,
-        fd_step=args.fd_step,
-        inject_bug=args.inject_bug,
+        trials=args.trials, tolerance=args.tol, seed=args.seed, fd_step=args.fd_step
     )
     if args.out:
         out = Path(args.out)
@@ -248,7 +232,7 @@ def _add_common(parser, out_required=True):
 
 
 def _add_threads(parser):
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
 
 def _add_train_flags(parser):
@@ -338,7 +322,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--fd-step", type=float, default=1e-5)
-    p.add_argument("--inject-bug", action="store_true", help="flip the analytic gradient sign; the check must fail")
     _add_common(p, out_required=False)
     p.set_defaults(func=cmd_gradcheck)
     registry["gradcheck"] = p
@@ -370,10 +353,12 @@ def main(argv=None) -> int:
             payload = payload["config"]
         command = next((a for a in argv if not a.startswith("-")), None)
         if command in registry and isinstance(payload, dict):
-            known = {a.dest for a in registry[command]._actions}
-            registry[command].set_defaults(
-                **{k: v for k, v in payload.items() if k in known}
-            )
+            # A stored value stands in for a flag, required or not; a
+            # stored null leaves the flag at its default.
+            for action in registry[command]._actions:
+                if payload.get(action.dest) is not None:
+                    action.default = payload[action.dest]
+                    action.required = False
 
     args = parser.parse_args(argv)
     try:

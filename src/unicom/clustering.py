@@ -14,7 +14,7 @@ import numpy as np
 from .data import EmbeddingSet
 from .errors import DimensionMismatchError, ValidationError
 from .rng import stream_rng
-from .util import label_sums, map_row_chunks
+from .util import check_threads, label_sums, map_row_chunks
 
 INIT_METHODS = ("kmeanspp", "random-points")
 
@@ -230,6 +230,7 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
     cluster is empty in the returned result. Squared distances that
     overflow float64 raise ValidationError.
     """
+    check_threads(threads)
     x = _points(data)
     n = x.shape[0]
     _require_finite(x, "points")

@@ -12,6 +12,7 @@ UCEB file layout (all little-endian, no padding between sections):
     ids     n        entries of (u16 byte length, UTF-8 bytes)
 """
 
+import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -36,6 +37,19 @@ UCEB_MAGIC = b"UCEB"
 UCEB_VERSION = 1
 _HEADER = struct.Struct("<4sIQII")
 _FLAG_LABELS = 1
+
+
+def _checked_labels(labels, n: int):
+    """`labels` as int64 class indices, one non-negative entry per row of
+    n, or None when there are none."""
+    if labels is None:
+        return None
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise DimensionMismatchError("labels must have one entry per row")
+    if np.any(labels < 0):
+        raise ValidationError("labels must be non-negative")
+    return labels
 
 
 class EmbeddingSet:
@@ -64,15 +78,9 @@ class EmbeddingSet:
             raise DimensionMismatchError(f"{len(ids)} ids for {n} rows")
         if len(set(ids)) != n:
             raise DuplicateIdError("ids are not pairwise distinct")
-        if labels is not None:
-            labels = np.ascontiguousarray(labels, dtype=np.int64)
-            if labels.shape != (n,):
-                raise DimensionMismatchError("labels must have one entry per row")
-            if np.any(labels < 0):
-                raise ValidationError("labels must be non-negative")
         self.vectors = vectors
         self.ids = ids
-        self.labels = labels
+        self.labels = _checked_labels(labels, n)
 
     @property
     def count(self) -> int:
@@ -83,7 +91,11 @@ class EmbeddingSet:
         return self.vectors.shape[1]
 
     def with_labels(self, labels) -> "EmbeddingSet":
-        return EmbeddingSet(self.vectors, list(self.ids), labels)
+        """This set with `labels` in place of its own. The vectors and ids,
+        checked when this set was built, are shared and not checked again."""
+        out = copy.copy(self)
+        out.labels = _checked_labels(labels, self.count)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingSet):

@@ -86,14 +86,8 @@ def check_selection_gradients(
     tolerance: float = DEFAULT_TOL,
     seed: int = 0,
     fd_step: float = DEFAULT_STEP,
-    inject_bug: bool = False,
 ) -> GradCheckReport:
-    """Compare analytic selection-loss gradients against finite differences.
-
-    `inject_bug` flips the sign of the analytic embedding gradient before
-    comparison; it exists to prove the checker actually detects wrong
-    gradients.
-    """
+    """Compare analytic selection-loss gradients against finite differences."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if not (math.isfinite(tolerance) and tolerance >= 0):
@@ -105,7 +99,6 @@ def check_selection_gradients(
     for _ in range(trials):
         embeddings, labels, prototypes, plan, cfg = random_instance(rng)
         out = selection_backward(embeddings, labels, prototypes, plan, cfg)
-        grad_e = -out.grad_embeddings if inject_bug else out.grad_embeddings
 
         def loss_of_embeddings(e):
             return selection_forward(e, labels, prototypes, plan, cfg).loss
@@ -122,7 +115,7 @@ def check_selection_gradients(
         num_w = finite_difference(loss_of_selected, w_sub, fd_step)
 
         err = max(
-            max_relative_error(grad_e, num_e),
+            max_relative_error(out.grad_embeddings, num_e),
             max_relative_error(out.grad_prototypes, num_w),
         )
         report.max_error = max(report.max_error, err)

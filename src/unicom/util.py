@@ -64,12 +64,10 @@ def label_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
-def resolve_threads(requested: int | None) -> int:
-    """Thread count from an explicit request; None means 1."""
-    n = 1 if requested is None else int(requested)
-    if n < 1:
-        raise ValidationError(f"thread count must be >= 1, got {n}")
-    return n
+def check_threads(threads: int) -> None:
+    """Raise ValidationError unless `threads` is at least 1."""
+    if threads < 1:
+        raise ValidationError(f"thread count must be >= 1, got {threads}")
 
 
 def map_row_chunks(fn, n_items: int, threads: int = 1) -> list:
@@ -79,8 +77,9 @@ def map_row_chunks(fn, n_items: int, threads: int = 1) -> list:
     blocks, so every block is computed by the same calls on the same
     operands whatever the thread count. Results come back in block order.
     """
+    check_threads(threads)
     spans = [(a, min(a + BLOCK_ROWS, n_items)) for a in range(0, max(n_items, 1), BLOCK_ROWS)]
-    workers = min(max(1, int(threads)), len(spans))
+    workers = min(threads, len(spans))
     if workers <= 1:
         return [fn(a, b) for a, b in spans]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -285,8 +285,8 @@ class TestGradcheckCommand:
         payload = json.loads((out / "gradcheck.json").read_text())
         assert payload["passed"] is True
 
-    def test_injected_bug_fails_with_exit_one(self, capsys):
-        rc = main(["gradcheck", "--trials", "3", "--inject-bug"])
+    def test_injected_bug_fails_with_exit_one(self, capsys, flipped_gradient):
+        rc = main(["gradcheck", "--trials", "3"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -309,16 +309,41 @@ class TestAblateCommand:
         assert all(len(r["per_seed"]) == 3 for r in rows)
         assert (out / "ablation.tsv").read_text().count("\n") == len(rows) + 1
 
-    def test_single_grid_value_is_usage_error(self, tmp_path):
+    def test_single_grid_value_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        out = tmp_path / "a"
         rc = main([
             "ablate", "--param", "r1", "--values", "0.5", "--seeds", "3",
-            "--out", str(tmp_path / "a"),
+            "--out", str(out),
         ])
         assert rc == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_two_seeds_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        out = tmp_path / "a"
+        rc = main([
+            "ablate", "--param", "r1", "--values", "0.5,1.0", "--seeds", "2",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_malformed_values_list_is_usage_error(self, tmp_path, capsys):
         rc = main([
             "ablate", "--param", "r1", "--values", "0.1,x", "--seeds", "3",
+            "--out", str(tmp_path / "a"),
+        ])
+        assert rc == 2
+        assert "usage error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["0.5,,1.0", "0.5,1.0,"])
+    def test_empty_values_entry_is_usage_error(self, tmp_path, capsys, monkeypatch, values):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        rc = main([
+            "ablate", "--param", "r1", "--values", values, "--seeds", "3",
             "--out", str(tmp_path / "a"),
         ])
         assert rc == 2
@@ -429,3 +454,76 @@ class TestDeterminismAndConfig:
         ])
         assert rc == 2
         assert "usage error:" in capsys.readouterr().err
+
+
+TINY_ABLATION = [
+    "--classes", "4", "--per-class", "8", "--dim", "12",
+    "--epochs", "2", "--batch-size", "8", "--scale", "16",
+]
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """One run of every file-producing command, keyed by a run name."""
+    root = tmp_path_factory.mktemp("runs")
+    d, c, t = root / "synth", root / "cluster", root / "train"
+    argvs = {
+        "synth": synth_args(d, seed=2),
+        "cluster": ["cluster", "--input", str(d / "data.uceb"), "--k", "7", "--seed", "2"],
+        "cluster-random": [
+            "cluster", "--input", str(d / "data.uceb"), "--k", "7",
+            "--init", "random-points", "--threads", "2",
+        ],
+        "train": [
+            "train", "--input", str(c / "assigned.uceb"), "--centroids",
+            str(c / "centroids.uceb"), "--epochs", "2", "--seed", "2",
+        ],
+        "train-label-means": ["train", "--input", str(d / "data.uceb"), "--epochs", "1", "--r1", "0.5"],
+        "eval": [
+            "eval", "--input", str(t / "embeddings.uceb"), "--labels", str(d / "truth.uceb"),
+            "--k", "1,5", "--dims", "8",
+        ],
+        "eval-map100": [
+            "eval", "--metric", "map100", "--queries", str(d / "truth.uceb"),
+            "--gallery", str(t / "embeddings.uceb"), "--threads", "3",
+        ],
+        "ablate": ["ablate", "--param", "r2", "--values", "0.5,1.0", "--seeds", "3", *TINY_ABLATION],
+        "gradcheck": ["gradcheck", "--trials", "2", "--seed", "4"],
+    }
+    for name, argv in argvs.items():
+        if name != "synth":
+            argv = argv + ["--out", str(root / name)]
+        assert main(argv) == 0, name
+    return root
+
+
+class TestManifestReplay:
+    @pytest.mark.parametrize("name", [
+        "synth", "cluster", "cluster-random", "train", "train-label-means",
+        "eval", "eval-map100", "ablate", "gradcheck",
+    ])
+    def test_manifest_replays_to_the_same_bytes(self, runs, tmp_path, name):
+        manifest = json.loads((runs / name / "manifest.json").read_text())
+        out = tmp_path / "replay"
+        rc = main([manifest["command"], "--config", str(runs / name / "manifest.json"), "--out", str(out)])
+        assert rc == 0
+        # The replayed manifest is the same too: it holds no output path.
+        assert read_tree(out) == read_tree(runs / name)
+
+    @pytest.mark.parametrize("name", ["cluster", "eval"])
+    def test_stored_null_threads_means_the_default(self, runs, tmp_path, name):
+        manifest = json.loads((runs / name / "manifest.json").read_text())
+        manifest["config"]["threads"] = None
+        config = tmp_path / "manifest.json"
+        config.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert main([manifest["command"], "--config", str(config), "--out", str(out)]) == 0
+        assert read_tree(out, skip=("manifest.json",)) == read_tree(runs / name, skip=("manifest.json",))
+        assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1
+
+    def test_explicit_flag_overrides_a_stored_required_flag(self, runs, tmp_path):
+        out = tmp_path / "replay"
+        rc = main(["cluster", "--config", str(runs / "cluster" / "manifest.json"), "--k", "5", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["k"] == 5
+        assert load_embeddings(out / "centroids.uceb").count == 5

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unicom import EmbeddingSet, KMeansConfig, assign, kmeans_fit, objective
+from unicom import EmbeddingSet, KMeansConfig, assign, clustering, kmeans_fit, objective
 from unicom.errors import DimensionMismatchError, ValidationError
 
 
@@ -180,6 +180,19 @@ class TestKMeansFit:
             res = kmeans_fit(x, KMeansConfig(k=3, seed=seed, init="random-points"))
             counts = np.bincount(res.assignments, minlength=3)
             assert np.all(counts >= 1)
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_assign_rejects_fewer_than_one_thread(self, threads):
+        x = np.random.default_rng(6).standard_normal((20, 3))
+        with pytest.raises(ValidationError, match="thread count"):
+            assign(x, x[:3], threads=threads)
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_fewer_than_one_thread_rejected_before_seeding(self, threads, monkeypatch):
+        x = np.random.default_rng(6).standard_normal((20, 3))
+        monkeypatch.setattr(clustering, "_init_centroids", lambda *a: pytest.fail("seeding ran"))
+        with pytest.raises(ValidationError, match="thread count"):
+            kmeans_fit(x, KMeansConfig(k=3), threads=threads)
 
     def test_deterministic_and_thread_invariant(self):
         rng = np.random.default_rng(6)

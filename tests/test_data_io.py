@@ -22,6 +22,7 @@ from unicom.errors import (
     InvalidDimensionError,
     TruncatedPayloadError,
     UcebFormatError,
+    UnicomError,
     UnsupportedVersionError,
     ValidationError,
 )
@@ -49,6 +50,28 @@ class TestEmbeddingSet:
     def test_negative_labels_rejected(self):
         with pytest.raises(ValidationError):
             EmbeddingSet(np.ones((2, 3), dtype=np.float32), ["a", "b"], [-1, 0])
+
+    @pytest.mark.parametrize("labels", [[0, 1], [[0, 1, 2]], [0, -1, 2]])
+    def test_with_labels_rejects_what_the_constructor_rejects(self, labels):
+        vectors, ids = np.ones((3, 2), dtype=np.float32), ["a", "b", "c"]
+        with pytest.raises(UnicomError) as built:
+            EmbeddingSet(vectors, ids, labels)
+        with pytest.raises(UnicomError) as relabelled:
+            EmbeddingSet(vectors, ids).with_labels(labels)
+        assert type(relabelled.value) is type(built.value)
+        assert str(relabelled.value) == str(built.value)
+
+    def test_with_labels_equals_a_new_set_and_shares_the_rows(self):
+        rng = np.random.default_rng(4)
+        s = _random_set(rng)
+        before = s.labels.copy()
+        labels = rng.integers(0, 9, size=s.count).astype(np.int32)
+        relabelled = s.with_labels(labels)
+        assert relabelled == EmbeddingSet(s.vectors, s.ids, labels)
+        assert relabelled.labels.dtype == np.int64
+        assert relabelled.vectors is s.vectors and relabelled.ids is s.ids
+        np.testing.assert_array_equal(s.labels, before)
+        assert s.with_labels(None) == EmbeddingSet(s.vectors, s.ids)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vectors_rejected(self, bad):

@@ -99,6 +99,17 @@ class TestRecallAtK:
         s = random_labeled(rng, 50, 8, 5)
         assert recall_at_k(s, 3, threads=1) == recall_at_k(s, 3, threads=4)
 
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_fewer_than_one_thread_rejected(self, threads):
+        s = random_labeled(np.random.default_rng(3), 12, 4, 3)
+        for score in (
+            lambda: recall_at_k(s, 1, threads=threads),
+            lambda: retrieval_report(s, (1, 3), threads=threads),
+            lambda: map_at_100(s, s, threads=threads),
+        ):
+            with pytest.raises(ValidationError, match="thread count"):
+                score()
+
     def test_singleton_class_rejected(self):
         s = labeled_set(np.eye(3, dtype=np.float32), [0, 0, 1])
         with pytest.raises(ValidationError):

@@ -26,8 +26,8 @@ class TestCheckSelectionGradients:
         assert report.passed
         assert report.max_error < 1e-5
 
-    def test_injected_sign_flip_is_caught(self):
-        report = check_selection_gradients(trials=5, seed=1, inject_bug=True)
+    def test_injected_sign_flip_is_caught(self, flipped_gradient):
+        report = check_selection_gradients(trials=5, seed=1)
         assert not report.passed
         assert report.failures > 0
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unicom.errors import DegenerateVectorError
+from unicom.errors import DegenerateVectorError, ValidationError
 from unicom.util import BLOCK_ROWS, map_row_chunks, unit_rows
 
 
@@ -30,6 +30,11 @@ class TestMapRowChunks:
         expected = [(a, min(a + BLOCK_ROWS, n)) for a in range(0, max(n, 1), BLOCK_ROWS)]
         for threads in (1, 2, 3, 8):
             assert map_row_chunks(lambda a, b: (a, b), n, threads) == expected
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_fewer_than_one_thread_rejected(self, threads):
+        with pytest.raises(ValidationError, match="thread count"):
+            map_row_chunks(lambda a, b: pytest.fail("a block ran"), 2 * BLOCK_ROWS, threads)
 
     def test_worker_errors_propagate(self):
         def fail(a, b):
