@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import KMeansConfig, kmeans_fit
-from .data import EmbeddingSet, SyntheticSpec, synth_conflict_dataset
+from .data import SyntheticSpec, synth_conflict_dataset
 from .errors import ValidationError
 from .evaluation import recall_at_k, truncate_dims
 from .training import (
@@ -106,12 +106,12 @@ def run_single(cfg: AblationConfig, seed: int) -> dict[int, float]:
             cfg.synth, conflict_ratio=0.0, seed=seed + TRANSFER_SEED_OFFSET
         )
         eval_set, eval_truth = synth_conflict_dataset(eval_spec)
-        eval_vectors, ids, eval_labels = eval_set.vectors, eval_set.ids, eval_truth
+        evaluated = eval_set.with_labels(eval_truth)
     else:
-        eval_vectors, ids, eval_labels = data.vectors, data.ids, truth
+        evaluated = data.with_labels(truth)
 
-    embedded = result.encoder.encode(eval_vectors.astype(np.float64))
-    evaluated = EmbeddingSet(embedded.astype(np.float32), list(ids), eval_labels)
+    embedded = result.encoder.encode(evaluated.vectors.astype(np.float64))
+    evaluated = evaluated.with_vectors(embedded)
 
     out = {evaluated.dim: recall_at_k(evaluated, cfg.recall_k)}
     if cfg.report_dims is not None and cfg.report_dims < evaluated.dim:

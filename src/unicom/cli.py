@@ -4,11 +4,15 @@ Exit codes: 0 success, 1 assertion or computation failure, 2 usage error,
 3 I/O or file-format error. Every file-producing command writes a
 manifest.json with the fully resolved configuration before any
 computation starts, so a run can be reproduced from its output directory
-alone (`--config manifest.json` re-applies it; explicit flags win).
+alone (`--config manifest.json` re-applies it; explicit flags win). A
+manifest stores relative input paths relative to its own directory, and
+a config file's relative paths are read that way, so a replay works from
+any working directory. A manifest replays only its own command.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,11 +35,16 @@ from .training import (
 )
 
 _SKIP_MANIFEST_KEYS = {"func", "config", "out"}
+# Flags that name input files.
+_PATH_KEYS = ("input", "centroids", "labels", "queries", "gallery")
 
 
 def _write_manifest(args, out_dir: Path, inputs: list[str], outputs: list[str]) -> None:
+    def stored(path):
+        return path if os.path.isabs(path) else os.path.relpath(path, out_dir)
+
     config = {
-        k: v
+        k: stored(v) if k in _PATH_KEYS and v is not None else v
         for k, v in sorted(vars(args).items())
         if k not in _SKIP_MANIFEST_KEYS and not callable(v)
     }
@@ -43,7 +52,7 @@ def _write_manifest(args, out_dir: Path, inputs: list[str], outputs: list[str]) 
         "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
-        "inputs": inputs,
+        "inputs": [stored(p) for p in inputs],
         "outputs": outputs,
         "version": __version__,
     }
@@ -133,10 +142,7 @@ def cmd_train(args) -> int:
         "".join(f"{v:.12e}\n" for v in result.losses)
     )
     embedded = result.encoder.encode(data.vectors.astype(np.float64))
-    save_embeddings(
-        EmbeddingSet(embedded.astype(np.float32), list(data.ids), data.labels),
-        out / "embeddings.uceb",
-    )
+    save_embeddings(data.with_vectors(embedded), out / "embeddings.uceb")
     print(
         f"trained {result.steps} steps; loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f}"
     )
@@ -349,16 +355,26 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
             return 3
-        if isinstance(payload, dict) and isinstance(payload.get("config"), dict):
-            payload = payload["config"]
         command = next((a for a in argv if not a.startswith("-")), None)
+        if isinstance(payload, dict) and isinstance(payload.get("config"), dict):
+            if payload.get("command", command) != command:
+                print(
+                    f"usage error: {path} is a manifest of `{payload['command']}`, not `{command}`",
+                    file=sys.stderr,
+                )
+                return 2
+            payload = payload["config"]
         if command in registry and isinstance(payload, dict):
             # A stored value stands in for a flag, required or not; a
             # stored null leaves the flag at its default.
             for action in registry[command]._actions:
-                if payload.get(action.dest) is not None:
-                    action.default = payload[action.dest]
-                    action.required = False
+                value = payload.get(action.dest)
+                if value is None:
+                    continue
+                if action.dest in _PATH_KEYS and isinstance(value, str) and not os.path.isabs(value):
+                    value = os.path.join(os.path.dirname(path), value)
+                action.default = value
+                action.required = False
 
     args = parser.parse_args(argv)
     try:

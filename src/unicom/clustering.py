@@ -14,7 +14,7 @@ import numpy as np
 from .data import EmbeddingSet
 from .errors import DimensionMismatchError, ValidationError
 from .rng import stream_rng
-from .util import check_threads, label_sums, map_row_chunks
+from .util import check_threads, label_sums, map_row_chunks, screen_error
 
 INIT_METHODS = ("kmeanspp", "random-points")
 
@@ -58,24 +58,26 @@ def _points(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
-# Both distance formulas in `assign` lie within (d + 2) unit roundoffs of
-# (|x| + |c|)^2 of the true squared distance, in any summation order
-# (Higham, "Accuracy and Stability of Numerical Algorithms", section 3.1).
-# So the two disagree by at most twice that for any one centroid, and the
-# screen keeps every centroid within four times that of the row minimum,
-# doubled again for rounding in the bound itself.
-_ROUNDING_SLACK = 8 * np.finfo(np.float64).eps / 2
-_SUBNORMAL_SLACK = 8 * np.nextafter(0.0, 1.0)
-# Norms of huge rows may overflow where their differences do not; such
-# rows get a non-finite bound and are rescored in full, so the screen
-# stays silent about it.
+# The screens below take x.c from a float32 product and the squared norms
+# in float64. With m = (|x| + |c|) / 2 and delta = screen_error(m, m, d),
+# x.c errs by at most screen_error(|x|, |c|, d), and as that bound is
+# affine in each norm, 2 delta exceeds it by (2 u + gamma_d)(|x| + |c|)^2
+# / 2 (notation of `screen_error`), far above the float64 rounding of the
+# norms and sums. So:
+# - kmeans++ screens |x|^2 - 2 x.c + |c|^2, within 4 delta of the true
+#   squared distance. The exact sum((x - c)^2), evaluated in float64, is
+#   within 4 delta too, so a row whose screen exceeds its current nearest
+#   by 8 delta or more cannot get nearer.
+# - `assign` ranks a row's centroids by |c|^2 / 2 - x.c, half the squared
+#   distance less the row's own |x|^2 / 2, within 2 delta of its true
+#   value; half the exact formula lies within 2 delta of half the true
+#   distance. So the centroid nearest by the exact formula screens within
+#   8 delta of the row minimum.
+_DISTANCE_SLACK = 8
+# Norms of huge rows may overflow where their differences do not, and
+# float32 casts of coordinates beyond about 3.4e38 do; such rows get a
+# non-finite bound and are rescored in full, so the screen stays silent.
 _QUIET = dict(over="ignore", invalid="ignore")
-
-
-def _screen_slack(x_norm, c_norm, d: int):
-    """How far a screened distance |x|^2 - 2 x.c + |c|^2 may lie from
-    sum((x - c)^2) on the same operands, with the margin described above."""
-    return (d + 4) * (_ROUNDING_SLACK * (x_norm + c_norm) ** 2 + _SUBNORMAL_SLACK)
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -89,11 +91,12 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     `centroids` holds one centroid per row. Ties break toward the lowest
     centroid index.
 
-    Each block of rows is screened with one matrix product through
-    |x|^2 - 2 x.c + |c|^2. The few centroids whose screened distance lies
-    within a rounding-error bound of the row minimum are rescored as
-    sum((x - c)^2), and the winner is chosen on those values, so the result
-    equals an exhaustive scan with that formula.
+    Each block of rows is screened with one float32 matrix product
+    through |c|^2 / 2 - x.c, the squared norms kept in float64. The
+    few centroids whose screened distance lies within a rounding-error
+    bound of the row minimum are rescored as sum((x - c)^2) in float64,
+    and the winner is chosen on those values, so the result equals an
+    exhaustive scan with that formula.
     """
     x = _points(data)
     c = np.ascontiguousarray(centroids, dtype=np.float64)
@@ -107,13 +110,16 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     with np.errstate(**_QUIET):
         c_sq = np.einsum("kd,kd->k", c, c)
         c_norm = np.sqrt(c_sq.max())
+        c_half = c_sq / 2
+        c32 = c.astype(np.float32)
 
     def chunk(a, b):
         rows = x[a:b]
         with np.errstate(**_QUIET):
             x_sq = np.einsum("id,id->i", rows, rows)
-            screened = x_sq[:, None] - 2.0 * (rows @ c.T) + c_sq[None, :]
-            limit = screened.min(axis=1) + _screen_slack(np.sqrt(x_sq), c_norm, d)
+            screened = np.subtract(c_half, rows.astype(np.float32) @ c32.T, dtype=np.float64)
+            m = (np.sqrt(x_sq) + c_norm) / 2
+            limit = screened.min(axis=1) + _DISTANCE_SLACK * screen_error(m, m, d)
         near = screened <= limit[:, None]
         near[~np.isfinite(limit)] = True
         r, j = np.divmod(np.flatnonzero(near), k)
@@ -152,12 +158,12 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
     kmeans++ seeds with one uniform point, then samples each next point
     with probability proportional to its squared distance sum((x - c)^2)
     from the nearest centroid chosen so far. Each step screens every row
-    with one matrix-vector product through |x|^2 - 2 x.c + |c|^2 and
-    rescores, with the exact formula, only the rows whose screened distance
-    could lie below their current nearest within the rounding bound of
-    `assign`. The distances, and so every draw, equal those of an
-    exhaustive scan with that formula. Squared distances that overflow
-    float64 raise ValidationError.
+    with one float32 matrix-vector product through |x|^2 - 2 x.c + |c|^2
+    and rescores, with the exact formula in float64, only the rows whose
+    screened distance could lie below their current nearest within the
+    rounding bound of `assign`. The distances, and so every draw, equal
+    those of an exhaustive scan with that formula. Squared distances that
+    overflow float64 raise ValidationError.
     """
     n, d = x.shape
     rng = stream_rng(cfg.seed, "kmeans-init")
@@ -170,8 +176,11 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
     diff = x - x[chosen[0]]
     closest = np.einsum("ij,ij->i", diff, diff)
     with np.errstate(**_QUIET):
+        x32 = x.astype(np.float32)
         x_sq = np.einsum("id,id->i", x, x)
-        x_norm = np.sqrt(x_sq)
+        # Every centroid is a row, so its norm is at most the largest.
+        m = (np.sqrt(x_sq) + np.sqrt(x_sq.max())) / 2
+        slack = _DISTANCE_SLACK * screen_error(m, m, d)
     for i in range(1, cfg.k):
         total = closest.sum()
         if not math.isfinite(total):
@@ -185,9 +194,9 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
             chosen[i] = rng.choice(n, p=closest / total)
         c = chosen[i]
         with np.errstate(**_QUIET):
-            screened = x_sq - 2.0 * (x @ x[c]) + x_sq[c]
+            screened = x_sq - 2.0 * (x32 @ x32[c]).astype(np.float64) + x_sq[c]
             # Negated, so NaN and infinite screens are rescored too.
-            rows = np.flatnonzero(~(screened - _screen_slack(x_norm, x_norm[c], d) >= closest))
+            rows = np.flatnonzero(~(screened - slack >= closest))
         diff = x[rows] - x[c]
         closest[rows] = np.minimum(closest[rows], np.einsum("ij,ij->i", diff, diff))
     return x[chosen].copy()

@@ -16,6 +16,7 @@ import copy
 import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +38,23 @@ UCEB_MAGIC = b"UCEB"
 UCEB_VERSION = 1
 _HEADER = struct.Struct("<4sIQII")
 _FLAG_LABELS = 1
+
+
+def _checked_vectors(vectors) -> np.ndarray:
+    """`vectors` as a C-ordered float32 (n, d) array, n and d positive and
+    every value finite."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+    if vectors.ndim != 2:
+        raise ValidationError("vectors must be a 2-D array")
+    n, d = vectors.shape
+    if n == 0:
+        raise ValidationError("empty embedding sets are not allowed")
+    if d == 0:
+        raise ValidationError("embedding dimension must be positive")
+    if not np.isfinite(vectors).all():
+        bad = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
+        raise ValidationError(f"row {bad} holds a NaN or infinite value")
+    return vectors
 
 
 def _checked_labels(labels, n: int):
@@ -62,17 +80,8 @@ class EmbeddingSet:
     """
 
     def __init__(self, vectors: np.ndarray, ids: list[str], labels=None):
-        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-        if vectors.ndim != 2:
-            raise ValidationError("vectors must be a 2-D array")
-        n, d = vectors.shape
-        if n == 0:
-            raise ValidationError("empty embedding sets are not allowed")
-        if d == 0:
-            raise ValidationError("embedding dimension must be positive")
-        if not np.isfinite(vectors).all():
-            bad = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
-            raise ValidationError(f"row {bad} holds a NaN or infinite value")
+        vectors = _checked_vectors(vectors)
+        n = vectors.shape[0]
         ids = [str(i) for i in ids]
         if len(ids) != n:
             raise DimensionMismatchError(f"{len(ids)} ids for {n} rows")
@@ -95,6 +104,17 @@ class EmbeddingSet:
         checked when this set was built, are shared and not checked again."""
         out = copy.copy(self)
         out.labels = _checked_labels(labels, self.count)
+        return out
+
+    def with_vectors(self, vectors) -> "EmbeddingSet":
+        """This set with `vectors`, one row per id, in place of its own. The
+        ids and labels, checked when this set was built, are shared and not
+        checked again."""
+        vectors = _checked_vectors(vectors)
+        if vectors.shape[0] != self.count:
+            raise DimensionMismatchError(f"{vectors.shape[0]} rows for {self.count} ids")
+        out = copy.copy(self)
+        out.vectors = vectors
         return out
 
     def __eq__(self, other) -> bool:
@@ -154,12 +174,19 @@ class SyntheticSpec:
 
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
-    """Write `embeddings` to `path` in the UCEB format."""
+    """Write `embeddings` to `path` in the UCEB format.
+
+    An existing file at `path` is removed first and a new one created, so
+    the write does not wait for the old contents to be flushed; a symlink
+    at `path` is replaced by the file, not written through.
+    """
     flags = _FLAG_LABELS if embeddings.labels is not None else 0
     header = _HEADER.pack(
         UCEB_MAGIC, UCEB_VERSION, embeddings.count, embeddings.dim, flags
     )
-    with open(path, "wb") as fh:
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    with path.open("wb") as fh:
         fh.write(header)
         fh.write(embeddings.vectors.astype("<f4", copy=False).tobytes())
         if embeddings.labels is not None:

@@ -9,7 +9,8 @@ import numpy as np
 
 from .data import EmbeddingSet
 from .errors import DimensionMismatchError, ValidationError
-from .util import map_row_chunks, unit_rows
+from . import util
+from .util import map_row_chunks, screen_error, unit_rows
 
 
 @dataclass
@@ -44,27 +45,96 @@ def _require_labels(embeddings: EmbeddingSet, who: str) -> np.ndarray:
     return embeddings.labels
 
 
-def _top_k(sims: np.ndarray, depth: int) -> np.ndarray:
-    """Column indices of each row's `depth` largest entries, ordered.
+def _top_k(screen: np.ndarray, depth: int, delta: float, exact) -> np.ndarray:
+    """Column indices of each row's `depth` largest exact scores, ordered.
 
-    Equals the first `depth` columns of a stable argsort of `-sims`: higher
-    similarity first, ties toward the lower index. The columns are dealt
-    into `groups` strided sets and each set's maximum is taken; those
-    maxima are distinct entries of the row, so the depth-th largest of them
-    lies at or below the row's depth-th largest value. Only the entries at
-    or above that cut are sorted, every entry tied with the true cut
-    included, so a tie at the cut still resolves by index.
+    `screen` holds every entry's exact score to within `delta`, and
+    `exact(rows, cols)` returns the exact scores of the listed entries; an
+    entry screened as -inf must score -inf. The result equals the first
+    `depth` columns of a stable argsort of the negated exact scores:
+    higher score first, ties toward the lower index.
+
+    The columns are dealt into `groups` strided sets and each set's
+    maximum screen is taken; those maxima are distinct entries of the row,
+    so the depth-th largest of them lies at or below the row's depth-th
+    largest screen. An entry screened more than 2 delta below that cut
+    scores below depth others, so only the entries above it are sorted, by
+    screen. Where consecutive screens differ by more than 2 delta, their
+    exact scores are in the same order; so only runs of entries whose
+    screens lie within 2 delta of the next, and that start in the top
+    `depth`, are rescored and reordered by exact score.
     """
-    m, n = sims.shape
+    m, n = screen.shape
     groups = min(n, max(64, 4 * depth))
     w = n // groups
-    maxima = sims[:, : groups * w].reshape(m, w, groups).max(axis=1)
+    maxima = screen[:, : groups * w].reshape(m, w, groups).max(axis=1)
     cut = np.partition(maxima, groups - depth, axis=1)[:, groups - depth]
-    rows, cols = np.divmod(np.flatnonzero(sims >= cut[:, None]), n)
-    # Stable, and candidates arrive in column order, so ties keep it.
-    order = np.lexsort((-sims[rows, cols], rows))
-    starts = np.searchsorted(rows, np.arange(m))
-    return cols[order][starts[:, None] + np.arange(depth)]
+    # Taken in float64 and rounded down, so that no entry within 2 delta
+    # of the cut is missed.
+    floor = np.nextafter((cut.astype(np.float64) - 2 * delta).astype(screen.dtype), -np.inf)
+    rows, cols = np.divmod(np.flatnonzero(screen >= floor[:, None]), n)
+    # Each row's candidates by screen, highest first, through a table
+    # padded with NaN, which sorts last. Equal screens may come in any
+    # order, since they fall in one run below.
+    counts = np.bincount(rows, minlength=m)
+    starts = np.cumsum(counts) - counts
+    pos = np.arange(rows.size) - starts[rows]
+    table = np.full((m, counts.max()), np.nan)
+    table[rows, pos] = -screen[rows, cols]
+    order = np.argsort(table, axis=1)
+    filled = np.arange(table.shape[1]) < counts[:, None]
+    cols = cols[(starts[:, None] + order)[filled]]
+    values = -np.take_along_axis(table, order, axis=1)[filled]
+    # A run starts at each row's first entry and after each gap above
+    # 2 delta; the gap between two -inf screens is NaN and joins them.
+    head = pos == 0
+    with np.errstate(invalid="ignore"):
+        head[1:] |= values[:-1] - values[1:] > 2 * delta
+    run = np.cumsum(head) - 1
+    heads = np.flatnonzero(head)
+    redo = np.flatnonzero(((pos[heads] < depth) & (np.diff(heads, append=rows.size) > 1))[run])
+    # Runs keep their places; inside each, higher exact score first, ties
+    # toward the lower column.
+    score = exact(rows[redo], cols[redo])
+    cols[redo] = cols[redo][np.lexsort((cols[redo], -score, run[redo]))]
+    return cols[starts[:, None] + np.arange(depth)]
+
+
+def _ranking(queries: np.ndarray, gallery: np.ndarray | None, depth: int, threads: int) -> np.ndarray:
+    """(q, depth) gallery columns of each query's `depth` nearest rows by
+    cosine, nearest first, ties toward the lower column.
+
+    `queries` and `gallery` are float64 unit rows; a `gallery` of None
+    ranks the queries against each other, each one's own row excluded.
+    Blocks of queries are screened with a float32 matrix product and
+    decided on exact float64 cosines einsum("ij,ij->i"), so the ranking
+    does not depend on the block layout, the BLAS kernel or `threads`.
+    The screen's bound takes unit norms; the norms of float64 unit rows
+    differ from 1 by far less than the bound's margin.
+    """
+    q32 = queries.astype(np.float32)
+    g32 = q32 if gallery is None else gallery.astype(np.float32)
+    target = queries if gallery is None else gallery
+    delta = float(screen_error(1.0, 1.0, queries.shape[1]))
+
+    def chunk(a, b):
+        screen = q32[a:b] @ g32.T
+
+        def exact(r, c):
+            # BLOCK_ROWS pairs at a time, so the gathered rows stay small.
+            cos = np.empty(r.size)
+            for i in range(0, r.size, util.BLOCK_ROWS):
+                part = slice(i, i + util.BLOCK_ROWS)
+                cos[part] = np.einsum("ij,ij->i", queries[a + r[part]], target[c[part]])
+            if gallery is None:
+                cos[a + r == c] = -np.inf
+            return cos
+
+        if gallery is None:
+            screen[np.arange(b - a), np.arange(a, b)] = -np.inf
+        return _top_k(screen, depth, delta, exact)
+
+    return np.concatenate(map_row_chunks(chunk, queries.shape[0], threads))
 
 
 def _recall_at(embeddings: EmbeddingSet, ks, threads: int = 1) -> dict[int, float]:
@@ -85,15 +155,8 @@ def _recall_at(embeddings: EmbeddingSet, ks, threads: int = 1) -> dict[int, floa
         raise ValidationError(f"class {bad} has a single member and cannot be a query")
     v = unit_rows(embeddings.vectors.astype(np.float64))
     depth = min(ks[-1], v.shape[0] - 1)
-
-    def chunk(a, b):
-        sims = v[a:b] @ v.T
-        sims[np.arange(b - a), np.arange(a, b)] = -np.inf
-        same = labels[_top_k(sims, depth)] == labels[a:b, None]
-        return [int(same[:, :k].any(axis=1).sum()) for k in ks]
-
-    hits = np.sum(map_row_chunks(chunk, v.shape[0], threads), axis=0)
-    return {k: float(int(h) / embeddings.count) for k, h in zip(ks, hits)}
+    same = labels[_ranking(v, None, depth, threads)] == labels[:, None]
+    return {k: float(int(same[:, :k].any(axis=1).sum()) / embeddings.count) for k in ks}
 
 
 def recall_at_k(embeddings: EmbeddingSet, k: int, threads: int = 1) -> float:
@@ -133,9 +196,7 @@ def map_at_100(queries: EmbeddingSet, gallery: EmbeddingSet, threads: int = 1) -
     qv = unit_rows(queries.vectors.astype(np.float64))
     gv = unit_rows(gallery.vectors.astype(np.float64))
     cut = min(100, gallery.count)
-    tops = np.concatenate(
-        map_row_chunks(lambda a, b: _top_k(qv[a:b] @ gv.T, cut), queries.count, threads)
-    )
+    tops = _ranking(qv, gv, cut, threads)
     # Labels compacted to 0..C-1, so the count below does not grow with
     # the largest label id.
     classes, ids = np.unique(np.concatenate([q_labels, g_labels]), return_inverse=True)
@@ -160,4 +221,4 @@ def truncate_dims(embeddings: EmbeddingSet, d_prime: int) -> EmbeddingSet:
             f"d_prime must lie in [1, {embeddings.dim}], got {d_prime}"
         )
     kept = unit_rows(embeddings.vectors[:, :d_prime].astype(np.float64))
-    return EmbeddingSet(kept.astype(np.float32), list(embeddings.ids), embeddings.labels)
+    return embeddings.with_vectors(kept)

@@ -1,6 +1,7 @@
 """Small shared helpers: ratio rounding, row normalization, per-label sums,
-row blocks."""
+the float32 screen's error bound, row blocks."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -62,6 +63,57 @@ def label_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
         weights = np.ascontiguousarray(x[:, a:b], dtype=np.float64).ravel()
         sums[:, a:b] = np.bincount(bins, weights, minlength=k * (b - a)).reshape(k, b - a)
     return sums
+
+
+# Float32 unit roundoff; 2^-126, the smallest normal float32, which bounds
+# the absolute error of a float32 result near zero both under gradual
+# underflow (half a subnormal step, 2^-150) and in a kernel that flushes
+# subnormals to zero; and the largest finite float32.
+_U32 = 2.0**-24
+_TINY32 = 2.0**-126
+_MAX32 = float(np.finfo(np.float32).max)
+
+# The bound of screen_error, with u = 2^-24, t = 2^-126 and
+# gamma_n = n u / (1 - n u) (Higham, "Accuracy and Stability of Numerical
+# Algorithms", sections 2.2 and 3.1):
+# - Operands. Rounding a float64 coordinate v to float32 moves it by at
+#   most u|v| + t, so x32 = x + e with |e| <= u|x| + sqrt(d) t, and
+#   |x32| <= A = (1 + u)|x| + sqrt(d) t; likewise y32 = y + f, |y32| <= B.
+#   Then |x32.y32 - x.y| = |e.y32 + x.f| <= 2 u A B + sqrt(d) t (A + B).
+# - Accumulation. Each of the d products rounds with relative error u or
+#   absolute error t, and the d - 1 additions, in any order, fused or not,
+#   add relative error gamma_{d-1} and absolute error t each, which later
+#   roundings grow by at most 1 + gamma_{d-1} <= 2 for d u <= 1/2. Since
+#   sum |x32_i y32_i| <= A B (Cauchy-Schwarz), the float32 sum lies within
+#   gamma_d A B + 4 d t of x32.y32.
+# - A float64 evaluation of x.y lies within gamma_d A B in float64 units,
+#   2^-29 of the float32 ones.
+# The bound is twice the sum of the first two, which covers the third, the
+# float64 rounding of the given norms and of the bound itself. A float32
+# product can only overflow if a cast does, or a product or partial sum,
+# at most (1 + gamma_d) A B, does: the bound is inf unless A and B lie
+# below the largest float32 and A B below half of it, so a caller that
+# meets an infinite bound must rescore in full.
+
+
+def screen_error(x_norm, y_norm, d: int):
+    """How far the float32 screen of a dot product may lie from its value.
+
+    The screen is the entry x32 . y32 of a float32 matrix product, where x
+    and y are float64 d-vectors of norms at most `x_norm` and `y_norm`, and
+    x32 and y32 are x and y rounded to float32. The bound holds against the
+    exact x . y and against any float64 evaluation of it, in any order of
+    summation; it is inf where the float32 product could overflow. Norms
+    may be arrays, and the result broadcasts.
+    """
+    gamma = d * _U32 / (1 - d * _U32) if d * _U32 <= 0.5 else math.inf
+    spread = math.sqrt(d) * _TINY32
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (1 + _U32) * np.asarray(x_norm, dtype=np.float64) + spread
+        b = (1 + _U32) * np.asarray(y_norm, dtype=np.float64) + spread
+        ab = a * b
+        bound = 2 * ((2 * _U32 + gamma) * ab + spread * (a + b) + 4 * d * _TINY32)
+        return np.where((a < _MAX32) & (b < _MAX32) & (ab < _MAX32 / 2), bound, np.inf)
 
 
 def check_threads(threads: int) -> None:

@@ -521,6 +521,42 @@ class TestManifestReplay:
         assert read_tree(out, skip=("manifest.json",)) == read_tree(runs / name, skip=("manifest.json",))
         assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval", "synth"])
+    def test_manifest_of_another_command_is_usage_error(self, runs, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(runs / "cluster" / "manifest.json"), "--out", str(out)])
+        assert rc == 2
+        assert "manifest of `cluster`" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["cluster", "train", "eval", "eval-map100"])
+    def test_relative_manifest_replays_from_another_directory(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        argvs = {
+            "cluster": ["cluster", "--input", "d/data.uceb", "--k", "7", "--seed", "2"],
+            "train": [
+                "train", "--input", "runs/cluster/assigned.uceb",
+                "--centroids", "runs/cluster/centroids.uceb", "--epochs", "2",
+            ],
+            "eval": ["eval", "--input", "runs/train/embeddings.uceb", "--labels", "d/truth.uceb"],
+            "eval-map100": [
+                "eval", "--metric", "map100", "--queries", "d/truth.uceb",
+                "--gallery", "runs/train/embeddings.uceb",
+            ],
+        }
+        assert main(synth_args("d", seed=2)) == 0
+        for run in ("cluster", "train", name):
+            assert main(argvs[run] + ["--out", f"runs/{run}"]) == 0
+        manifest = json.loads((tmp_path / "runs" / name / "manifest.json").read_text())
+        assert not any(p.startswith("/") for p in manifest["inputs"])
+        elsewhere = tmp_path / "x" / "y"
+        elsewhere.mkdir(parents=True)
+        monkeypatch.chdir(elsewhere)
+        rc = main([manifest["command"], "--config", f"../../runs/{name}/manifest.json", "--out", "replay"])
+        assert rc == 0
+        skip = ("manifest.json",)
+        assert read_tree(elsewhere / "replay", skip) == read_tree(tmp_path / "runs" / name, skip)
+
     def test_explicit_flag_overrides_a_stored_required_flag(self, runs, tmp_path):
         out = tmp_path / "replay"
         rc = main(["cluster", "--config", str(runs / "cluster" / "manifest.json"), "--k", "5", "--out", str(out)])

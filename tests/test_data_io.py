@@ -73,6 +73,31 @@ class TestEmbeddingSet:
         np.testing.assert_array_equal(s.labels, before)
         assert s.with_labels(None) == EmbeddingSet(s.vectors, s.ids)
 
+    # Values beyond the float32 range become inf in the cast, and are rejected.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("vectors", [
+        np.ones((2, 2)), np.ones(3), np.ones((3, 0)), np.array([[1.0], [np.nan], [2.0]]),
+        np.array([[1.0], [2.0], [3e39]]),
+    ], ids=["rows", "1-d", "zero-dim", "nan", "float32-overflow"])
+    def test_with_vectors_rejects_what_the_constructor_rejects(self, vectors):
+        s = EmbeddingSet(np.ones((3, 2), dtype=np.float32), ["a", "b", "c"])
+        with pytest.raises(UnicomError) as built:
+            EmbeddingSet(vectors, s.ids)
+        with pytest.raises(UnicomError) as replaced:
+            s.with_vectors(vectors)
+        assert type(replaced.value) is type(built.value)
+
+    def test_with_vectors_equals_a_new_set_and_shares_ids_and_labels(self):
+        rng = np.random.default_rng(5)
+        s = _random_set(rng)
+        before = s.vectors.copy()
+        vectors = rng.standard_normal((s.count, 3))
+        replaced = s.with_vectors(vectors)
+        assert replaced == EmbeddingSet(vectors, s.ids, s.labels)
+        assert replaced.vectors.dtype == np.float32 and replaced.dim == 3
+        assert replaced.ids is s.ids and replaced.labels is s.labels
+        np.testing.assert_array_equal(s.vectors, before)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vectors_rejected(self, bad):
         vectors = np.ones((3, 4), dtype=np.float32)
@@ -108,6 +133,28 @@ class TestUcebRoundTrip:
         save_embeddings(s, p1)
         save_embeddings(labeled, p2)
         assert p2.stat().st_size == p1.stat().st_size + 2 * 8
+
+    def test_overwrite_with_a_smaller_set_leaves_only_the_new_bytes(self, tmp_path):
+        rng = np.random.default_rng(6)
+        small = _random_set(rng, n=3, d=2)
+        alone, path = tmp_path / "alone.uceb", tmp_path / "set.uceb"
+        save_embeddings(small, alone)
+        save_embeddings(_random_set(rng, n=50, d=9), path)
+        save_embeddings(small, path)
+        assert path.read_bytes() == alone.read_bytes()
+        assert load_embeddings(path) == small
+
+    def test_symlink_at_the_path_is_replaced_not_written_through(self, tmp_path):
+        rng = np.random.default_rng(7)
+        target, link = tmp_path / "target.uceb", tmp_path / "link.uceb"
+        save_embeddings(_random_set(rng), target)
+        kept = target.read_bytes()
+        link.symlink_to(target)
+        written = _random_set(rng, n=4)
+        save_embeddings(written, link)
+        assert not link.is_symlink()
+        assert load_embeddings(link) == written
+        assert target.read_bytes() == kept
 
     def test_unicode_ids_survive(self, tmp_path):
         s = EmbeddingSet(np.ones((2, 2), dtype=np.float32), ["héllo", "wörld"])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -52,7 +52,8 @@ from unicom.errors import (
     UcebFormatError,
     ValidationError,
 )
-from unicom.evaluation import _top_k
+from unicom import util
+from unicom.evaluation import _ranking, _top_k
 from unicom.losses import LossOutput
 from unicom.rng import stream_rng
 from unicom.training import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, _SGD_MOMENTUM
@@ -88,23 +89,53 @@ def test_assign_matches_brute_force_on_quantized_points(seed, n, k, d):
     np.testing.assert_array_equal(want, brute_force_assign(x, centroids))
 
 
+# Scales at the edges of float32: products that are subnormal (1e-20),
+# coordinates that are subnormal or round to zero (1e-40, 1e-45), products
+# near overflow (1e18) and coordinates near or beyond it (1e38 to 1e40).
+FLOAT32_EDGES = [1e-45, 1e-40, 1e-20, 1e18, 1e38, 1e39, 1e40]
+
+
+def near_tie_rows(rng, k, d, scale):
+    """k rows at `scale` in groups of four: a row, its duplicate, a row one
+    float64 ulp above it and one float32 ulp above it (a float64 ulp again
+    where the float32 cast overflows)."""
+    rows = rng.standard_normal((k, d)) * scale
+    base = rows[0::4]
+    with np.errstate(over="ignore"):
+        up32 = np.nextafter(base.astype(np.float32), np.float32(np.inf)).astype(np.float64)
+    up64 = np.nextafter(base, np.inf)
+    for offset, near in enumerate([base, up64, np.where(np.isfinite(up32), up32, up64)], 1):
+        rows[offset::4] = near[: rows[offset::4].shape[0]]
+    return rows
+
+
 # At 1e200 the true distances overflow, in the reference scan as in assign.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, n=ROW_COUNTS, k=st.integers(2, 12), d=st.integers(1, 24),
-       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e4, 1e150, 1e154, 1e200]))
-def test_assign_matches_einsum_scan_on_near_ties(seed, n, k, d, scale):
-    # Duplicate centroids, centroids one ulp apart, and points on or
-    # halfway between centroids: distances that tie or nearly tie at the
-    # level of rounding.
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e4, 1e150, 1e154, 1e200] + FLOAT32_EDGES),
+       spread=st.booleans())
+def test_assign_matches_einsum_scan_on_near_ties(seed, n, k, d, scale, spread):
+    # Duplicate centroids, centroids one float64 or float32 ulp apart, and
+    # points on or halfway between centroids: distances that tie or nearly
+    # tie at the level of rounding. With `spread`, points are also scaled
+    # by 1, 1e-30 or 1e30 row by row, so rows of one block differ in scale.
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((k, d)) * scale
-    rows[1::3] = rows[0::3][: rows[1::3].shape[0]]
-    rows[2::3] = np.nextafter(rows[0::3][: rows[2::3].shape[0]], np.inf)
+    rows = near_tie_rows(rng, k, d, scale)
     a = rows[rng.integers(0, k, size=n)]
     b = rows[rng.integers(0, k, size=n)]
     x = np.where(rng.random((n, 1)) < 0.5, a, (a + b) / 2)
+    if spread:
+        x = x * rng.choice([1.0, 1e-30, 1e30], size=(n, 1))
     assert_assign_exact(x, rows)
+
+
+def test_assign_when_a_float32_cross_term_overflows():
+    # x.c is -1e39 for the nearest centroid, beyond the float32 range, so
+    # its float32 screen is +inf, while a far centroid orthogonal to x
+    # screens finite: the row must be rescored in full.
+    x = np.array([[1e20, 0.0]])
+    np.testing.assert_array_equal(assert_assign_exact(x, np.array([[0.0, 1e30], [-1e19, 0.0]])), [1])
 
 
 def reference_kmeanspp(x, cfg):
@@ -145,18 +176,16 @@ def test_kmeanspp_matches_einsum_scan_on_duplicates(seed, n, distinct, d, scale,
     assert_kmeanspp_exact(x, data.draw(st.integers(1, n)), seed)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, n=st.integers(1, 60), distinct=st.integers(2, 12), d=st.integers(1, 24),
-       scale=st.sampled_from([1e-310, 1e-150, 1e-3, 1.0, 1e4, 1e150]),
+       scale=st.sampled_from([1e-310, 1e-150, 1e-3, 1.0, 1e4, 1e150] + FLOAT32_EDGES),
        huge=st.booleans(), data=st.data())
 def test_kmeanspp_matches_einsum_scan_on_near_ties(seed, n, distinct, d, scale, huge, data):
     # The near-tie palette of the `assign` properties. With `huge`, every
     # row gains the same 1e200 coordinate: the norms overflow while the
     # distances stay finite, so the screen is NaN and every row rescored.
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((distinct, d)) * scale
-    rows[1::3] = rows[0::3][: rows[1::3].shape[0]]
-    rows[2::3] = np.nextafter(rows[0::3][: rows[2::3].shape[0]], np.inf)
+    rows = near_tie_rows(rng, distinct, d, scale)
     a = rows[rng.integers(0, distinct, size=n)]
     b = rows[rng.integers(0, distinct, size=n)]
     x = np.where(rng.random((n, 1)) < 0.5, a, (a + b) / 2)
@@ -191,10 +220,17 @@ TIED_SIMS = st.one_of(
 @given(sims=TIED_SIMS, data=st.data())
 def test_top_k_is_a_stable_full_sort_prefix(sims, data):
     # Small depths often, so that the column groups hold several columns.
+    # The screen moves each finite score by a multiple of delta / 4 up to
+    # delta, exactly, so close screens reorder against the scores; the
+    # result must follow the scores. With delta 0 screen and scores agree.
     n = sims.shape[1]
     depth = data.draw(st.one_of(st.integers(1, max(1, n // 8)), st.integers(1, n)))
+    delta = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    rng = np.random.default_rng(data.draw(SEEDS))
+    screen = sims + rng.integers(-4, 5, size=sims.shape) * (delta / 4)
+    screen = screen.astype(data.draw(st.sampled_from([np.float32, np.float64])))
     want = np.argsort(-sims, axis=1, kind="stable")[:, :depth]
-    np.testing.assert_array_equal(_top_k(sims, depth), want)
+    np.testing.assert_array_equal(_top_k(screen, depth, delta, lambda r, c: sims[r, c]), want)
 
 
 def exact_unit_vectors(rng, n):
@@ -245,6 +281,83 @@ def test_map_at_100_matches_oracle_on_tied_cosines(seed, q, g, classes):
     want = brute_force_map100(queries, gallery)
     for threads in (1, 3):
         assert map_at_100(queries, gallery, threads=threads) == want
+
+
+def einsum_ranking(queries, gallery, depth):
+    """Each query's `depth` nearest gallery rows from a stable sort of the
+    exact cosines einsum("ij,ij->i") of every pair of float64 unit rows;
+    a gallery of None ranks the queries against each other, self excluded."""
+    g = queries if gallery is None else gallery
+    i, j = np.divmod(np.arange(len(queries) * len(g)), len(g))
+    cos = np.einsum("ij,ij->i", queries[i], g[j]).reshape(len(queries), len(g))
+    if gallery is None:
+        np.fill_diagonal(cos, -np.inf)
+    return np.argsort(-cos, axis=1, kind="stable")[:, :depth]
+
+
+def einsum_recall(s, ks):
+    v = unit_rows(s.vectors.astype(np.float64))
+    same = s.labels[einsum_ranking(v, None, min(max(ks), s.count - 1))] == s.labels[:, None]
+    return {k: float(int(same[:, :k].any(axis=1).sum()) / s.count) for k in ks}
+
+
+def einsum_map100(queries, gallery):
+    qv = unit_rows(queries.vectors.astype(np.float64))
+    gv = unit_rows(gallery.vectors.astype(np.float64))
+    tops = einsum_ranking(qv, gv, min(100, gallery.count))
+    aps = []
+    for q, top in enumerate(tops):
+        relevant = int(np.sum(gallery.labels == queries.labels[q]))
+        if relevant:
+            rel = gallery.labels[top] == queries.labels[q]
+            hits = np.cumsum(rel)
+            aps.append(math.fsum(hits[r] / (r + 1) for r in np.flatnonzero(rel)) / min(relevant, 100))
+    return math.fsum(aps) / len(aps) if aps else None
+
+
+@st.composite
+def near_tie_embeddings(draw):
+    """Float32 rows with injected near-ties: each row is kept, or replaced
+    by a duplicate of another row, that row one float32 ulp up in every
+    coordinate, twice that row (the same unit row), or the midpoint of two
+    rows. Few dimensions make exact ties common too."""
+    n, d = draw(st.sampled_from([2, 3, 8, 40, 101, 150])), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(SEEDS))
+    base = rng.standard_normal((n, d)).astype(np.float32)
+    src, other = rng.integers(0, n, size=(2, n))
+    derived = [base, base[src], np.nextafter(base[src], np.float32(np.inf)), base[src] * 2,
+               (base[src] + base[other]) / 2]
+    kind = rng.integers(0, len(derived), size=n)
+    vectors = np.choose(kind[:, None], derived)
+    keep = np.linalg.norm(vectors, axis=1) > 0
+    vectors, n = vectors[keep], int(keep.sum())
+    classes = max(1, min(draw(st.integers(1, 5)), n // 2))
+    return labeled(vectors, rng.permutation(np.arange(n) % classes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=near_tie_embeddings(), ks=st.lists(st.integers(1, 160), min_size=1, max_size=3))
+def test_ranking_is_exact_whatever_the_blocks_and_threads(s, ks):
+    assume(s.count >= 2)
+    is_query = np.arange(s.count) % 3 == 0
+    queries, gallery = (
+        labeled(s.vectors[m], s.labels[m], prefix) for m, prefix in ((is_query, "q"), (~is_query, "g"))
+    )
+    v = unit_rows(s.vectors.astype(np.float64))
+    depth = min(max(ks), s.count - 1)
+    want_recall, want_map = einsum_recall(s, ks), einsum_map100(queries, gallery)
+    want_tops = einsum_ranking(v, None, depth)
+    for block in (1, 7, BLOCK_ROWS, s.count):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(util, "BLOCK_ROWS", block)
+            for threads in (1, 3):
+                np.testing.assert_array_equal(_ranking(v, None, depth, threads), want_tops)
+                assert retrieval_report(s, ks, threads=threads).recall_at == want_recall
+                if want_map is None:
+                    with pytest.raises(ValidationError):
+                        map_at_100(queries, gallery, threads=threads)
+                else:
+                    assert map_at_100(queries, gallery, threads=threads) == want_map
 
 
 def column_major_update(cols, st_, lr, optimizer, grad_sub, subset, mask):
