@@ -1,6 +1,6 @@
 """Cluster-discrimination representation learning at desk scale.
 
-Pipeline pieces: embedding storage and fusion (`data`), k-means pseudo
+Pipeline pieces: embedding storage and synthesis (`data`), k-means pseudo
 labeling (`clustering`), a margin softmax with random class and feature
 selection (`losses`), joint encoder/prototype training with one AdamW and
 one SGD-momentum step (`training`), retrieval metrics on full and
@@ -15,7 +15,6 @@ from .clustering import ClusterResult, KMeansConfig, assign, kmeans_fit, objecti
 from .data import (
     EmbeddingSet,
     SyntheticSpec,
-    ensemble_features,
     load_embeddings,
     save_embeddings,
     synth_conflict_dataset,

@@ -24,7 +24,7 @@ from .clustering import KMeansConfig, kmeans_fit, INIT_METHODS
 from .data import EmbeddingSet, SyntheticSpec, load_embeddings, save_embeddings, synth_conflict_dataset
 from .errors import UcebFormatError, UnicomError, ValidationError
 from .evaluation import RetrievalReport, map_at_100, retrieval_report, truncate_dims
-from .gradcheck import check_selection_gradients
+from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, check_selection_gradients
 from .losses import LossConfig
 from .training import (
     OPTIMIZERS,
@@ -158,10 +158,12 @@ def cmd_eval(args) -> int:
         _write_manifest(args, out, [args.input], ["report.json", "report.tsv"])
         data = load_embeddings(args.input)
         if args.labels:
-            labels = load_embeddings(args.labels).labels
-            if labels is None:
+            labeled = load_embeddings(args.labels)
+            if labeled.labels is None:
                 raise ValidationError(f"{args.labels} carries no labels")
-            data = data.with_labels(labels)
+            if labeled.ids != data.ids:
+                raise ValidationError(f"{args.labels} does not list the ids of {args.input} in their order")
+            data = data.with_labels(labeled.labels)
         if args.dims is not None:
             data = truncate_dims(data, args.dims)
         report = retrieval_report(
@@ -242,24 +244,24 @@ def _add_threads(parser):
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--epochs", type=int, default=10)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--optimizer", choices=OPTIMIZERS, default="adamw")
-    parser.add_argument("--lr", type=float, default=0.001)
-    parser.add_argument("--wd", type=float, default=0.05, help="weight decay")
-    parser.add_argument("--margin", type=float, default=0.3)
-    parser.add_argument("--scale", type=float, default=64.0)
-    parser.add_argument("--r1", type=float, default=0.1, help="class sampling ratio")
-    parser.add_argument("--r2", type=float, default=1.0, help="feature mask keep ratio")
-    parser.add_argument("--dropout-r3", type=float, default=None, help="train with per-sample feature dropout instead of a shared mask")
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    parser.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
+    parser.add_argument("--lr", type=float, default=TrainConfig.lr)
+    parser.add_argument("--wd", type=float, default=TrainConfig.weight_decay, help="weight decay")
+    parser.add_argument("--margin", type=float, default=LossConfig.margin)
+    parser.add_argument("--scale", type=float, default=LossConfig.scale)
+    parser.add_argument("--r1", type=float, default=LossConfig.r1, help="class sampling ratio")
+    parser.add_argument("--r2", type=float, default=LossConfig.r2, help="feature mask keep ratio")
+    parser.add_argument("--dropout-r3", type=float, default=TrainConfig.dropout_r3, help="train with per-sample feature dropout instead of a shared mask")
 
 
 def _add_synth_flags(parser):
     parser.add_argument("--classes", type=int, default=20, help="number of true classes")
     parser.add_argument("--per-class", type=int, default=50)
     parser.add_argument("--dim", type=int, default=64)
-    parser.add_argument("--noise", type=float, default=0.1, help="intra-class noise sigma")
-    parser.add_argument("--conflict", type=float, default=0.0, help="fraction of true classes split into two pseudo labels")
+    parser.add_argument("--noise", type=float, default=SyntheticSpec.intra_noise, help="intra-class noise sigma")
+    parser.add_argument("--conflict", type=float, default=SyntheticSpec.conflict_ratio, help="fraction of true classes split into two pseudo labels")
 
 
 def build_parser():
@@ -269,24 +271,21 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     p = subs.add_parser("synth", help="generate a conflict-controlled synthetic dataset")
     _add_synth_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_synth)
-    registry["synth"] = p
 
     p = subs.add_parser("cluster", help="k-means pseudo labels and centroids")
     p.add_argument("--input", required=True, help="UCEB embedding file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--init", choices=INIT_METHODS, default="kmeanspp")
+    p.add_argument("--max-iters", type=int, default=KMeansConfig.max_iters)
+    p.add_argument("--tol", type=float, default=KMeansConfig.tol)
+    p.add_argument("--init", choices=INIT_METHODS, default=KMeansConfig.init)
     _add_threads(p)
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
-    registry["cluster"] = p
 
     p = subs.add_parser("train", help="train the encoder and prototypes on labeled embeddings")
     p.add_argument("--input", required=True, help="labeled UCEB file")
@@ -294,7 +293,6 @@ def build_parser():
     _add_train_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
-    registry["train"] = p
 
     p = subs.add_parser("eval", help="retrieval metrics on an embedding file")
     p.add_argument("--input", default=None, help="labeled UCEB file (recall metric)")
@@ -307,13 +305,12 @@ def build_parser():
     _add_threads(p)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
-    registry["eval"] = p
 
     p = subs.add_parser("ablate", help="grid experiment over r1, r2, r3, or the cluster count")
     p.add_argument("--param", choices=ABLATION_PARAMS, required=True)
     p.add_argument("--values", required=True, help="comma-separated grid values")
     p.add_argument("--seeds", type=int, default=5, help="number of seeds per grid point")
-    p.add_argument("--recall-k", type=int, default=1)
+    p.add_argument("--recall-k", type=int, default=AblationConfig.recall_k)
     p.add_argument("--report-dims", type=int, default=None, help="also score recall after truncating to this many dims")
     p.add_argument("--cluster-k", type=int, default=None, help="derive pseudo labels with k-means at this k")
     p.add_argument("--embed-dim", type=int, default=None, help="bottleneck encoder output dim (orthonormal init)")
@@ -322,17 +319,15 @@ def build_parser():
     _add_train_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
-    registry["ablate"] = p
 
     p = subs.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--fd-step", type=float, default=1e-5)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--fd-step", type=float, default=DEFAULT_STEP)
     _add_common(p, out_required=False)
     p.set_defaults(func=cmd_gradcheck)
-    registry["gradcheck"] = p
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _config_path(argv) -> str | None:
@@ -346,7 +341,7 @@ def _config_path(argv) -> str | None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser, commands = build_parser()
 
     path = _config_path(argv)
     if path:
@@ -364,10 +359,10 @@ def main(argv=None) -> int:
                 )
                 return 2
             payload = payload["config"]
-        if command in registry and isinstance(payload, dict):
+        if command in commands and isinstance(payload, dict):
             # A stored value stands in for a flag, required or not; a
             # stored null leaves the flag at its default.
-            for action in registry[command]._actions:
+            for action in commands[command]._actions:
                 value = payload.get(action.dest)
                 if value is None:
                     continue

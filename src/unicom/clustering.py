@@ -47,10 +47,6 @@ class ClusterResult:
     objective_trace: list[float] = field(default_factory=list)
     iterations_run: int = 0
 
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
 
 def _points(data) -> np.ndarray:
     if isinstance(data, EmbeddingSet):

@@ -1,4 +1,4 @@
-"""Embedding storage, UCEB file I/O, feature fusion, and synthetic datasets.
+"""Embedding storage, UCEB file I/O, and synthetic datasets.
 
 UCEB file layout (all little-endian, no padding between sections):
 
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
-    DegenerateVectorError,
     DimensionMismatchError,
     DuplicateIdError,
     InvalidDimensionError,
@@ -256,30 +255,6 @@ def load_embeddings(path) -> EmbeddingSet:
         return EmbeddingSet(vectors, ids, labels)
     except DuplicateIdError:
         raise DuplicateIdError(f"duplicate ids in {path}") from None
-
-
-def ensemble_features(image: EmbeddingSet, text: EmbeddingSet) -> EmbeddingSet:
-    """Fuse two aligned embedding sets by averaging matched rows.
-
-    Row i of the result is (image_i + text_i) / 2, renormalized to unit
-    length so downstream cosine computations stay well defined. The two
-    sets must agree on shape and carry identical ids in identical order.
-    """
-    if image.count != text.count or image.dim != text.dim:
-        raise DimensionMismatchError(
-            f"cannot fuse {image.count}x{image.dim} with {text.count}x{text.dim}"
-        )
-    if image.ids != text.ids:
-        raise ValidationError("ids of the two sets are not matched by position")
-    fused = (image.vectors.astype(np.float64) + text.vectors.astype(np.float64)) / 2.0
-    norms = np.linalg.norm(fused, axis=1)
-    if np.any(norms < 1e-9):
-        bad = int(np.argmin(norms))
-        raise DegenerateVectorError(
-            f"fused row {bad} is degenerate (inputs nearly antipodal)"
-        )
-    fused /= norms[:, None]
-    return EmbeddingSet(fused.astype(np.float32), list(image.ids))
 
 
 def synth_conflict_dataset(spec: SyntheticSpec):

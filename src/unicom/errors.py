@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 File-format problems and data/computation problems are kept on separate
-branches so the CLI can map them to distinct exit codes.
+branches so the CLI can map them to distinct exit codes. Inputs that do
+not fit together (duplicate ids, mismatched shapes) are validation errors.
 """
 
 
@@ -29,14 +30,6 @@ class TruncatedPayloadError(UcebFormatError):
     """File ends before the payload declared in the header."""
 
 
-class DuplicateIdError(UnicomError):
-    """Two rows share the same identifier."""
-
-
-class DimensionMismatchError(UnicomError):
-    """Operands disagree on row count or embedding dimension."""
-
-
 class DegenerateVectorError(UnicomError):
     """A vector that must be normalized has (near-)zero norm."""
 
@@ -47,3 +40,11 @@ class NonFiniteLossError(UnicomError):
 
 class ValidationError(UnicomError):
     """A configuration value or precondition is out of range."""
+
+
+class DuplicateIdError(ValidationError):
+    """Two rows share the same identifier."""
+
+
+class DimensionMismatchError(ValidationError):
+    """Operands disagree on row count or embedding dimension."""

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .rng import stream_rng
-from .util import ratio_count, unit_rows, unit_rows_backward
-
-_NORM_EPS = 1e-12
+from .util import NORM_EPS, ratio_count, unit_rows, unit_rows_backward, unit_rows_inplace
 
 
 @dataclass
@@ -67,7 +65,7 @@ class PrototypeMatrix:
             raise ValidationError("prototype rows must form a 2-D matrix")
         if rows.shape[0] < 2:
             raise ValidationError("a prototype matrix needs k >= 2 classes")
-        self.rows = unit_rows(rows, _NORM_EPS)
+        self.rows = unit_rows(rows)
 
     @property
     def dim(self) -> int:
@@ -155,16 +153,6 @@ def make_selection_plan(batch_labels, num_classes: int, dim: int, cfg: LossConfi
     )
 
 
-def _masked_unit(vectors: np.ndarray, what: str):
-    """Norms of already-masked vectors (rows); the rows are divided by
-    them in place and returned as the unit versions."""
-    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))
-    if (norms < _NORM_EPS).any():
-        raise DegenerateVectorError(f"zero-norm masked {what} sub-vector")
-    vectors /= norms[:, None]
-    return norms, vectors
-
-
 def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: SelectionPlan, cfg: LossConfig, with_grad: bool) -> LossOutput:
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -196,10 +184,10 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
         raise ValidationError("a batch label is outside the selected class subset")
 
     u = e * mask  # masked embeddings, exact zeros off-mask
-    u_norm, u_hat = _masked_unit(u, "embedding")
+    u_norm, u_hat = unit_rows_inplace(u, "a masked embedding sub-vector")
     v = prototypes.rows.take(subset, axis=0)  # (|S|, d)
     v *= mask
-    v_norm, v_hat = _masked_unit(v, "prototype")
+    v_norm, v_hat = unit_rows_inplace(v, "a masked prototype sub-vector")
 
     cos = u_hat @ v_hat.T  # (b, |S|)
     np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
@@ -221,7 +209,7 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
         )
         logits.put(pos, cfg.scale * phi)
         # d(phi)/d(cos theta) on each branch, used by the backward pass.
-        safe_sin = np.maximum(sin_pos, _NORM_EPS)
+        safe_sin = np.maximum(sin_pos, NORM_EPS)
         margin_factor = np.where(in_range, cos_m + sin_m * c_pos / safe_sin, 1.0)
 
     # Shift, exponentiate and normalize in the logits' own memory.

@@ -32,7 +32,7 @@ from .losses import (
     selection_backward,
 )
 from .rng import stream_rng
-from .util import label_sums, unit_rows_backward
+from .util import NORM_EPS, label_sums, unit_rows_backward, unit_rows_inplace
 
 OPTIMIZERS = ("adamw", "sgd-momentum")
 
@@ -52,22 +52,12 @@ class LinearEncoder:
         self.weights = weights
 
     @property
-    def input_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def output_dim(self) -> int:
         return self.weights.shape[1]
 
     @classmethod
     def identity(cls, dim: int) -> "LinearEncoder":
         return cls(np.eye(dim))
-
-    @classmethod
-    def random(cls, input_dim: int, output_dim: int, seed: int = 0) -> "LinearEncoder":
-        rng = stream_rng(seed, "encoder-init")
-        w = rng.standard_normal((input_dim, output_dim)) / np.sqrt(input_dim)
-        return cls(w)
 
     @classmethod
     def orthonormal(cls, input_dim: int, output_dim: int, seed: int = 0) -> "LinearEncoder":
@@ -89,11 +79,7 @@ def _encode_cache(weights, inputs):
         raise DimensionMismatchError(
             f"inputs of shape {x.shape} do not match encoder input dim {weights.shape[0]}"
         )
-    z = x @ weights
-    norms = np.sqrt(np.add.reduce(z * z, axis=1))  # what np.linalg.norm(z, axis=1) runs
-    if (norms < 1e-12).any():
-        raise DegenerateVectorError("encoder produced a zero-norm projection row")
-    z /= norms[:, None]
+    norms, z = unit_rows_inplace(x @ weights, "an encoder projection row")
     return x, norms, z
 
 
@@ -161,7 +147,12 @@ class TrainResult:
 
 
 class Trainer:
-    """Single-writer training loop with sparse prototype updates."""
+    """Single-writer training loop with sparse prototype updates.
+
+    Each parameter block keeps its optimizer moments in a list, [m, v] for
+    AdamW and [vel] for SGD-momentum, shaped like the block. Step counts
+    are kept apart: one for the encoder and one per prototype class.
+    """
 
     def __init__(self, encoder: LinearEncoder, prototypes: PrototypeMatrix, cfg: TrainConfig):
         if encoder.output_dim != prototypes.dim:
@@ -172,18 +163,11 @@ class Trainer:
         self.prototypes = prototypes
         self.cfg = cfg
         self.step_count = 0
-        w = encoder.weights
-        rows = prototypes.rows
-        if cfg.optimizer == "adamw":
-            self._enc_state = {"m": np.zeros_like(w), "v": np.zeros_like(w), "t": 0}
-            self._proto_state = {
-                "m": np.zeros_like(rows),
-                "v": np.zeros_like(rows),
-                "t": np.zeros(prototypes.classes, dtype=np.int64),
-            }
-        else:
-            self._enc_state = {"vel": np.zeros_like(w)}
-            self._proto_state = {"vel": np.zeros_like(rows)}
+        moments = 2 if cfg.optimizer == "adamw" else 1
+        self._enc_moments = [np.zeros_like(encoder.weights) for _ in range(moments)]
+        self._proto_moments = [np.zeros_like(prototypes.rows) for _ in range(moments)]
+        self._enc_steps = 0
+        self._proto_steps = np.zeros(prototypes.classes, dtype=np.int64)
 
     def _backward(self, inputs, labels, plan):
         """Loss backward plus the chain into the encoder weights.
@@ -205,15 +189,49 @@ class Trainer:
         grad_w = x.T @ unit_rows_backward(g, e, norms)
         return out, grad_w, plan
 
+    def _delta(self, moments, g, t, w, wd):
+        """The optimizer step for parameters `w` with gradient `g`, to be
+        subtracted from them; `moments` are updated in place, and `t` is a
+        step count, scalar or broadcast against the block.
+
+        AdamW (Loshchilov and Hutter, 2019): lr * (mh / (sqrt(vh) + eps) +
+        wd * w), with mh = m / (1 - b1**t), vh = v / (1 - b2**t),
+        m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g.
+        SGD-momentum: lr * vel, with vel = (mu * vel + g) + wd * w.
+
+        Each product and sum keeps the operands and grouping of these
+        formulas, so every bit is as in them; regrouping one, say
+        (1 - b2) * (g * g), changes the results.
+        """
+        if self.cfg.optimizer == "sgd-momentum":
+            (vel,) = moments
+            vel *= _SGD_MOMENTUM
+            vel += g
+            if wd:
+                vel += wd * w
+            return self.cfg.lr * vel
+        m, v = moments
+        m *= _ADAM_BETA1
+        m += (1 - _ADAM_BETA1) * g
+        v *= _ADAM_BETA2
+        g2 = (1 - _ADAM_BETA2) * g
+        g2 *= g
+        v += g2
+        delta = m / (1 - _ADAM_BETA1**t)
+        den = v / (1 - _ADAM_BETA2**t)
+        np.sqrt(den, out=den)
+        den += _ADAM_EPS
+        delta /= den
+        if wd:
+            delta += wd * w
+        delta *= self.cfg.lr
+        return delta
+
     def _update_encoder(self, grad):
         """Dense optimizer step on the whole weight matrix, with decay."""
-        cfg, st = self.cfg, self._enc_state
+        self._enc_steps += 1
         w = self.encoder.weights
-        if cfg.optimizer == "adamw":
-            st["t"] += 1
-            w -= _adamw_delta(st["m"], st["v"], grad, st["t"], w, cfg.lr, cfg.weight_decay)
-        else:
-            w -= _sgd_delta(st["vel"], grad, w, cfg.lr, cfg.weight_decay)
+        w -= self._delta(self._enc_moments, grad, self._enc_steps, w, self.cfg.weight_decay)
 
     def _update_prototypes(self, grad_sub, subset, mask):
         """Sparse update touching only (subset x mask) entries.
@@ -221,34 +239,29 @@ class Trainer:
         Each contiguous (k, d) array gives up its (|S|, |mask|) block of
         entries once and gets it back once, both at flat positions. The
         blocks take the encoder's optimizer step, without decay and with
-        per-class Adam step counts. After the step the masked sub-vector
+        per-class step counts. After the step the masked sub-vector
         of each updated row is rescaled so the full row returns to unit
         norm; the untouched coordinates keep their exact bits.
         """
-        cfg, st, rows = self.cfg, self._proto_state, self.prototypes.rows
+        rows = self.prototypes.rows
         subset = np.asarray(subset, dtype=np.int64)
         mask_idx = np.asarray(mask, dtype=bool).nonzero()[0]
         flat = subset[:, None] * rows.shape[1] + mask_idx
         g = grad_sub.take(mask_idx, axis=1)  # C-ordered, like the gathered blocks
         old = rows.take(flat)
-        if cfg.optimizer == "adamw":
-            t = st["t"].take(subset)
-            t += 1
-            st["t"][subset] = t
-            m, v = st["m"].take(flat), st["v"].take(flat)
-            delta = _adamw_delta(m, v, g, t[:, None], old, cfg.lr, 0.0)
-            st["m"].reshape(-1)[flat] = m
-            st["v"].reshape(-1)[flat] = v
-        else:
-            vel = st["vel"].take(flat)
-            delta = _sgd_delta(vel, g, old, cfg.lr, 0.0)
-            st["vel"].reshape(-1)[flat] = vel
+        t = self._proto_steps.take(subset)
+        t += 1
+        self._proto_steps[subset] = t
+        moments = [a.take(flat) for a in self._proto_moments]
+        delta = self._delta(moments, g, t[:, None], old, 0.0)
+        for a, block in zip(self._proto_moments, moments):
+            a.reshape(-1)[flat] = block
 
         sub = old - delta
         off_sq = 1.0 - _coordinate_sq_sums(old)
         target = np.sqrt(1.0 - np.maximum(off_sq, 0.0, out=off_sq))
         cur = np.sqrt(_coordinate_sq_sums(sub))
-        if (cur < 1e-12).any() or (target < 1e-12).any():
+        if (cur < NORM_EPS).any() or (target < NORM_EPS).any():
             raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
         sub *= (target / cur)[:, None]
         rows.reshape(-1)[flat] = sub
@@ -269,44 +282,6 @@ class Trainer:
             self._update_prototypes(out.grad_prototypes, plan.class_subset, plan.feature_mask)
         self.step_count += 1
         return out.loss
-
-
-def _adamw_delta(m, v, g, t, w, lr, wd):
-    """AdamW step for parameters `w` with gradient `g` (Loshchilov and
-    Hutter, 2019): lr * (mh / (sqrt(vh) + eps) + wd * w), with
-    mh = m / (1 - b1**t), vh = v / (1 - b2**t), m = b1 * m + (1 - b1) * g
-    and v = b2 * v + ((1 - b2) * g) * g. The moments are updated in place;
-    `t` is a step count, scalar or broadcast against the block.
-
-    Each product and sum keeps the operands and grouping of these
-    formulas, so every bit is as in them; regrouping one, say
-    (1 - b2) * (g * g), changes the results.
-    """
-    m *= _ADAM_BETA1
-    m += (1 - _ADAM_BETA1) * g
-    v *= _ADAM_BETA2
-    g2 = (1 - _ADAM_BETA2) * g
-    g2 *= g
-    v += g2
-    delta = m / (1 - _ADAM_BETA1**t)
-    den = v / (1 - _ADAM_BETA2**t)
-    np.sqrt(den, out=den)
-    den += _ADAM_EPS
-    delta /= den
-    if wd:
-        delta += wd * w
-    delta *= lr
-    return delta
-
-
-def _sgd_delta(vel, g, w, lr, wd):
-    """SGD-momentum step lr * vel, with vel = (mu * vel + g) + wd * w
-    updated in place."""
-    vel *= _SGD_MOMENTUM
-    vel += g
-    if wd:
-        vel += wd * w
-    return lr * vel
 
 
 def _coordinate_sq_sums(block):
@@ -367,10 +342,6 @@ def save_checkpoint(out_dir, result: TrainResult, cfg: TrainConfig) -> None:
     )
     sidecar = {"config": asdict(cfg), "steps": result.steps}
     (out / "train_config.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def load_encoder(path) -> LinearEncoder:
-    return LinearEncoder(load_embeddings(path).vectors.astype(np.float64))
 
 
 def load_prototypes(path) -> PrototypeMatrix:

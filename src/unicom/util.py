@@ -1,5 +1,5 @@
-"""Small shared helpers: ratio rounding, row normalization, per-label sums,
-the float32 screen's error bound, row blocks."""
+"""Small shared helpers: ratio rounding, row normalization and its norm
+floor, per-label sums, the float32 screen's error bound, row blocks."""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -18,19 +18,34 @@ BLOCK_ROWS = 512
 # dimensions still take a single block.
 LABEL_SUM_ENTRIES = 1 << 20
 
+# Rows, sub-vectors and masked blocks with a norm below this are degenerate:
+# they have no direction to normalize to.
+NORM_EPS = 1e-12
+
 
 def ratio_count(total: int, ratio: float) -> int:
     """Number of items selected by a fractional ratio, round-to-nearest."""
     return int(round(total * ratio))
 
 
-def unit_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """L2-normalize each row, raising if any norm is below `eps` or not finite."""
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """L2-normalize each row, raising if any norm is below NORM_EPS or not finite."""
     norms = np.linalg.norm(x, axis=1)
-    bad = np.flatnonzero(~(np.isfinite(norms) & (norms >= eps)))
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms >= NORM_EPS)))
     if bad.size:
         raise DegenerateVectorError(f"row {bad[0]} has norm {norms[bad[0]]:.3e}")
     return x / norms[:, None]
+
+
+def unit_rows_inplace(x: np.ndarray, what: str):
+    """Divide the float64 rows of `x` by their norms in place and return
+    (norms, x). A norm below NORM_EPS raises DegenerateVectorError naming
+    `what`; a NaN norm passes, to surface as a non-finite loss."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))  # what np.linalg.norm(x, axis=1) runs
+    if (norms < NORM_EPS).any():
+        raise DegenerateVectorError(f"{what} has zero norm")
+    x /= norms[:, None]
+    return norms, x
 
 
 def unit_rows_backward(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:

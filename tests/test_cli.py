@@ -2,11 +2,21 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from unicom import EmbeddingSet, ablation, cli, load_embeddings, save_embeddings
+from unicom import (
+    EmbeddingSet,
+    KMeansConfig,
+    LossConfig,
+    TrainConfig,
+    ablation,
+    cli,
+    load_embeddings,
+    save_embeddings,
+)
 from unicom.cli import main
 from unicom.errors import NonFiniteLossError
 from unicom.util import unit_rows
@@ -274,6 +284,45 @@ class TestEvalCommand:
             printed = capsys.readouterr().out
             reports.append([printed] + [(out / f).read_bytes() for f in ("report.json", "report.tsv")])
         assert reports[0] == reports[1]
+
+
+class TestMismatchedInputs:
+    """Inputs that do not fit together are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize("case", ["map100-dims", "label-order", "label-rows", "centroid-dims", "duplicate-id"])
+    def test_inputs_that_do_not_fit_are_usage_errors(self, tmp_path, capsys, case):
+        data_dir = tmp_path / "d"
+        main(synth_args(data_dir))
+        data = load_embeddings(data_dir / "data.uceb")
+        other = tmp_path / "other.uceb"
+        out = tmp_path / "o"
+        if case == "map100-dims":
+            save_embeddings(data.with_vectors(data.vectors[:, :8]), other)
+            argv = ["eval", "--metric", "map100", "--queries", str(other),
+                    "--gallery", str(data_dir / "truth.uceb")]
+        elif case == "label-order":
+            # Recall would be scored against the labels of other rows.
+            order = np.random.default_rng(0).permutation(data.count)
+            truth = load_embeddings(data_dir / "truth.uceb")
+            save_embeddings(EmbeddingSet(truth.vectors[order], [truth.ids[i] for i in order],
+                                         truth.labels[order]), other)
+            argv = ["eval", "--input", str(data_dir / "data.uceb"), "--labels", str(other)]
+        elif case == "label-rows":
+            save_embeddings(EmbeddingSet(data.vectors[:-1], data.ids[:-1], data.labels[:-1]), other)
+            argv = ["eval", "--input", str(data_dir / "data.uceb"), "--labels", str(other)]
+        elif case == "centroid-dims":
+            rows = unit_rows(np.random.default_rng(0).standard_normal((8, 12))).astype(np.float32)
+            save_embeddings(EmbeddingSet(rows, [f"c{i}" for i in range(8)]), other)
+            argv = ["train", "--input", str(data_dir / "data.uceb"), "--centroids", str(other)]
+        else:
+            blob = bytearray((data_dir / "data.uceb").read_bytes())
+            blob[-1] = ord("8")  # the last id repeats the one before it
+            assert blob.endswith(b"sample-00000058\x0f\x00sample-00000058")
+            other.write_bytes(bytes(blob))
+            argv = ["eval", "--input", str(other)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 class TestGradcheckCommand:
@@ -556,6 +605,23 @@ class TestManifestReplay:
         assert rc == 0
         skip = ("manifest.json",)
         assert read_tree(elsewhere / "replay", skip) == read_tree(tmp_path / "runs" / name, skip)
+
+    def test_manifests_store_the_config_field_defaults(self, runs, tmp_path):
+        # Runs with only the required flags; a flag stores its field's
+        # default under the flag's name.
+        flag = {"weight_decay": "wd"}
+        inputs = ["--input", str(runs / "synth" / "data.uceb")]
+        for argv, classes in (
+            (["train", *inputs], (TrainConfig, LossConfig)),
+            (["cluster", *inputs, "--k", "3"], (KMeansConfig,)),
+        ):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--out", str(out)]) == 0
+            stored = json.loads((out / "manifest.json").read_text())["config"]
+            for cls in classes:
+                for f in fields(cls):
+                    if f.name not in ("loss", "seed", "k"):
+                        assert stored[flag.get(f.name, f.name)] == f.default, f.name
 
     def test_explicit_flag_overrides_a_stored_required_flag(self, runs, tmp_path):
         out = tmp_path / "replay"

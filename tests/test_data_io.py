@@ -1,4 +1,4 @@
-"""Tests for embedding storage, UCEB round trips, fusion, and synthesis."""
+"""Tests for embedding storage, UCEB round trips, and synthesis."""
 
 import struct
 
@@ -8,7 +8,6 @@ import pytest
 from unicom import (
     EmbeddingSet,
     SyntheticSpec,
-    ensemble_features,
     load_embeddings,
     save_embeddings,
     synth_conflict_dataset,
@@ -16,8 +15,6 @@ from unicom import (
 from unicom.data import UCEB_MAGIC
 from unicom.errors import (
     BadMagicError,
-    DegenerateVectorError,
-    DimensionMismatchError,
     DuplicateIdError,
     InvalidDimensionError,
     TruncatedPayloadError,
@@ -239,57 +236,6 @@ class TestUcebErrors:
         path.write_bytes(bytes(blob))
         with pytest.raises(UcebFormatError, match="row 1"):
             load_embeddings(path)
-
-
-class TestEnsembleFeatures:
-    def test_identical_rows_pass_through(self):
-        u = np.array([[0.6, 0.8]], dtype=np.float32)
-        a = EmbeddingSet(u, ["x"])
-        fused = ensemble_features(a, EmbeddingSet(u.copy(), ["x"]))
-        np.testing.assert_allclose(fused.vectors, u, atol=1e-7)
-
-    def test_orthogonal_rows_average_and_renormalize(self):
-        a = EmbeddingSet(np.array([[1, 0]], dtype=np.float32), ["x"])
-        b = EmbeddingSet(np.array([[0, 1]], dtype=np.float32), ["x"])
-        fused = ensemble_features(a, b)
-        expected = np.array([[1, 1]]) / np.sqrt(2)
-        np.testing.assert_allclose(fused.vectors, expected, atol=1e-7)
-
-    def test_antipodal_rows_are_degenerate(self):
-        a = EmbeddingSet(np.array([[1.0, 0]], dtype=np.float32), ["x"])
-        b = EmbeddingSet(np.array([[-1.0, 0]], dtype=np.float32), ["x"])
-        with pytest.raises(DegenerateVectorError):
-            ensemble_features(a, b)
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(3)
-        a = _random_set(rng, labeled=False)
-        b = EmbeddingSet(
-            rng.standard_normal(a.vectors.shape).astype(np.float32), list(a.ids)
-        )
-        assert ensemble_features(a, b) == ensemble_features(b, a)
-
-    def test_output_rows_are_unit(self):
-        rng = np.random.default_rng(4)
-        a = _random_set(rng, n=20, d=9, labeled=False)
-        b = EmbeddingSet(
-            rng.standard_normal(a.vectors.shape).astype(np.float32), list(a.ids)
-        )
-        fused = ensemble_features(a, b)
-        norms = np.linalg.norm(fused.vectors.astype(np.float64), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-6)
-
-    def test_shape_mismatch_rejected(self):
-        a = EmbeddingSet(np.ones((2, 3), dtype=np.float32), ["a", "b"])
-        b = EmbeddingSet(np.ones((2, 4), dtype=np.float32), ["a", "b"])
-        with pytest.raises(DimensionMismatchError):
-            ensemble_features(a, b)
-
-    def test_id_mismatch_rejected(self):
-        a = EmbeddingSet(np.ones((1, 3), dtype=np.float32), ["a"])
-        b = EmbeddingSet(np.ones((1, 3), dtype=np.float32), ["b"])
-        with pytest.raises(ValidationError):
-            ensemble_features(a, b)
 
 
 class TestSynthConflictDataset:

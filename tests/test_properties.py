@@ -363,13 +363,14 @@ def test_ranking_is_exact_whatever_the_blocks_and_threads(s, ks):
 def column_major_update(cols, st_, lr, optimizer, grad_sub, subset, mask):
     """The sparse prototype update on (d, k) columns and (d, k) optimizer
     state, as it was before prototypes were stored class-major, with the
-    AdamW step grouped as lr * (mh / den), like the encoder's."""
+    AdamW step grouped as lr * (mh / den), like the encoder's, and with
+    per-class step counts kept for both optimizers."""
     mask_idx = np.flatnonzero(mask)
     ix = np.ix_(mask_idx, subset)
     sub = cols[ix]
     g = grad_sub[:, mask_idx].T  # (|mask|, |S|)
+    st_["t"][subset] += 1
     if optimizer == "adamw":
-        st_["t"][subset] += 1
         t = st_["t"][subset]
         st_["m"][ix] = _ADAM_BETA1 * st_["m"][ix] + (1 - _ADAM_BETA1) * g
         st_["v"][ix] = _ADAM_BETA2 * st_["v"][ix] + (1 - _ADAM_BETA2) * g * g
@@ -413,10 +414,9 @@ def test_class_major_update_matches_column_major(seed, k, d, optimizer, r2, step
     lr = 0.05
     cfg = TrainConfig(optimizer=optimizer, lr=lr)
     trainer = Trainer(LinearEncoder.identity(d), protos, cfg)
-    if optimizer == "adamw":
-        ref = {"m": np.zeros((d, k)), "v": np.zeros((d, k)), "t": np.zeros(k, dtype=np.int64)}
-    else:
-        ref = {"vel": np.zeros((d, k))}
+    names = ["m", "v"] if optimizer == "adamw" else ["vel"]
+    ref = {name: np.zeros((d, k)) for name in names}
+    ref["t"] = np.zeros(k, dtype=np.int64)
     for _ in range(steps):
         subset = np.sort(rng.choice(k, size=rng.integers(1, k + 1), replace=False))
         keep = max(1, ratio_count(d, r2))
@@ -424,20 +424,20 @@ def test_class_major_update_matches_column_major(seed, k, d, optimizer, r2, step
         mask[rng.choice(d, size=keep, replace=False)] = True
         grad = rng.standard_normal((subset.size, d)) * mask
         before = {"rows": protos.rows.copy()}
-        before.update({n: a.copy() for n, a in trainer._proto_state.items() if n != "t"})
+        before.update({n: a.copy() for n, a in zip(names, trainer._proto_moments)})
 
         ref_raised = _raised(column_major_update, cols, ref, lr, optimizer, grad, subset, mask)
         assert _raised(trainer._update_prototypes, grad, subset, mask) == ref_raised
 
         assert protos.rows.T.tobytes() == cols.tobytes()
-        for name, array in ref.items():
-            got = trainer._proto_state[name]
-            assert (got if name == "t" else got.T).tobytes() == array.tobytes()
+        for name, got in zip(names, trainer._proto_moments):
+            assert got.T.tobytes() == ref[name].tobytes()
+        assert trainer._proto_steps.tobytes() == ref["t"].tobytes()
         # Rows outside the subset and coordinates outside the mask keep
         # their exact bits, in the prototypes and in every moment.
         outside = np.setdiff1d(np.arange(k), subset)
         after = {"rows": protos.rows}
-        after.update({n: a for n, a in trainer._proto_state.items() if n != "t"})
+        after.update(zip(names, trainer._proto_moments))
         for name, array in after.items():
             assert array[outside].tobytes() == before[name][outside].tobytes()
             assert array[np.ix_(subset, ~mask)].tobytes() == before[name][np.ix_(subset, ~mask)].tobytes()
@@ -639,8 +639,8 @@ class ReferenceTrainer:
     arithmetic and fewer numpy calls: `Trainer.step` and everything under
     it, copied verbatim apart from the names and the prototype AdamW step,
     which is grouped as lr * (mh / den), like the encoder's, since both
-    share one optimizer step. Every output of the current step must equal
-    this one's bit for bit."""
+    share one optimizer step, and the step counts, kept for both optimizers.
+    Every output of the current step must equal this one's bit for bit."""
 
     def __init__(self, encoder, prototypes, cfg):
         self.encoder, self.prototypes, self.cfg = encoder, prototypes, cfg
@@ -654,8 +654,8 @@ class ReferenceTrainer:
                 "t": np.zeros(prototypes.classes, dtype=np.int64),
             }
         else:
-            self._enc_state = {"vel": np.zeros_like(w)}
-            self._proto_state = {"vel": np.zeros_like(rows)}
+            self._enc_state = {"vel": np.zeros_like(w), "t": 0}
+            self._proto_state = {"vel": np.zeros_like(rows), "t": np.zeros(prototypes.classes, dtype=np.int64)}
 
     @staticmethod
     def _encode_cache(weights, inputs):
@@ -746,8 +746,8 @@ class ReferenceTrainer:
     def _update_encoder(self, grad):
         cfg, st = self.cfg, self._enc_state
         w = self.encoder.weights
+        st["t"] += 1
         if cfg.optimizer == "adamw":
-            st["t"] += 1
             st["m"] = _ADAM_BETA1 * st["m"] + (1 - _ADAM_BETA1) * grad
             st["v"] = _ADAM_BETA2 * st["v"] + (1 - _ADAM_BETA2) * grad * grad
             mh = st["m"] / (1 - _ADAM_BETA1 ** st["t"])
@@ -772,8 +772,8 @@ class ReferenceTrainer:
             return np.add.reduce(np.square(block.T, order="C"), axis=0)
 
         g = np.take(grad_sub, mask_idx, axis=1)
+        st["t"][subset] += 1
         if cfg.optimizer == "adamw":
-            st["t"][subset] += 1
             t = st["t"][subset][:, None]
             m = update(st["m"], lambda old: _ADAM_BETA1 * old + (1 - _ADAM_BETA1) * g)
             v = update(st["v"], lambda old: _ADAM_BETA2 * old + (1 - _ADAM_BETA2) * g * g)
@@ -834,8 +834,12 @@ def recorded_step(trainer, x, labels):
     (out, grad_w, _), = seen
     arrays = [out.probs, out.grad_embeddings, out.grad_prototypes, grad_w,
               trainer.encoder.weights, trainer.prototypes.rows]
-    arrays += [np.asarray(trainer._enc_state[n]) for n in sorted(trainer._enc_state)]
-    arrays += [trainer._proto_state[n] for n in sorted(trainer._proto_state)]
+    if isinstance(trainer, ReferenceTrainer):
+        arrays += [np.asarray(st[n]) for st in (trainer._enc_state, trainer._proto_state)
+                   for n in ("m", "v", "vel", "t") if n in st]
+    else:
+        arrays += [*trainer._enc_moments, np.int64(trainer._enc_steps),
+                   *trainer._proto_moments, trainer._proto_steps]
     return [np.float64(loss).tobytes(), trainer.step_count] + [
         (a.shape, a.dtype.str, a.tobytes()) for a in arrays
     ]

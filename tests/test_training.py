@@ -15,6 +15,7 @@ from unicom import (
     TrainConfig,
     Trainer,
     init_prototypes,
+    load_embeddings,
     make_selection_plan,
     prototypes_from_labels,
     synth_conflict_dataset,
@@ -23,7 +24,7 @@ from unicom import (
 from unicom.errors import DegenerateVectorError, NonFiniteLossError, ValidationError
 from unicom.gradcheck import finite_difference, max_relative_error
 from unicom.rng import stream_rng
-from unicom.training import load_encoder, load_prototypes, save_checkpoint
+from unicom.training import load_prototypes, save_checkpoint
 from unicom.util import unit_rows
 
 
@@ -36,7 +37,7 @@ class TestEncode:
 
     def test_outputs_are_unit_norm(self):
         rng = np.random.default_rng(1)
-        enc = LinearEncoder.random(7, 4, seed=3)
+        enc = LinearEncoder(rng.standard_normal((7, 4)))
         e = enc.encode(rng.standard_normal((10, 7)) * 5)
         np.testing.assert_allclose(np.linalg.norm(e, axis=1), 1.0, atol=1e-6)
 
@@ -92,6 +93,14 @@ class TestInitPrototypes:
                 prototypes_from_labels(x, labels, num_classes=3)
 
 
+def trainer_arrays(trainer):
+    """The parameters of a Trainer and every array of its optimizer state:
+    the moments and step counts of the encoder and of the prototypes."""
+    arrays = [trainer.encoder.weights, trainer.prototypes.rows, *trainer._enc_moments,
+              np.int64(trainer._enc_steps), *trainer._proto_moments, trainer._proto_steps]
+    return [np.asarray(a) for a in arrays]
+
+
 def _small_problem(seed=0, k=8, d=10, b=6):
     rng = np.random.default_rng(seed)
     x = unit_rows(rng.standard_normal((b, d)))
@@ -133,16 +142,11 @@ class TestTrainStep:
         cfg = TrainConfig(optimizer=optimizer, lr=0.01, loss=LossConfig(r1=0.5, r2=0.5, seed=1), seed=1)
         trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
         trainer.step(x, labels)
-        state = [trainer.encoder.weights.tobytes(), trainer.prototypes.rows.tobytes()]
-        state += [np.asarray(a).tobytes() for a in trainer._proto_state.values()]
-        state += [np.asarray(a).tobytes() for a in trainer._enc_state.values()]
+        state = [a.tobytes() for a in trainer_arrays(trainer)]
         x[2, 3] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError):
             trainer.step(x, labels)
-        after = [trainer.encoder.weights.tobytes(), trainer.prototypes.rows.tobytes()]
-        after += [np.asarray(a).tobytes() for a in trainer._proto_state.values()]
-        after += [np.asarray(a).tobytes() for a in trainer._enc_state.values()]
-        assert after == state
+        assert [a.tobytes() for a in trainer_arrays(trainer)] == state
         assert trainer.step_count == 1
 
     def test_rows_stay_unit_after_sparse_update(self):
@@ -191,9 +195,7 @@ class TestCallerPlans:
         trainer.step(x, labels)  # leaves non-zero optimizer state behind
 
         def state():
-            arrays = [x, labels, trainer.encoder.weights, trainer.prototypes.rows]
-            arrays += list(trainer._enc_state.values()) + list(trainer._proto_state.values())
-            return [np.asarray(a).tobytes() for a in arrays]
+            return [a.tobytes() for a in [x, labels, *trainer_arrays(trainer)]]
 
         before = state()
         plan = SelectionPlan(np.array(subset), np.ones(10, dtype=bool))
@@ -212,7 +214,7 @@ class TestDropoutStep:
         labels = rng.integers(0, 5, size=3)
         prototypes = PrototypeMatrix(rng.standard_normal((5, 7)))
         cfg = TrainConfig(dropout_r3=0.4, loss=LossConfig(margin=0.3, scale=4.0, seed=8))
-        weights = LinearEncoder.random(6, 7, seed=2).weights
+        weights = rng.standard_normal((6, 7))
 
         def backward(w):
             trainer = Trainer(LinearEncoder(w), prototypes, cfg)
@@ -230,7 +232,8 @@ class TestDropoutStep:
             cfg = TrainConfig(optimizer=optimizer, lr=0.01, dropout_r3=r3, seed=2,
                               loss=LossConfig(margin=0.0, scale=8.0, r1=1.0, r2=1.0, seed=2))
             _, _, prototypes = _small_problem(seed=13)
-            trainer = Trainer(LinearEncoder.random(10, 10, seed=1), prototypes, cfg)
+            weights = np.random.default_rng(1).standard_normal((10, 10))
+            trainer = Trainer(LinearEncoder(weights), prototypes, cfg)
             losses = [trainer.step(x, labels) for _ in range(3)]
             results.append((losses, trainer.encoder.weights.tobytes(), trainer.prototypes.rows.tobytes()))
         assert results[0] == results[1]
@@ -240,7 +243,7 @@ class TestOptimizers:
     def test_adamw_decay_is_decoupled_and_exact(self):
         _, _, prototypes = _small_problem(seed=8)
         cfg = TrainConfig(lr=0.01, weight_decay=0.05, seed=0)
-        enc = LinearEncoder.random(6, 10, seed=4)
+        enc = LinearEncoder(np.random.default_rng(4).standard_normal((6, 10)))
         trainer = Trainer(enc, prototypes, cfg)
         before = enc.weights.copy()
         trainer._update_encoder(np.zeros_like(before))
@@ -313,11 +316,9 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=2, batch_size=8, lr=0.001, seed=9, loss=LossConfig(r1=1.0, seed=9))
         result = train(data, cfg)
         save_checkpoint(tmp_path, result, cfg)
-        enc = load_encoder(tmp_path / "encoder.uceb")
+        weights = load_embeddings(tmp_path / "encoder.uceb").vectors
         protos = load_prototypes(tmp_path / "prototypes.uceb")
-        np.testing.assert_allclose(
-            enc.weights, result.encoder.weights.astype(np.float32), atol=0
-        )
+        assert weights.tobytes() == result.encoder.weights.astype(np.float32).tobytes()
         want = PrototypeMatrix(result.prototypes.rows.astype(np.float32))
         assert protos.rows.tobytes() == want.rows.tobytes()
         sidecar = json.loads((tmp_path / "train_config.json").read_text())
