@@ -36,6 +36,11 @@ class TestEmbeddingSet:
         with pytest.raises(DuplicateIdError):
             EmbeddingSet(np.ones((2, 3), dtype=np.float32), ["a", "a"])
 
+    def test_duplicate_ids_are_a_validation_error_not_a_format_error(self):
+        with pytest.raises(ValidationError) as raised:
+            EmbeddingSet(np.ones((2, 3), dtype=np.float32), ["a", "a"])
+        assert not isinstance(raised.value, UcebFormatError)
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError):
             EmbeddingSet(np.zeros((0, 3), dtype=np.float32), [])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unicom.errors import DegenerateVectorError, ValidationError
-from unicom.util import BLOCK_ROWS, map_row_chunks, unit_rows
+from unicom.util import BLOCK_ROWS, NORM_EPS, map_row_chunks, unit_rows, unit_rows_inplace
 
 
 class TestUnitRows:
@@ -22,6 +22,43 @@ class TestUnitRows:
         x[1, 1] = bad
         with pytest.raises(DegenerateVectorError, match="row 1"):
             unit_rows(x)
+
+
+class TestUnitRowsInplace:
+    def test_divides_in_place_and_matches_unit_rows(self):
+        x = np.random.default_rng(0).standard_normal((7, 5))
+        expected_norms = np.linalg.norm(x, axis=1)
+        expected = unit_rows(x)
+        norms, out = unit_rows_inplace(x, "query")
+        assert out is x
+        assert expected.tobytes() == x.tobytes()
+        assert expected_norms.tobytes() == norms.tobytes()
+
+    def test_returns_the_norms_before_division(self):
+        x = np.array([[3.0, 4.0], [0.0, -2.0]])
+        norms, _ = unit_rows_inplace(x, "query")
+        np.testing.assert_array_equal(norms, [5.0, 2.0])
+        np.testing.assert_array_equal(x, [[0.6, 0.8], [0.0, -1.0]])
+
+    def test_norm_below_floor_raises_naming_the_rows_and_leaves_them(self):
+        x = np.array([[1.0, 0.0], [NORM_EPS / 2, 0.0]])
+        before = x.copy()
+        with pytest.raises(DegenerateVectorError, match="prototype"):
+            unit_rows_inplace(x, "prototype")
+        np.testing.assert_array_equal(x, before)
+
+    def test_norm_at_floor_passes(self):
+        x = np.array([[NORM_EPS, 0.0]])
+        norms, _ = unit_rows_inplace(x, "query")
+        np.testing.assert_array_equal(norms, [NORM_EPS])
+        np.testing.assert_array_equal(x, [[1.0, 0.0]])
+
+    def test_nan_row_passes_through(self):
+        x = np.array([[1.0, 0.0], [np.nan, 1.0]])
+        norms, _ = unit_rows_inplace(x, "query")
+        assert np.isnan(norms[1])
+        assert np.isnan(x[1]).all()
+        np.testing.assert_array_equal(x[0], [1.0, 0.0])
 
 
 class TestMapRowChunks:
