@@ -32,7 +32,7 @@ from .losses import (
     LossOutput,
     PrototypeMatrix,
     SelectionPlan,
-    apply_feature_dropout,
+    feature_dropout_mask,
     full_plan,
     make_selection_plan,
     sample_classes,

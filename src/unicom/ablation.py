@@ -62,11 +62,11 @@ class AblationRow:
 def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfig:
     """The configuration of one grid point, checked as far as it can be
     before any data exists."""
-    if param in ("r1", "r2"):
+    if param in ("r1", "r2", "r3"):
+        if param != "r3" and cfg.train.loss.r3 is not None:
+            raise ValidationError(f"an {param} grid does nothing under feature dropout (r3)")
         loss = replace(cfg.train.loss, **{param: float(value)})
         cfg = replace(cfg, train=replace(cfg.train, loss=loss))
-    elif param == "r3":
-        cfg = replace(cfg, train=replace(cfg.train, dropout_r3=float(value)))
     elif param == "k":
         if not float(value).is_integer():
             raise ValidationError(f"a cluster count must be an integer, got {value}")

@@ -62,7 +62,7 @@ def _write_manifest(args, out_dir: Path, inputs: list[str], outputs: list[str]) 
 
 def _loss_config(args) -> LossConfig:
     return LossConfig(
-        margin=args.margin, scale=args.scale, r1=args.r1, r2=args.r2, seed=args.seed
+        margin=args.margin, scale=args.scale, r1=args.r1, r2=args.r2, r3=args.dropout_r3, seed=args.seed
     )
 
 
@@ -74,7 +74,6 @@ def _train_config(args) -> TrainConfig:
         lr=args.lr,
         weight_decay=args.wd,
         loss=_loss_config(args),
-        dropout_r3=args.dropout_r3,
         seed=args.seed,
     )
 
@@ -151,6 +150,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     out = Path(args.out)
+    for name in ("queries", "gallery") if args.metric == "recall" else ("input", "labels"):
+        if getattr(args, name) is not None:
+            raise ValidationError(f"the {args.metric} metric does not read --{name}")
     if args.metric == "recall":
         if not args.input:
             raise ValidationError("--input is required for the recall metric")
@@ -253,7 +255,7 @@ def _add_train_flags(parser):
     parser.add_argument("--scale", type=float, default=LossConfig.scale)
     parser.add_argument("--r1", type=float, default=LossConfig.r1, help="class sampling ratio")
     parser.add_argument("--r2", type=float, default=LossConfig.r2, help="feature mask keep ratio")
-    parser.add_argument("--dropout-r3", type=float, default=TrainConfig.dropout_r3, help="train with per-sample feature dropout instead of a shared mask")
+    parser.add_argument("--dropout-r3", type=float, default=LossConfig.r3, help="train with per-sample feature dropout instead of a shared mask")
 
 
 def _add_synth_flags(parser):
@@ -299,7 +301,7 @@ def build_parser():
     p.add_argument("--metric", choices=("recall", "map100"), default="recall")
     p.add_argument("--k", default="1", help="comma-separated K values for recall")
     p.add_argument("--dims", type=int, default=None, help="truncate to the first N dimensions before scoring")
-    p.add_argument("--labels", default=None, help="UCEB file whose labels override the input's")
+    p.add_argument("--labels", default=None, help="UCEB file whose labels override the input's; its ids must equal the input's ids in order (recall only)")
     p.add_argument("--queries", default=None, help="query UCEB file (map100)")
     p.add_argument("--gallery", default=None, help="gallery UCEB file (map100)")
     _add_threads(p)
@@ -331,12 +333,11 @@ def build_parser():
 
 
 def _config_path(argv) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+    """The --config value as argparse reads it: abbreviations such as
+    --conf are accepted, and a repeated flag keeps its last value."""
+    pre = argparse.ArgumentParser(prog="unicom", add_help=False)
+    pre.add_argument("--config")
+    return pre.parse_known_args(argv)[0].config
 
 
 def main(argv=None) -> int:

@@ -6,8 +6,8 @@ using only a per-step random subset of the feature coordinates. Both the
 embedding and the prototype sub-vectors are renormalized after masking,
 so the additive angular margin keeps its geometric meaning on the
 selected subspace. The plain softmax is the same loss at margin 0 on
-`full_plan`; per-sample feature dropout (`apply_feature_dropout`) feeds it
-the dropped embeddings.
+`full_plan`, and per-sample feature dropout is that loss with the plan's
+(b, d) keep mask applied to the embeddings.
 
 All math runs in float64. Gradients are mean-reduced over the batch.
 """
@@ -30,12 +30,15 @@ class LossConfig:
     scale: multiplier on all cosine logits.
     r1: fraction of classes selected per step (positives always included).
     r2: fraction of feature coordinates kept by the per-step mask.
+    r3: per-sample feature dropout ratio; when set, a step scores every
+        class and coordinate of the dropped embeddings, ignoring r1 and r2.
     """
 
     margin: float = 0.3
     scale: float = 64.0
     r1: float = 0.1
     r2: float = 1.0
+    r3: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -47,6 +50,8 @@ class LossConfig:
             raise ValidationError("r1 must lie in (0, 1]")
         if not 0.0 < self.r2 <= 1.0:
             raise ValidationError("r2 must lie in (0, 1]")
+        if self.r3 is not None and not 0.0 <= self.r3 < 1.0:
+            raise ValidationError("r3 must lie in [0, 1)")
 
 
 class PrototypeMatrix:
@@ -78,10 +83,11 @@ class PrototypeMatrix:
 
 @dataclass
 class SelectionPlan:
-    """Frozen per-step randomness: class subset and feature mask."""
+    """Frozen per-step randomness: class subset, feature mask, dropout mask."""
 
     class_subset: np.ndarray  # sorted distinct int64 indices
     feature_mask: np.ndarray  # (d,) bool
+    keep: np.ndarray | None = None  # (b, d) bool, set exactly when cfg.r3 is
 
 
 @dataclass
@@ -147,6 +153,11 @@ def sample_feature_mask(dim: int, r2: float, seed: int, step: int) -> np.ndarray
 
 
 def make_selection_plan(batch_labels, num_classes: int, dim: int, cfg: LossConfig, step: int) -> SelectionPlan:
+    """Every per-step draw of the loss, determined by (cfg.seed, step)."""
+    if cfg.r3 is not None:
+        plan = full_plan(num_classes, dim)
+        plan.keep = feature_dropout_mask((len(batch_labels), dim), cfg.r3, cfg.seed, step)
+        return plan
     return SelectionPlan(
         class_subset=sample_classes(batch_labels, num_classes, cfg.r1, cfg.seed, step),
         feature_mask=sample_feature_mask(dim, cfg.r2, cfg.seed, step),
@@ -182,6 +193,12 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
     pos_idx = subset.searchsorted(labels)
     if (subset.take(pos_idx, mode="clip") != labels).any():
         raise ValidationError("a batch label is outside the selected class subset")
+    if (plan.keep is None) != (cfg.r3 is None):
+        raise ValidationError("a plan carries a dropout keep mask exactly when cfg.r3 is set")
+    if plan.keep is not None:
+        if np.shape(plan.keep) != (b, d):
+            raise DimensionMismatchError(f"the keep mask's shape {np.shape(plan.keep)} is not ({b}, {d})")
+        e = e * plan.keep / (1.0 - cfg.r3)  # inverted dropout
 
     u = e * mask  # masked embeddings, exact zeros off-mask
     u_norm, u_hat = unit_rows_inplace(u, "a masked embedding sub-vector")
@@ -195,22 +212,21 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
     # Flat positions of the positive-class entries in a (b, |S|) array.
     pos = np.arange(b) * subset.size + pos_idx
 
-    margin_factor = None
-    if cfg.margin > 0.0:
-        cos_m, sin_m = math.cos(cfg.margin), math.sin(cfg.margin)
-        boundary = math.cos(math.pi - cfg.margin)
-        c_pos = cos.take(pos)
-        sin_pos = np.sqrt(np.maximum(1.0 - c_pos * c_pos, 0.0))
-        in_range = c_pos > boundary
-        phi = np.where(
-            in_range,
-            c_pos * cos_m - sin_pos * sin_m,
-            c_pos - cfg.margin * sin_m,
-        )
-        logits.put(pos, cfg.scale * phi)
-        # d(phi)/d(cos theta) on each branch, used by the backward pass.
-        safe_sin = np.maximum(sin_pos, NORM_EPS)
-        margin_factor = np.where(in_range, cos_m + sin_m * c_pos / safe_sin, 1.0)
+    # At margin 0, cos m = 1 and sin m = 0: phi is the cosine, the factor 1.
+    cos_m, sin_m = math.cos(cfg.margin), math.sin(cfg.margin)
+    boundary = math.cos(math.pi - cfg.margin)
+    c_pos = cos.take(pos)
+    sin_pos = np.sqrt(np.maximum(1.0 - c_pos * c_pos, 0.0))
+    in_range = c_pos > boundary
+    phi = np.where(
+        in_range,
+        c_pos * cos_m - sin_pos * sin_m,
+        c_pos - cfg.margin * sin_m,
+    )
+    logits.put(pos, cfg.scale * phi)
+    # d(phi)/d(cos theta) on each branch, used by the backward pass.
+    safe_sin = np.maximum(sin_pos, NORM_EPS)
+    margin_factor = np.where(in_range, cos_m + sin_m * c_pos / safe_sin, 1.0)
 
     # Shift, exponentiate and normalize in the logits' own memory.
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -227,13 +243,14 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
     dcos.put(pos, dcos.take(pos) - 1.0)
     dcos /= b
     dcos *= cfg.scale
-    if margin_factor is not None:
-        dcos.put(pos, dcos.take(pos) * margin_factor)
+    dcos.put(pos, dcos.take(pos) * margin_factor)
 
     # Chain through the sub-vector renormalizations. Both u_hat and v_hat
     # carry exact zeros off-mask, so the gradients do too.
     grad_e = unit_rows_backward(dcos @ v_hat, u_hat, u_norm)
     grad_w = unit_rows_backward(dcos.T @ u_hat, v_hat, v_norm)
+    if plan.keep is not None:
+        grad_e = grad_e * plan.keep / (1.0 - cfg.r3)
 
     return LossOutput(loss=loss, probs=probs, grad_embeddings=grad_e, grad_prototypes=grad_w)
 
@@ -246,7 +263,8 @@ def selection_forward(embeddings, labels, prototypes, plan, cfg) -> LossOutput:
 def selection_backward(embeddings, labels, prototypes, plan, cfg) -> LossOutput:
     """Like `selection_forward`, with analytic gradients populated.
 
-    grad_embeddings is (b, d) with exact zeros outside the feature mask;
+    grad_embeddings is (b, d), taken with respect to the embeddings as
+    passed (before any dropout), with exact zeros outside the feature mask;
     grad_prototypes is (|S|, d) with one row per selected class, in
     class_subset order, also exactly zero off-mask. Classes outside the
     subset receive no gradient at all.
@@ -266,24 +284,22 @@ def full_plan(num_classes: int, dim: int) -> SelectionPlan:
     )
 
 
-def apply_feature_dropout(embeddings, r3: float, seed: int, step: int):
-    """Per-sample Bernoulli feature dropout with inverted scaling.
+def feature_dropout_mask(shape, r3: float, seed: int, step: int) -> np.ndarray:
+    """Boolean keep mask of per-sample Bernoulli feature dropout.
 
-    Each coordinate of each sample is independently zeroed with
-    probability r3; survivors are scaled by 1/(1 - r3), so the masked
-    embedding equals the original in expectation. A row that loses every
-    coordinate (only plausible at very small dims) is redrawn, since a
-    fully-zeroed sample has no usable direction. Returns the
-    masked-scaled embeddings and the boolean keep mask.
+    Each coordinate of each sample is independently dropped with
+    probability r3; the loss scales the survivors by 1/(1 - r3), so the
+    dropped embedding equals the original in expectation. A row that
+    loses every coordinate (only plausible at very small dims) is
+    redrawn, since a fully-zeroed sample has no usable direction.
     """
     if not 0.0 <= r3 < 1.0:
         raise ValidationError("r3 must lie in [0, 1)")
-    e = np.asarray(embeddings, dtype=np.float64)
     rng = stream_rng(seed, "dropout", step)
-    keep = rng.random(e.shape) >= r3
+    keep = rng.random(shape) >= r3
     for _ in range(100):
         dead = ~keep.any(axis=1)
         if not dead.any():
             break
-        keep[dead] = rng.random((int(dead.sum()), e.shape[1])) >= r3
-    return e * keep / (1.0 - r3), keep
+        keep[dead] = rng.random((int(dead.sum()), shape[1])) >= r3
+    return keep

@@ -26,8 +26,6 @@ from .losses import (
     LossConfig,
     PrototypeMatrix,
     SelectionPlan,
-    apply_feature_dropout,
-    full_plan,
     make_selection_plan,
     selection_backward,
 )
@@ -120,7 +118,6 @@ class TrainConfig:
     lr: float = 1e-3
     weight_decay: float = 0.05
     loss: LossConfig = field(default_factory=LossConfig)
-    dropout_r3: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -134,8 +131,6 @@ class TrainConfig:
             raise ValidationError("lr must be finite and >= 0")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValidationError("weight_decay must be finite and >= 0")
-        if self.dropout_r3 is not None and not 0.0 <= self.dropout_r3 < 1.0:
-            raise ValidationError("dropout_r3 must lie in [0, 1)")
 
 
 @dataclass
@@ -170,24 +165,11 @@ class Trainer:
         self._proto_steps = np.zeros(prototypes.classes, dtype=np.int64)
 
     def _backward(self, inputs, labels, plan):
-        """Loss backward plus the chain into the encoder weights.
-
-        With dropout the loss sees every class and coordinate of the
-        dropped embeddings, and its gradient is chained back through the
-        dropout mask; the normalization chain uses the undropped rows.
-        """
+        """Loss backward plus the chain into the encoder weights."""
         x, norms, e = _encode_cache(self.encoder.weights, inputs)
-        r3 = self.cfg.dropout_r3
-        if r3 is None:
-            out = selection_backward(e, labels, self.prototypes, plan, self.cfg.loss)
-            g = out.grad_embeddings
-        else:
-            plan = full_plan(self.prototypes.classes, self.prototypes.dim)
-            dropped, keep = apply_feature_dropout(e, r3, self.cfg.loss.seed, self.step_count)
-            out = selection_backward(dropped, labels, self.prototypes, plan, self.cfg.loss)
-            g = out.grad_embeddings * keep / (1.0 - r3)
-        grad_w = x.T @ unit_rows_backward(g, e, norms)
-        return out, grad_w, plan
+        out = selection_backward(e, labels, self.prototypes, plan, self.cfg.loss)
+        grad_w = x.T @ unit_rows_backward(out.grad_embeddings, e, norms)
+        return out, grad_w
 
     def _delta(self, moments, g, t, w, wd):
         """The optimizer step for parameters `w` with gradient `g`, to be
@@ -269,12 +251,12 @@ class Trainer:
     def step(self, inputs, labels, plan: SelectionPlan | None = None) -> float:
         """One forward/backward plus one optimizer update. Returns the loss."""
         labels = np.asarray(labels, dtype=np.int64)
-        if plan is None and self.cfg.dropout_r3 is None:
+        if plan is None:
             plan = make_selection_plan(
                 labels, self.prototypes.classes, self.prototypes.dim,
                 self.cfg.loss, self.step_count,
             )
-        out, grad_enc, plan = self._backward(inputs, labels, plan)
+        out, grad_enc = self._backward(inputs, labels, plan)
         if not math.isfinite(out.loss):
             raise NonFiniteLossError(f"step {self.step_count} produced a non-finite loss {out.loss}")
         if self.cfg.lr > 0:

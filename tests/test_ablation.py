@@ -62,6 +62,16 @@ class TestRunAblation:
         rows = run_ablation("r3", [0.0, 0.25], tiny_config(), seeds=3)
         assert [r.value for r in rows] == [0.0, 0.25]
 
+    @pytest.mark.parametrize("param", ["r1", "r2"])
+    def test_class_or_feature_grid_under_dropout_rejected(self, param, monkeypatch):
+        # Dropout scores every class and coordinate, so such a grid would
+        # print rows that differ only in their labels.
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        base = tiny_config()
+        base.train.loss.r3 = 0.3
+        with pytest.raises(ValidationError, match="dropout"):
+            run_ablation(param, [0.5, 1.0], base, seeds=3)
+
     def test_single_value_rejected(self):
         with pytest.raises(ValidationError):
             run_ablation("r1", [0.5], tiny_config(), seeds=3)

@@ -309,7 +309,7 @@ def compactness_runs():
     )
     rows = run_ablation("r2", [0.5, 1.0], base, seeds=5)
     stats = {(row.value, row.dims_used): row.mean for row in rows}
-    dropout_cfg = replace(base, train=replace(base.train, dropout_r3=0.5))
+    dropout_cfg = replace(base, train=replace(base.train, loss=replace(base.train.loss, r3=0.5)))
     dropout_trunc = [run_single(dropout_cfg, seed)[8] for seed in range(5)]
     stats[("dropout", 8)] = float(np.mean(dropout_trunc))
     return stats

@@ -609,7 +609,7 @@ class TestManifestReplay:
     def test_manifests_store_the_config_field_defaults(self, runs, tmp_path):
         # Runs with only the required flags; a flag stores its field's
         # default under the flag's name.
-        flag = {"weight_decay": "wd"}
+        flag = {"weight_decay": "wd", "r3": "dropout_r3"}
         inputs = ["--input", str(runs / "synth" / "data.uceb")]
         for argv, classes in (
             (["train", *inputs], (TrainConfig, LossConfig)),
@@ -629,3 +629,54 @@ class TestManifestReplay:
         assert rc == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["k"] == 5
         assert load_embeddings(out / "centroids.uceb").count == 5
+
+    @pytest.mark.parametrize("form", [["--conf", "{}"], ["--conf={}"], ["--confi", "{}"]])
+    def test_abbreviated_config_flag_applies_the_manifest(self, runs, tmp_path, form):
+        # argparse reads these as --config, so the manifest must apply:
+        # --centroids, --epochs 2 and --seed 2 come from it.
+        manifest = str(runs / "train" / "manifest.json")
+        out = tmp_path / "replay"
+        rc = main([
+            "train", "--input", str(runs / "cluster" / "assigned.uceb"),
+            *[part.format(manifest) for part in form], "--out", str(out),
+        ])
+        assert rc == 0
+        assert read_tree(out) == read_tree(runs / "train")
+
+    def test_repeated_config_flag_keeps_the_last(self, runs, tmp_path):
+        out = tmp_path / "replay"
+        rc = main([
+            "train", "--config", str(runs / "cluster" / "manifest.json"),
+            "--config", str(runs / "train" / "manifest.json"), "--out", str(out),
+        ])
+        assert rc == 0
+        assert read_tree(out) == read_tree(runs / "train")
+
+
+class TestFlagsThatDoNothing:
+    @pytest.mark.parametrize("metric, flag", [
+        ("recall", "--queries"), ("recall", "--gallery"),
+        ("map100", "--labels"), ("map100", "--input"),
+    ])
+    def test_eval_flag_its_metric_does_not_read_is_usage_error(self, runs, tmp_path, capsys, metric, flag):
+        data, truth = str(runs / "synth" / "data.uceb"), str(runs / "synth" / "truth.uceb")
+        if metric == "recall":
+            argv = ["eval", "--input", data, "--labels", truth]
+        else:
+            argv = ["eval", "--metric", "map100", "--queries", truth, "--gallery", data]
+        out = tmp_path / "e"
+        assert main(argv + [flag, truth, "--out", str(out)]) == 2
+        assert f"does not read {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param", ["r1", "r2"])
+    def test_ablate_class_or_feature_grid_with_dropout_is_usage_error(self, tmp_path, capsys, monkeypatch, param):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        out = tmp_path / "a"
+        rc = main([
+            "ablate", "--param", param, "--values", "0.5,1.0", "--seeds", "3",
+            "--dropout-r3", "0.3", *TINY_ABLATION, "--out", str(out),
+        ])
+        assert rc == 2
+        assert "dropout" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]

@@ -1,6 +1,7 @@
 """Tests for the selection softmax, feature dropout, and their gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from unicom import (
     LossConfig,
     PrototypeMatrix,
     SelectionPlan,
-    apply_feature_dropout,
+    feature_dropout_mask,
     full_plan,
     make_selection_plan,
     sample_classes,
@@ -17,7 +18,7 @@ from unicom import (
     selection_backward,
     selection_forward,
 )
-from unicom.errors import DegenerateVectorError, ValidationError
+from unicom.errors import DegenerateVectorError, DimensionMismatchError, ValidationError
 from unicom.gradcheck import finite_difference, max_relative_error
 from unicom.util import unit_rows
 
@@ -340,12 +341,87 @@ class TestDropout:
         acc = np.zeros_like(e)
         trials = 10_000
         for step in range(trials):
-            dropped, _ = apply_feature_dropout(e, 0.5, seed=21, step=step)
-            acc += dropped
+            keep = feature_dropout_mask(e.shape, 0.5, seed=21, step=step)
+            acc += e * keep / (1.0 - 0.5)
         np.testing.assert_allclose(acc / trials, e, atol=0.02)
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValidationError):
-            apply_feature_dropout(np.ones((1, 4)), 1.0, seed=0, step=0)
+            feature_dropout_mask((1, 4), 1.0, seed=0, step=0)
         with pytest.raises(ValidationError):
-            apply_feature_dropout(np.ones((1, 4)), -0.1, seed=0, step=0)
+            feature_dropout_mask((1, 4), -0.1, seed=0, step=0)
+        for r3 in (1.0, -0.1, math.nan):
+            with pytest.raises(ValidationError, match="r3"):
+                LossConfig(r3=r3)
+
+    def test_plan_draws_the_mask_and_selects_everything_else(self):
+        cfg = LossConfig(r1=0.2, r2=0.5, r3=0.9, seed=4)
+        labels = np.array([0, 2, 2])
+        plan = make_selection_plan(labels, 7, 2, cfg, 6)
+        np.testing.assert_array_equal(plan.class_subset, np.arange(7))
+        assert plan.feature_mask.all() and plan.feature_mask.shape == (2,)
+        # At r3 = 0.9 on two coordinates most rows first lose both and are
+        # redrawn; none is left empty.
+        assert plan.keep.shape == (3, 2) and plan.keep.any(axis=1).all()
+        np.testing.assert_array_equal(plan.keep, feature_dropout_mask((3, 2), 0.9, seed=4, step=6))
+        assert make_selection_plan(labels, 7, 2, replace(cfg, r3=None), 6).keep is None
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(16)
+        b, d, k = 4, 6, 5
+        e = random_units(rng, b, d)
+        labels = rng.integers(0, k, size=b)
+        prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
+        cfg = LossConfig(margin=0.3, scale=4.0, r3=0.4, seed=3)
+        plan = make_selection_plan(labels, k, d, cfg, 5)
+        assert not plan.keep.all()
+        out = selection_backward(e, labels, prototypes, plan, cfg)
+
+        # The gradient is taken with respect to the undropped embeddings,
+        # and a dropped coordinate gets exactly zero.
+        num_e = finite_difference(
+            lambda x: selection_forward(x, labels, prototypes, plan, cfg).loss, e
+        )
+        assert max_relative_error(out.grad_embeddings, num_e) < 1e-5
+        assert np.all(out.grad_embeddings[~plan.keep] == 0.0)
+
+        num_w = finite_difference(
+            lambda rows: selection_forward(e, labels, PrototypeMatrix(rows), plan, cfg).loss,
+            prototypes.rows,
+        )
+        assert max_relative_error(out.grad_prototypes, num_w) < 1e-5
+
+    def test_loss_equals_the_loss_of_the_dropped_embeddings(self):
+        rng = np.random.default_rng(17)
+        e = random_units(rng, 3, 5)
+        labels = np.array([0, 1, 3])
+        prototypes = PrototypeMatrix(rng.standard_normal((4, 5)))
+        cfg = LossConfig(margin=0.2, scale=8.0, r3=0.3, seed=1)
+        plan = make_selection_plan(labels, 4, 5, cfg, 0)
+        out = selection_forward(e, labels, prototypes, plan, cfg)
+        dropped = selection_forward(
+            e * plan.keep / (1.0 - 0.3), labels, prototypes, full_plan(4, 5), replace(cfg, r3=None)
+        )
+        assert out.loss == dropped.loss
+        np.testing.assert_array_equal(out.probs, dropped.probs)
+
+    @pytest.mark.parametrize("loss", [selection_forward, selection_backward])
+    def test_mask_and_ratio_must_come_together(self, loss):
+        rng = np.random.default_rng(18)
+        e = random_units(rng, 2, 4)
+        prototypes = PrototypeMatrix(rng.standard_normal((3, 4)))
+        keep = np.ones((2, 4), dtype=bool)
+        with_mask = SelectionPlan(np.arange(3), np.ones(4, dtype=bool), keep)
+        with pytest.raises(ValidationError, match="keep mask"):
+            loss(e, [0, 1], prototypes, with_mask, LossConfig())
+        with pytest.raises(ValidationError, match="keep mask"):
+            loss(e, [0, 1], prototypes, full_plan(3, 4), LossConfig(r3=0.3))
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 3), (4,), (2, 4, 1)])
+    def test_mask_of_another_shape_rejected(self, shape):
+        rng = np.random.default_rng(19)
+        e = random_units(rng, 2, 4)
+        prototypes = PrototypeMatrix(rng.standard_normal((3, 4)))
+        plan = SelectionPlan(np.arange(3), np.ones(4, dtype=bool), np.ones(shape, dtype=bool))
+        with pytest.raises(DimensionMismatchError, match="keep mask"):
+            selection_backward(e, [0, 1], prototypes, plan, LossConfig(r3=0.3))

@@ -29,11 +29,9 @@ def test_every_target_resolves_to_a_callable(target):
     assert callable(getattr(owner, target.attr, None))
 
 
-def traced_train_spans(dropout_r3):
+def traced_train_spans(r3):
     data, _ = synth_conflict_dataset(SyntheticSpec(true_classes=4, per_class=6, dim=8, seed=0))
-    cfg = training.TrainConfig(
-        epochs=1, batch_size=8, dropout_r3=dropout_r3, loss=LossConfig(r1=0.5, r2=0.5)
-    )
+    cfg = training.TrainConfig(epochs=1, batch_size=8, loss=LossConfig(r1=0.5, r2=0.5, r3=r3))
     recorder = spans.Recorder()
     with recorder.install(layers.TARGETS):
         result = training.train(data, cfg)
@@ -41,12 +39,14 @@ def traced_train_spans(dropout_r3):
 
 
 def test_selection_step_is_traced():
-    steps, counts = traced_train_spans(dropout_r3=None)
+    steps, counts = traced_train_spans(r3=None)
     assert steps == 3
     assert counts["losses.make_selection_plan"] == steps
     assert counts["losses.selection_backward"] == steps
 
 
 def test_dropout_step_is_traced():
-    steps, counts = traced_train_spans(dropout_r3=0.3)
+    steps, counts = traced_train_spans(r3=0.3)
+    assert steps == 3
+    assert counts["losses.make_selection_plan"] == steps
     assert counts["losses.selection_backward"] == steps

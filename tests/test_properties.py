@@ -31,8 +31,8 @@ from unicom import (
     PrototypeMatrix,
     TrainConfig,
     Trainer,
-    apply_feature_dropout,
     assign,
+    feature_dropout_mask,
     full_plan,
     load_embeddings,
     make_selection_plan,
@@ -640,6 +640,8 @@ class ReferenceTrainer:
     it, copied verbatim apart from the names and the prototype AdamW step,
     which is grouped as lr * (mh / den), like the encoder's, since both
     share one optimizer step, and the step counts, kept for both optimizers.
+    It still applies dropout outside the loss, on `full_plan`, and reports
+    the gradient chained through the keep mask as `grad_embeddings`.
     Every output of the current step must equal this one's bit for bit."""
 
     def __init__(self, encoder, prototypes, cfg):
@@ -730,18 +732,17 @@ class ReferenceTrainer:
 
     def _backward(self, inputs, labels, plan):
         z, norms, e = self._encode_cache(self.encoder.weights, inputs)
-        r3 = self.cfg.dropout_r3
+        r3 = self.cfg.loss.r3
         if r3 is None:
             out = self._selection_core(e, labels, plan, self.cfg.loss)
             g = out.grad_embeddings
         else:
-            plan = full_plan(self.prototypes.classes, self.prototypes.dim)
-            dropped, keep = apply_feature_dropout(e, r3, self.cfg.loss.seed, self.step_count)
-            out = self._selection_core(dropped, labels, plan, self.cfg.loss)
-            g = out.grad_embeddings * keep / (1.0 - r3)
+            keep = feature_dropout_mask(e.shape, r3, self.cfg.loss.seed, self.step_count)
+            out = self._selection_core(e * keep / (1.0 - r3), labels, plan, self.cfg.loss)
+            g = out.grad_embeddings = out.grad_embeddings * keep / (1.0 - r3)
         grad_z = (g - np.sum(g * e, axis=1, keepdims=True) * e) / norms[:, None]
         grad_w = np.asarray(inputs, dtype=np.float64).T @ grad_z
-        return out, grad_w, plan
+        return out, grad_w
 
     def _update_encoder(self, grad):
         cfg, st = self.cfg, self._enc_state
@@ -797,12 +798,14 @@ class ReferenceTrainer:
 
     def step(self, inputs, labels, plan=None):
         labels = np.asarray(labels, dtype=np.int64)
-        if plan is None and self.cfg.dropout_r3 is None:
+        if self.cfg.loss.r3 is not None:
+            plan = full_plan(self.prototypes.classes, self.prototypes.dim)
+        elif plan is None:
             plan = make_selection_plan(
                 labels, self.prototypes.classes, self.prototypes.dim,
                 self.cfg.loss, self.step_count,
             )
-        out, grad_enc, plan = self._backward(inputs, labels, plan)
+        out, grad_enc = self._backward(inputs, labels, plan)
         if not np.isfinite(out.loss):
             raise NonFiniteLossError(f"step {self.step_count} produced a non-finite loss {out.loss}")
         if self.cfg.lr > 0:
@@ -831,7 +834,7 @@ def recorded_step(trainer, x, labels):
         return type(exc)
     finally:
         del trainer._backward
-    (out, grad_w, _), = seen
+    (out, grad_w), = seen
     arrays = [out.probs, out.grad_embeddings, out.grad_prototypes, grad_w,
               trainer.encoder.weights, trainer.prototypes.rows]
     if isinstance(trainer, ReferenceTrainer):
@@ -859,8 +862,8 @@ def test_lean_step_matches_reference_step(seed, k, d, d_in, b, optimizer, margin
     rng = np.random.default_rng(seed)
     init = rng.standard_normal((k, d))
     weights = rng.standard_normal((d_in, d))
-    cfg = TrainConfig(optimizer=optimizer, lr=lr, weight_decay=weight_decay, dropout_r3=r3,
-                      loss=LossConfig(margin=margin, scale=8.0, r1=r1, r2=r2, seed=seed % 97))
+    cfg = TrainConfig(optimizer=optimizer, lr=lr, weight_decay=weight_decay,
+                      loss=LossConfig(margin=margin, scale=8.0, r1=r1, r2=r2, r3=r3, seed=seed % 97))
     trainer = Trainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
     reference = ReferenceTrainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
     for _ in range(steps):

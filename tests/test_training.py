@@ -213,13 +213,13 @@ class TestDropoutStep:
         x = rng.standard_normal((3, 6))
         labels = rng.integers(0, 5, size=3)
         prototypes = PrototypeMatrix(rng.standard_normal((5, 7)))
-        cfg = TrainConfig(dropout_r3=0.4, loss=LossConfig(margin=0.3, scale=4.0, seed=8))
+        cfg = TrainConfig(loss=LossConfig(margin=0.3, scale=4.0, r3=0.4, seed=8))
         weights = rng.standard_normal((6, 7))
+        plan = make_selection_plan(labels, 5, 7, cfg.loss, 3)
 
         def backward(w):
             trainer = Trainer(LinearEncoder(w), prototypes, cfg)
-            trainer.step_count = 3
-            return trainer._backward(x, labels, None)
+            return trainer._backward(x, labels, plan)
 
         num = finite_difference(lambda w: backward(w)[0].loss, weights)
         assert max_relative_error(backward(weights)[1], num) < 1e-5
@@ -229,8 +229,8 @@ class TestDropoutStep:
         x, labels, _ = _small_problem(seed=13)
         results = []
         for r3 in (0.0, None):
-            cfg = TrainConfig(optimizer=optimizer, lr=0.01, dropout_r3=r3, seed=2,
-                              loss=LossConfig(margin=0.0, scale=8.0, r1=1.0, r2=1.0, seed=2))
+            cfg = TrainConfig(optimizer=optimizer, lr=0.01, seed=2,
+                              loss=LossConfig(margin=0.0, scale=8.0, r1=1.0, r2=1.0, r3=r3, seed=2))
             _, _, prototypes = _small_problem(seed=13)
             weights = np.random.default_rng(1).standard_normal((10, 10))
             trainer = Trainer(LinearEncoder(weights), prototypes, cfg)
@@ -277,7 +277,7 @@ class TestTrainConfigDefaults:
         with pytest.raises(ValidationError):
             TrainConfig(optimizer="lbfgs")
         with pytest.raises(ValidationError):
-            TrainConfig(dropout_r3=1.0)
+            TrainConfig(loss=LossConfig(r3=1.0))
 
 
 class TestTrainLoop:
