@@ -332,26 +332,45 @@ def build_parser():
     return parser, subs.choices
 
 
-def _config_path(argv) -> str | None:
-    """The --config value as argparse reads it: abbreviations such as
-    --conf are accepted, and a repeated flag keeps its last value."""
-    pre = argparse.ArgumentParser(prog="unicom", add_help=False)
-    pre.add_argument("--config")
-    return pre.parse_known_args(argv)[0].config
+def _refuse(message):
+    raise argparse.ArgumentError(None, message)
+
+
+def _given(argv) -> dict | None:
+    """The command and the flags given on the command line, by dest, read
+    as the command's parser reads them: an abbreviation such as --conf
+    resolves, or is ambiguous, as it is there, and a repeated flag keeps
+    its last value. None where that parser will exit, which it then does
+    with its own message."""
+    parser, commands = build_parser()
+    for sub in (parser, *commands.values()):
+        sub.error = _refuse
+        for option in ("-h", "--help", "--version"):
+            sub._option_string_actions.pop(option, None)
+        for action in sub._actions:
+            if action.option_strings:
+                action.default = argparse.SUPPRESS
+                action.required = False
+    try:
+        return vars(parser.parse_args(argv))
+    except argparse.ArgumentError:
+        return None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
 
-    path = _config_path(argv)
+    given = _given(argv)
+    if given is None:
+        parser.parse_args(argv)  # exits: 0 after help, 2 on a usage error
+    command, path = given["command"], given.get("config")
     if path:
         try:
             payload = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
             return 3
-        command = next((a for a in argv if not a.startswith("-")), None)
         if isinstance(payload, dict) and isinstance(payload.get("config"), dict):
             if payload.get("command", command) != command:
                 print(
@@ -360,7 +379,7 @@ def main(argv=None) -> int:
                 )
                 return 2
             payload = payload["config"]
-        if command in commands and isinstance(payload, dict):
+        if isinstance(payload, dict):
             # A stored value stands in for a flag, required or not; a
             # stored null leaves the flag at its default.
             for action in commands[command]._actions:
@@ -374,6 +393,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # Feature dropout scores every class and coordinate, so a class or
+        # feature ratio given with it would do nothing.
+        if getattr(args, "dropout_r3", None) is not None or getattr(args, "param", None) == "r3":
+            for dest in ("r1", "r2"):
+                if dest in given:
+                    raise ValidationError(f"--{dest} does nothing under feature dropout (r3)")
         return args.func(args)
     except ValidationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

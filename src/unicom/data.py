@@ -298,10 +298,16 @@ def synth_conflict_dataset(spec: SyntheticSpec):
     if n_conflict > 0:
         conflict_rng = stream_rng(spec.seed, "synth-conflict")
         chosen = np.sort(conflict_rng.choice(c, size=n_conflict, replace=False))
-        for j, cls in enumerate(chosen):
-            # The members of class cls are rows cls*m .. cls*m + m - 1.
-            shuffled = cls * m + conflict_rng.permutation(m)
-            pseudo[shuffled[m // 2 :]] = c + j
+        # Class chosen[j] hands the members at positions m // 2 .. m - 1 of a
+        # shuffle of its rows chosen[j]*m .. chosen[j]*m + m - 1 to pseudo
+        # class c + j. `permuted` shuffles the rows of a block one after the
+        # other with the draws of one `permutation(m)` per class.
+        step = max(1, BLOCK_ROWS // m)
+        for a in range(0, n_conflict, step):
+            block = chosen[a : a + step]
+            order = conflict_rng.permuted(np.tile(np.arange(m), (block.size, 1)), axis=1)
+            moved = block[:, None] * m + order[:, m // 2 :]
+            pseudo[moved] = np.arange(c + a, c + a + block.size)[:, None]
 
     ids = [f"sample-{i:08d}" for i in range(n)]
     return EmbeddingSet(samples, ids, pseudo), truth

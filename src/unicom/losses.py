@@ -208,14 +208,15 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
 
     cos = u_hat @ v_hat.T  # (b, |S|)
     np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
-    logits = cfg.scale * cos
     # Flat positions of the positive-class entries in a (b, |S|) array.
     pos = np.arange(b) * subset.size + pos_idx
+    c_pos = cos.take(pos)
+    logits = cos  # scaled in place: the cosines are not read again
+    logits *= cfg.scale
 
     # At margin 0, cos m = 1 and sin m = 0: phi is the cosine, the factor 1.
     cos_m, sin_m = math.cos(cfg.margin), math.sin(cfg.margin)
     boundary = math.cos(math.pi - cfg.margin)
-    c_pos = cos.take(pos)
     sin_pos = np.sqrt(np.maximum(1.0 - c_pos * c_pos, 0.0))
     in_range = c_pos > boundary
     phi = np.where(
@@ -239,9 +240,8 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
     if not with_grad:
         return LossOutput(loss=loss, probs=probs)
 
-    dcos = probs.copy()
-    dcos.put(pos, dcos.take(pos) - 1.0)
-    dcos /= b
+    dcos = probs / b
+    dcos.put(pos, (probs.take(pos) - 1.0) / b)
     dcos *= cfg.scale
     dcos.put(pos, dcos.take(pos) * margin_factor)
 

@@ -192,20 +192,23 @@ class Trainer:
             if wd:
                 vel += wd * w
             return self.cfg.lr * vel
+        # One scratch block holds (1 - b1) * g, then ((1 - b2) * g) * g,
+        # then mh, then wd * w; the step itself is the only other block.
         m, v = moments
+        scratch = np.multiply(g, 1 - _ADAM_BETA1)
         m *= _ADAM_BETA1
-        m += (1 - _ADAM_BETA1) * g
+        m += scratch
+        np.multiply(g, 1 - _ADAM_BETA2, out=scratch)
+        scratch *= g
         v *= _ADAM_BETA2
-        g2 = (1 - _ADAM_BETA2) * g
-        g2 *= g
-        v += g2
-        delta = m / (1 - _ADAM_BETA1**t)
-        den = v / (1 - _ADAM_BETA2**t)
-        np.sqrt(den, out=den)
-        den += _ADAM_EPS
-        delta /= den
+        v += scratch
+        np.divide(m, 1 - _ADAM_BETA1**t, out=scratch)
+        delta = v / (1 - _ADAM_BETA2**t)
+        np.sqrt(delta, out=delta)
+        delta += _ADAM_EPS
+        np.divide(scratch, delta, out=delta)
         if wd:
-            delta += wd * w
+            delta += np.multiply(w, wd, out=scratch)
         delta *= self.cfg.lr
         return delta
 
@@ -238,10 +241,11 @@ class Trainer:
         delta = self._delta(moments, g, t[:, None], old, 0.0)
         for a, block in zip(self._proto_moments, moments):
             a.reshape(-1)[flat] = block
+        del g, moments, block  # freed before the rescale takes its blocks
 
-        sub = old - delta
         off_sq = 1.0 - _coordinate_sq_sums(old)
         target = np.sqrt(1.0 - np.maximum(off_sq, 0.0, out=off_sq))
+        sub = np.subtract(old, delta, out=delta)
         cur = np.sqrt(_coordinate_sq_sums(sub))
         if (cur < NORM_EPS).any() or (target < NORM_EPS).any():
             raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
@@ -291,7 +295,7 @@ def train(
         raise ValidationError("training data must carry labels")
     if np.unique(data.labels).size < 2:
         raise ValidationError("training labels must cover at least 2 classes")
-    x = data.vectors.astype(np.float64)
+    x = data.vectors  # float32; each batch is converted on its own
     if prototypes is None:
         prototypes = prototypes_from_labels(x, data.labels, seed=cfg.seed)
     if encoder is None:

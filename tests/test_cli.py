@@ -528,6 +528,7 @@ def runs(tmp_path_factory):
             str(c / "centroids.uceb"), "--epochs", "2", "--seed", "2",
         ],
         "train-label-means": ["train", "--input", str(d / "data.uceb"), "--epochs", "1", "--r1", "0.5"],
+        "train-dropout": ["train", "--input", str(d / "data.uceb"), "--epochs", "1", "--dropout-r3", "0.3"],
         "eval": [
             "eval", "--input", str(t / "embeddings.uceb"), "--labels", str(d / "truth.uceb"),
             "--k", "1,5", "--dims", "8",
@@ -549,7 +550,7 @@ def runs(tmp_path_factory):
 class TestManifestReplay:
     @pytest.mark.parametrize("name", [
         "synth", "cluster", "cluster-random", "train", "train-label-means",
-        "eval", "eval-map100", "ablate", "gradcheck",
+        "train-dropout", "eval", "eval-map100", "ablate", "gradcheck",
     ])
     def test_manifest_replays_to_the_same_bytes(self, runs, tmp_path, name):
         manifest = json.loads((runs / name / "manifest.json").read_text())
@@ -643,6 +644,18 @@ class TestManifestReplay:
         assert rc == 0
         assert read_tree(out) == read_tree(runs / "train")
 
+    @pytest.mark.parametrize("config", ["nonexist.json", "train/manifest.json"])
+    def test_ambiguous_config_abbreviation_is_usage_error(self, runs, tmp_path, capsys, config):
+        # train also has --centroids, so --c names no flag, readable file or not.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "train", "--input", str(runs / "synth" / "data.uceb"),
+                "--c", str(runs / config), "--out", str(tmp_path / "o"),
+            ])
+        assert exc.value.code == 2
+        assert "ambiguous option: --c could match --centroids, --config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_config_flag_keeps_the_last(self, runs, tmp_path):
         out = tmp_path / "replay"
         rc = main([
@@ -680,3 +693,21 @@ class TestFlagsThatDoNothing:
         assert rc == 2
         assert "dropout" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--r1", "0.2"]),
+        ("train", ["--r2", "0.5"]),
+        ("train", ["--r1", "0.2", "--r2", "0.5"]),
+        ("ablate", ["--r2", "0.5"]),
+    ])
+    def test_class_or_feature_ratio_with_dropout_is_usage_error(self, runs, tmp_path, capsys, command, flags):
+        # Dropout scores every class and coordinate; a stored ratio, as in
+        # a replayed manifest, is not a flag given and stays allowed.
+        if command == "train":
+            argv = ["train", "--input", str(runs / "synth" / "data.uceb"), "--dropout-r3", "0.3"]
+        else:
+            argv = ["ablate", "--param", "r3", "--values", "0.1,0.3", "--seeds", "3", *TINY_ABLATION]
+        out = tmp_path / "o"
+        assert main(argv + flags + ["--out", str(out)]) == 2
+        assert f"{flags[0]} does nothing under feature dropout" in capsys.readouterr().err
+        assert not out.exists()

@@ -576,6 +576,7 @@ def whole_array_synth(spec):
 @example(seed=0, rows=BLOCK_ROWS, per_class=2, dim=9, noise=0.1, conflict=0.3)  # n at a block edge
 @example(seed=0, rows=2 * BLOCK_ROWS, per_class=2, dim=3, noise=0.0, conflict=1.0)
 @example(seed=0, rows=BLOCK_ROWS + 1, per_class=3, dim=17, noise=0.7, conflict=1.0)  # n = 513
+@example(seed=1, rows=4, per_class=BLOCK_ROWS + 1, dim=2, noise=0.1, conflict=1.0)  # a class a block
 def test_streamed_synth_matches_whole_array_synth(seed, rows, per_class, dim, noise, conflict):
     spec = SyntheticSpec(
         true_classes=max(2, rows // per_class), per_class=per_class, dim=dim,

@@ -1,12 +1,14 @@
 """Tests for the encoder, optimizers, and the sparse-update contracts."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from unicom import (
     ClusterResult,
+    EmbeddingSet,
     LinearEncoder,
     LossConfig,
     PrototypeMatrix,
@@ -309,6 +311,50 @@ class TestTrainLoop:
         single = unlabeled.with_labels([1, 1, 1, 1])
         with pytest.raises(ValidationError):
             train(single, TrainConfig())
+
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
+    @pytest.mark.parametrize("passed", [False, True])
+    @pytest.mark.parametrize("r2", [0.5, 1.0])
+    @pytest.mark.parametrize("r3", [None, 0.3])
+    def test_matches_a_loop_over_the_whole_set_in_float64(self, optimizer, passed, r2, r3):
+        rng = np.random.default_rng(8)
+        vectors = (rng.standard_normal((70, 8)) * 3).astype(np.float32)
+        data = EmbeddingSet(vectors, [str(i) for i in range(70)], rng.integers(0, 6, 70))
+        init = rng.standard_normal((6, 8))
+        cfg = TrainConfig(epochs=2, batch_size=16, optimizer=optimizer, lr=0.01, seed=4,
+                          loss=LossConfig(r1=0.5, r2=r2, r3=r3, seed=4))
+
+        # The loop as it ran with the whole set converted up front.
+        x = data.vectors.astype(np.float64)
+        want = PrototypeMatrix(init) if passed else prototypes_from_labels(x, data.labels, seed=cfg.seed)
+        trainer = Trainer(LinearEncoder.identity(8), want, cfg)
+        losses = []
+        for epoch in range(cfg.epochs):
+            order = stream_rng(cfg.seed, "shuffle", epoch).permutation(data.count)
+            for start in range(0, data.count, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                losses.append(trainer.step(x[batch], data.labels[batch]))
+
+        got = train(data, cfg, prototypes=PrototypeMatrix(init) if passed else None)
+        assert np.asarray(got.losses).tobytes() == np.asarray(losses).tobytes()
+        assert got.encoder.weights.tobytes() == trainer.encoder.weights.tobytes()
+        assert got.prototypes.rows.tobytes() == want.rows.tobytes()
+
+    def test_holds_no_float64_copy_of_the_set(self):
+        # n * d * 4 bytes is half of what a float64 copy of the rows takes.
+        n, d = 40000, 32
+        rng = np.random.default_rng(2)
+        data = EmbeddingSet(rng.standard_normal((n, d)).astype(np.float32),
+                            [str(i) for i in range(n)], np.arange(n) % 4)
+        prototypes = PrototypeMatrix(rng.standard_normal((4, d)))
+        cfg = TrainConfig(epochs=1, batch_size=256, loss=LossConfig(r1=1.0))
+        tracemalloc.start()
+        try:
+            train(data, cfg, prototypes=prototypes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 4
 
     def test_checkpoint_round_trip(self, tmp_path):
         spec = SyntheticSpec(true_classes=4, per_class=8, dim=6, intra_noise=0.1, seed=9)
