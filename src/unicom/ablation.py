@@ -18,8 +18,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .clustering import KMeansConfig, kmeans_fit
 from .data import SyntheticSpec, synth_conflict_dataset
 from .errors import ValidationError
@@ -94,7 +92,7 @@ def run_single(cfg: AblationConfig, seed: int) -> dict[int, float]:
         prototypes = init_prototypes(clusters)
     if cfg.embed_dim is not None:
         encoder = LinearEncoder.orthonormal(data.dim, cfg.embed_dim, seed=seed)
-        embedded = encoder.encode(data.vectors.astype(np.float64))
+        embedded = encoder.encode(data.vectors)
         prototypes = prototypes_from_labels(embedded, data.labels, seed=seed)
 
     loss = replace(cfg.train.loss, seed=seed)
@@ -110,7 +108,7 @@ def run_single(cfg: AblationConfig, seed: int) -> dict[int, float]:
     else:
         evaluated = data.with_labels(truth)
 
-    embedded = result.encoder.encode(evaluated.vectors.astype(np.float64))
+    embedded = result.encoder.encode(evaluated.vectors)
     evaluated = evaluated.with_vectors(embedded)
 
     out = {evaluated.dim: recall_at_k(evaluated, cfg.recall_k)}

@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .ablation import ABLATION_PARAMS, AblationConfig, ablation_to_json, ablation_to_tsv, run_ablation
 from .clustering import KMeansConfig, kmeans_fit, INIT_METHODS
@@ -140,7 +138,7 @@ def cmd_train(args) -> int:
     (out / "loss_curve.txt").write_text(
         "".join(f"{v:.12e}\n" for v in result.losses)
     )
-    embedded = result.encoder.encode(data.vectors.astype(np.float64))
+    embedded = result.encoder.encode(data.vectors)
     save_embeddings(data.with_vectors(embedded), out / "embeddings.uceb")
     print(
         f"trained {result.steps} steps; loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f}"
@@ -332,39 +330,24 @@ def build_parser():
     return parser, subs.choices
 
 
-def _refuse(message):
-    raise argparse.ArgumentError(None, message)
-
-
-def _given(argv) -> dict | None:
-    """The command and the flags given on the command line, by dest, read
-    as the command's parser reads them: an abbreviation such as --conf
-    resolves, or is ambiguous, as it is there, and a repeated flag keeps
-    its last value. None where that parser will exit, which it then does
-    with its own message."""
-    parser, commands = build_parser()
-    for sub in (parser, *commands.values()):
-        sub.error = _refuse
-        for option in ("-h", "--help", "--version"):
-            sub._option_string_actions.pop(option, None)
-        for action in sub._actions:
-            if action.option_strings:
-                action.default = argparse.SUPPRESS
-                action.required = False
-    try:
-        return vars(parser.parse_args(argv))
-    except argparse.ArgumentError:
-        return None
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
+    # A flag takes its default, then its --config value, then its value on
+    # the command line. The parse below sees only the flags given: no
+    # defaults, and nothing required until the config has had its say.
+    required, defaults = {}, {}
+    for name, sub in commands.items():
+        required[name] = [action for action in sub._actions if action.required]
+        for action in required[name]:
+            action.required = False
+        defaults[name] = vars(sub.parse_args([]))
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
 
-    given = _given(argv)
-    if given is None:
-        parser.parse_args(argv)  # exits: 0 after help, 2 on a usage error
+    given = vars(parser.parse_args(argv))  # exits: 0 after help, 2 on a usage error
     command, path = given["command"], given.get("config")
+    sub, values = commands[command], defaults[command]
     if path:
         try:
             payload = json.loads(Path(path).read_text())
@@ -380,18 +363,26 @@ def main(argv=None) -> int:
                 return 2
             payload = payload["config"]
         if isinstance(payload, dict):
-            # A stored value stands in for a flag, required or not; a
-            # stored null leaves the flag at its default.
-            for action in commands[command]._actions:
+            # A stored value stands in for a flag, required or not, a str as
+            # argparse reads a str default; a stored null is no value.
+            for action in sub._actions:
                 value = payload.get(action.dest)
-                if value is None:
+                if value is None or action.dest in given:
                     continue
                 if action.dest in _PATH_KEYS and isinstance(value, str) and not os.path.isabs(value):
                     value = os.path.join(os.path.dirname(path), value)
-                action.default = value
-                action.required = False
+                if isinstance(value, str):
+                    try:
+                        value = sub._get_value(action, value)
+                    except argparse.ArgumentError as exc:
+                        sub.error(str(exc))
+                values[action.dest] = value
+    values.update(given)
+    missing = ["/".join(action.option_strings) for action in required[command] if values[action.dest] is None]
+    if missing:
+        sub.error("the following arguments are required: " + ", ".join(missing))
 
-    args = parser.parse_args(argv)
+    args = argparse.Namespace(**values)
     try:
         # Feature dropout scores every class and coordinate, so a class or
         # feature ratio given with it would do nothing.

@@ -62,7 +62,7 @@ class GradCheckReport:
 
 
 def random_instance(rng: np.random.Generator):
-    """A random small loss instance exercising margin, subset, and mask."""
+    """A random small loss instance: margin, subset and mask, or dropout."""
     b = int(rng.integers(1, 5))
     d = int(rng.integers(6, 17))
     k = int(rng.integers(4, 33))
@@ -75,6 +75,7 @@ def random_instance(rng: np.random.Generator):
         r1=float(rng.uniform(0.3, 1.0)),
         r2=float(rng.uniform(0.5, 1.0)),
         seed=int(rng.integers(0, 2**31)),
+        r3=float(rng.uniform(0.1, 0.5)) if rng.random() < 0.5 else None,
     )
     step = int(rng.integers(0, 1000))
     plan = make_selection_plan(labels, k, d, cfg, step)

@@ -30,7 +30,7 @@ from .losses import (
     selection_backward,
 )
 from .rng import stream_rng
-from .util import NORM_EPS, label_sums, unit_rows_backward, unit_rows_inplace
+from .util import BLOCK_ROWS, NORM_EPS, label_sums, unit_rows_backward, unit_rows_inplace
 
 OPTIMIZERS = ("adamw", "sgd-momentum")
 
@@ -67,7 +67,17 @@ class LinearEncoder:
         return cls(q)
 
     def encode(self, inputs: np.ndarray) -> np.ndarray:
-        return _encode_cache(self.weights, inputs)[2]
+        """Float64 unit rows of the projected inputs. A set of more than
+        BLOCK_ROWS rows goes in windows of BLOCK_ROWS rows, the last one
+        overlapping its predecessor, so no float64 copy of the set is made
+        and a row's bits are the same in every set of BLOCK_ROWS or more."""
+        x = np.asarray(inputs)
+        if x.ndim != 2 or len(x) <= BLOCK_ROWS:
+            return _encode_cache(self.weights, x)[2]
+        out = np.empty((len(x), self.output_dim))
+        for a in (*range(0, len(x) - BLOCK_ROWS, BLOCK_ROWS), len(x) - BLOCK_ROWS):
+            out[a : a + BLOCK_ROWS] = _encode_cache(self.weights, x[a : a + BLOCK_ROWS])[2]
+        return out
 
 
 def _encode_cache(weights, inputs):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline (in-process)."""
 
 import json
+import re
 import struct
 from dataclasses import fields
 
@@ -711,3 +712,46 @@ class TestFlagsThatDoNothing:
         assert main(argv + flags + ["--out", str(out)]) == 2
         assert f"{flags[0]} does nothing under feature dropout" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOneParse:
+    @pytest.mark.parametrize("command", ["synth", "cluster", "train", "eval", "ablate", "gradcheck"])
+    def test_help_names_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        _, commands = cli.build_parser()
+        flags = [flag for action in commands[command]._actions for flag in action.option_strings]
+        assert "--out" in flags and "--config" in flags
+        for flag in flags:
+            assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text), flag
+
+    def test_str_config_value_is_read_as_the_flag_type(self, runs, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        data = str(runs / "synth" / "data.uceb")
+        config.write_text(json.dumps({"input": data, "k": "3"}))
+        out = tmp_path / "o"
+        assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["k"] == 3
+        assert load_embeddings(out / "centroids.uceb").count == 3
+
+        config.write_text(json.dumps({"input": data, "k": "x"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "argument --k: invalid int value: 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_required_flags_are_checked_after_the_config(self, runs, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(runs / "synth" / "data.uceb")}))
+        for argv, missing in (
+            (["cluster", "--out", str(tmp_path / "o")], "--input, --k"),
+            (["cluster", "--config", str(config), "--out", str(tmp_path / "o")], "--k"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"error: the following arguments are required: {missing}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

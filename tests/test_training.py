@@ -26,8 +26,8 @@ from unicom import (
 from unicom.errors import DegenerateVectorError, NonFiniteLossError, ValidationError
 from unicom.gradcheck import finite_difference, max_relative_error
 from unicom.rng import stream_rng
-from unicom.training import load_prototypes, save_checkpoint
-from unicom.util import unit_rows
+from unicom.training import _encode_cache, load_prototypes, save_checkpoint
+from unicom.util import BLOCK_ROWS, unit_rows
 
 
 class TestEncode:
@@ -59,6 +59,34 @@ class TestEncode:
                 lambda v, r=row: v[r] / np.linalg.norm(v), z
             )
             assert max_relative_error(analytic[row], num) < 1e-5
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 1])
+    def test_row_bits_do_not_depend_on_the_set(self, n):
+        # Windows of BLOCK_ROWS rows, the last overlapping its predecessor,
+        # give every row the bits of the whole-set product.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 24)).astype(np.float32)
+        enc = LinearEncoder(rng.standard_normal((24, 16)))
+        whole = enc.encode(x)
+        assert whole.tobytes() == _encode_cache(enc.weights, x)[2].tobytes()
+        mid = (n - BLOCK_ROWS) // 2
+        for a, b in [(0, BLOCK_ROWS), (1, n), (0, n - 1), (mid, mid + BLOCK_ROWS), (n - BLOCK_ROWS, n)]:
+            assert enc.encode(x[a:b]).tobytes() == whole[a:b].tobytes(), (a, b)
+
+    def test_holds_no_float64_copy_of_the_set(self):
+        # Beyond its output, encode holds a few windows: the float64 rows,
+        # their projection and its squares.
+        n, d, e = 20 * BLOCK_ROWS, 48, 32
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((n, d)).astype(np.float32)
+        enc = LinearEncoder(rng.standard_normal((d, e)))
+        tracemalloc.start()
+        try:
+            enc.encode(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * e * 8 + 4 * BLOCK_ROWS * d * 8
 
 
 class TestInitPrototypes:
