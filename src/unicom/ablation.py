@@ -16,7 +16,7 @@ such as memorized noise directions only show up there).
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .clustering import KMeansConfig, kmeans_fit
 from .data import SyntheticSpec, synth_conflict_dataset
@@ -52,9 +52,9 @@ class AblationRow:
     param: str
     value: float
     dims_used: int
-    per_seed: list[float]
     mean: float
     std: float
+    per_seed: list[float]
 
 
 def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfig:
@@ -163,15 +163,4 @@ def ablation_to_tsv(rows: list[AblationRow]) -> str:
 
 
 def ablation_to_json(rows: list[AblationRow]) -> str:
-    payload = [
-        {
-            "param": r.param,
-            "value": r.value,
-            "dims_used": r.dims_used,
-            "mean": r.mean,
-            "std": r.std,
-            "per_seed": r.per_seed,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2)
+    return json.dumps([asdict(r) for r in rows], indent=2)

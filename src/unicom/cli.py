@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -216,13 +217,7 @@ def cmd_gradcheck(args) -> int:
     if args.out:
         out = Path(args.out)
         _write_manifest(args, out, [], ["gradcheck.json"])
-        payload = {
-            "trials": report.trials,
-            "tolerance": report.tolerance,
-            "max_error": report.max_error,
-            "failures": report.failures,
-            "passed": report.passed,
-        }
+        payload = {**asdict(report), "passed": report.passed}
         (out / "gradcheck.json").write_text(json.dumps(payload, indent=2) + "\n")
     status = "PASS" if report.passed else "FAIL"
     print(

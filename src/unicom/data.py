@@ -13,6 +13,7 @@ UCEB file layout (all little-endian, no padding between sections):
 """
 
 import copy
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -175,10 +176,17 @@ class SyntheticSpec:
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     """Write `embeddings` to `path` in the UCEB format.
 
-    An existing file at `path` is removed first and a new one created, so
-    the write does not wait for the old contents to be flushed; a symlink
-    at `path` is replaced by the file, not written through.
+    The id table is encoded first, so a refused id leaves `path` as it
+    was. An existing file is then removed and a new one created, so the
+    write does not wait for the old contents to be flushed; a symlink at
+    `path` is replaced by the file, not written through.
     """
+    table = bytearray()
+    for item in embeddings.ids:
+        raw = item.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ValidationError(f"id too long to encode: {item[:32]}...")
+        table += len(raw).to_bytes(2, "little") + raw
     flags = _FLAG_LABELS if embeddings.labels is not None else 0
     header = _HEADER.pack(
         UCEB_MAGIC, UCEB_VERSION, embeddings.count, embeddings.dim, flags
@@ -190,66 +198,64 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
         fh.write(embeddings.vectors.astype("<f4", copy=False).tobytes())
         if embeddings.labels is not None:
             fh.write(embeddings.labels.astype("<i8", copy=False).tobytes())
-        table = bytearray()
-        for item in embeddings.ids:
-            raw = item.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ValidationError(f"id too long to encode: {item[:32]}...")
-            table += len(raw).to_bytes(2, "little") + raw
         fh.write(table)
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Read a UCEB file, returning the stored vectors verbatim."""
+    """Read a UCEB file, returning the stored vectors verbatim. The size
+    is checked against the header before anything is allocated, and the
+    vectors and labels are read straight into their own arrays."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        if blob[:4] != UCEB_MAGIC:
-            raise BadMagicError(f"not a UCEB file: {path}")
-        raise TruncatedPayloadError(f"header truncated: {path}")
-    magic, version, n, d, flags = _HEADER.unpack_from(blob, 0)
-    if magic != UCEB_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r} in {path}")
-    if version != UCEB_VERSION:
-        raise UnsupportedVersionError(f"unsupported UCEB version {version}")
-    if d == 0:
-        raise InvalidDimensionError(f"zero embedding dimension in {path}")
-    if n == 0:
-        raise InvalidDimensionError(f"empty embedding set in {path}")
+        if not fh.seekable():  # a pipe: its size is known once it is read
+            fh = io.BytesIO(fh.read())
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            if head[:4] != UCEB_MAGIC:
+                raise BadMagicError(f"not a UCEB file: {path}")
+            raise TruncatedPayloadError(f"header truncated: {path}")
+        magic, version, n, d, flags = _HEADER.unpack(head)
+        if magic != UCEB_MAGIC:
+            raise BadMagicError(f"bad magic {magic!r} in {path}")
+        if version != UCEB_VERSION:
+            raise UnsupportedVersionError(f"unsupported UCEB version {version}")
+        if d == 0:
+            raise InvalidDimensionError(f"zero embedding dimension in {path}")
+        if n == 0:
+            raise InvalidDimensionError(f"empty embedding set in {path}")
 
-    offset = _HEADER.size
-    vec_bytes = n * d * 4
-    if len(blob) < offset + vec_bytes:
-        raise TruncatedPayloadError(f"vector block truncated in {path}")
-    vectors = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset)
-    vectors = vectors.reshape(n, d).copy()
-    offset += vec_bytes
-
-    labels = None
-    if flags & _FLAG_LABELS:
-        if len(blob) < offset + n * 8:
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(_HEADER.size)
+        end = _HEADER.size + n * d * 4
+        if size < end:
+            raise TruncatedPayloadError(f"vector block truncated in {path}")
+        labeled = flags & _FLAG_LABELS
+        if labeled and size < end + n * 8:
             raise TruncatedPayloadError(f"label block truncated in {path}")
-        labels = np.frombuffer(blob, dtype="<i8", count=n, offset=offset).copy()
-        offset += n * 8
+        vectors = np.empty((n, d), dtype="<f4")
+        labels = np.empty(n, dtype="<i8") if labeled else None
+        for block in (vectors, labels):
+            if block is not None and fh.readinto(block) != block.nbytes:
+                raise TruncatedPayloadError(f"{path} shrank while it was read")
+        table = fh.read()
 
     ids: list[str] = []
-    size = len(blob)
+    offset, size = 0, len(table)
     try:
         for row in range(n):
             # One bounds check per id: a length field or an id that runs
             # past the end of the file is an IndexError.
             start = offset + 2
-            end = start + (blob[offset] | blob[offset + 1] << 8)
+            end = start + (table[offset] | table[offset + 1] << 8)
             if end > size:
                 raise IndexError
-            ids.append(blob[start:end].decode("utf-8"))
+            ids.append(table[start:end].decode("utf-8"))
             offset = end
     except IndexError:
         raise TruncatedPayloadError(f"id table truncated in {path}") from None
     except UnicodeDecodeError:
         raise UcebFormatError(f"id of row {row} is not valid UTF-8 in {path}") from None
-    if offset != len(blob):
-        raise UcebFormatError(f"{len(blob) - offset} trailing bytes in {path}")
+    if offset != size:
+        raise UcebFormatError(f"{size - offset} trailing bytes in {path}")
 
     try:
         return EmbeddingSet(vectors, ids, labels)

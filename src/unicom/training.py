@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import ClusterResult
 from .data import EmbeddingSet, load_embeddings, save_embeddings
-from .errors import DegenerateVectorError, DimensionMismatchError, NonFiniteLossError, ValidationError
+from .errors import DimensionMismatchError, NonFiniteLossError, ValidationError
 from .losses import (
     LossConfig,
     PrototypeMatrix,
@@ -30,7 +30,7 @@ from .losses import (
     selection_backward,
 )
 from .rng import stream_rng
-from .util import BLOCK_ROWS, NORM_EPS, label_sums, unit_rows_backward, unit_rows_inplace
+from .util import BLOCK_ROWS, label_sums, unit_rows_backward, unit_rows_inplace
 
 OPTIMIZERS = ("adamw", "sgd-momentum")
 
@@ -234,9 +234,9 @@ class Trainer:
         Each contiguous (k, d) array gives up its (|S|, |mask|) block of
         entries once and gets it back once, both at flat positions. The
         blocks take the encoder's optimizer step, without decay and with
-        per-class step counts. After the step the masked sub-vector
-        of each updated row is rescaled so the full row returns to unit
-        norm; the untouched coordinates keep their exact bits.
+        per-class step counts. Each updated row's masked sub-vector is then
+        rescaled to its old norm, so the row stays unit; the untouched
+        coordinates keep their exact bits.
         """
         rows = self.prototypes.rows
         subset = np.asarray(subset, dtype=np.int64)
@@ -253,13 +253,10 @@ class Trainer:
             a.reshape(-1)[flat] = block
         del g, moments, block  # freed before the rescale takes its blocks
 
-        off_sq = 1.0 - _coordinate_sq_sums(old)
-        target = np.sqrt(1.0 - np.maximum(off_sq, 0.0, out=off_sq))
+        target = np.sqrt(np.add.reduce(old * old, axis=1))
         sub = np.subtract(old, delta, out=delta)
-        cur = np.sqrt(_coordinate_sq_sums(sub))
-        if (cur < NORM_EPS).any() or (target < NORM_EPS).any():
-            raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
-        sub *= (target / cur)[:, None]
+        unit_rows_inplace(sub, "an updated masked prototype sub-vector")
+        sub *= target[:, None]
         rows.reshape(-1)[flat] = sub
 
     def step(self, inputs, labels, plan: SelectionPlan | None = None) -> float:
@@ -278,14 +275,6 @@ class Trainer:
             self._update_prototypes(out.grad_prototypes, plan.class_subset, plan.feature_mask)
         self.step_count += 1
         return out.loss
-
-
-def _coordinate_sq_sums(block):
-    """Per-row sum of squares of a (rows, coords) block, added one
-    coordinate at a time in index order, as over the coordinates of a
-    (coords, rows) block. A sum along the contiguous axis of the block
-    itself would be pairwise and round differently."""
-    return np.add.reduce(np.square(block.T, order="C"), axis=0)
 
 
 def train(

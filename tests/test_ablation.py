@@ -110,3 +110,8 @@ class TestRunAblation:
         payload = json.loads(ablation_to_json(rows))
         assert len(payload) == len(rows)
         assert {"param", "value", "dims_used", "mean", "std", "per_seed"} <= set(payload[0])
+
+    def test_json_keys_come_in_the_documented_order(self):
+        rows = run_ablation("r1", [0.5, 1.0], tiny_config(), seeds=3)
+        for row in json.loads(ablation_to_json(rows)):
+            assert list(row) == ["param", "value", "dims_used", "mean", "std", "per_seed"]

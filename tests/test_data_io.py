@@ -1,6 +1,9 @@
 """Tests for embedding storage, UCEB round trips, and synthesis."""
 
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +165,61 @@ class TestUcebRoundTrip:
         s = EmbeddingSet(np.ones((2, 2), dtype=np.float32), ["héllo", "wörld"])
         save_embeddings(s, tmp_path / "u.uceb")
         assert load_embeddings(tmp_path / "u.uceb").ids == ["héllo", "wörld"]
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_file_bytes_follow_the_documented_layout(self, tmp_path, labeled):
+        s = _random_set(np.random.default_rng(8), n=3, d=4, labeled=labeled)
+        s = EmbeddingSet(s.vectors, ["a", "héllo", ""], s.labels)
+        save_embeddings(s, tmp_path / "set.uceb")
+        want = struct.pack("<4sIQII", UCEB_MAGIC, 1, 3, 4, int(labeled)) + s.vectors.astype("<f4").tobytes()
+        if labeled:
+            want += s.labels.astype("<i8").tobytes()
+        for item in s.ids:
+            raw = item.encode("utf-8")
+            want += struct.pack("<H", len(raw)) + raw
+        assert (tmp_path / "set.uceb").read_bytes() == want
+
+    def test_refused_save_leaves_the_path_as_it_was(self, tmp_path):
+        rng = np.random.default_rng(9)
+        too_long = EmbeddingSet(np.ones((2, 2), dtype=np.float32), ["a", "x" * 70_000])
+        existing, absent = tmp_path / "existing.uceb", tmp_path / "absent.uceb"
+        save_embeddings(_random_set(rng), existing)
+        kept = existing.read_bytes()
+        for path in (existing, absent):
+            with pytest.raises(ValidationError, match="too long"):
+                save_embeddings(too_long, path)
+        assert existing.read_bytes() == kept
+        assert not absent.exists()
+
+    def test_a_pipe_loads_as_its_file_does(self, tmp_path):
+        s = _random_set(np.random.default_rng(11))
+        save_embeddings(s, tmp_path / "set.uceb")
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / "set.uceb").read_bytes(),))
+        writer.start()
+        try:
+            assert load_embeddings(fifo) == s
+        finally:
+            writer.join()
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        rng = np.random.default_rng(10)
+        n, d = 4000, 512
+        s = EmbeddingSet(rng.standard_normal((n, d)).astype(np.float32),
+                         [f"row-{i}" for i in range(n)], rng.integers(0, 9, size=n))
+        path = tmp_path / "big.uceb"
+        save_embeddings(s, path)
+        tracemalloc.start()
+        try:
+            loaded = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == s
+        # A read of the whole file followed by a copy of its vectors peaks
+        # above twice the file size.
+        assert peak < 1.5 * path.stat().st_size
 
 
 class TestUcebErrors:

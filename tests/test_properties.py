@@ -363,8 +363,9 @@ def test_ranking_is_exact_whatever_the_blocks_and_threads(s, ks):
 def column_major_update(cols, st_, lr, optimizer, grad_sub, subset, mask):
     """The sparse prototype update on (d, k) columns and (d, k) optimizer
     state, as it was before prototypes were stored class-major, with the
-    AdamW step grouped as lr * (mh / den), like the encoder's, and with
-    per-class step counts kept for both optimizers."""
+    AdamW step grouped as lr * (mh / den), like the encoder's, with
+    per-class step counts kept for both optimizers, and with the masked
+    sub-vector rescaled by norms summed over C-ordered (|S|, |mask|) rows."""
     mask_idx = np.flatnonzero(mask)
     ix = np.ix_(mask_idx, subset)
     sub = cols[ix]
@@ -381,13 +382,12 @@ def column_major_update(cols, st_, lr, optimizer, grad_sub, subset, mask):
         st_["vel"][ix] = _SGD_MOMENTUM * st_["vel"][ix] + g
         sub = sub - lr * st_["vel"][ix]
 
-    off_sq = 1.0 - np.sum(cols[ix] ** 2, axis=0)
-    off_sq = np.clip(off_sq, 0.0, None)
-    target = np.sqrt(1.0 - off_sq)
-    cur = np.linalg.norm(sub, axis=0)
-    if np.any(cur < 1e-12) or np.any(target < 1e-12):
+    old, new = np.ascontiguousarray(cols[ix].T), np.ascontiguousarray(sub.T)  # (|S|, |mask|)
+    target = np.sqrt(np.add.reduce(old * old, axis=1))
+    cur = np.sqrt(np.add.reduce(new * new, axis=1))
+    if np.any(cur < 1e-12):
         raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
-    cols[ix] = sub * (target / cur)[None, :]
+    cols[ix] = (new / cur[:, None] * target[:, None]).T
 
 
 def _raised(fn, *args):
@@ -640,7 +640,8 @@ class ReferenceTrainer:
     arithmetic and fewer numpy calls: `Trainer.step` and everything under
     it, copied verbatim apart from the names and the prototype AdamW step,
     which is grouped as lr * (mh / den), like the encoder's, since both
-    share one optimizer step, and the step counts, kept for both optimizers.
+    share one optimizer step, the step counts, kept for both optimizers,
+    and the rescale of each masked sub-vector to its old norm.
     It still applies dropout outside the loss, on `full_plan`, and reports
     the gradient chained through the keep mask as `grad_embeddings`.
     Every output of the current step must equal this one's bit for bit."""
@@ -770,9 +771,6 @@ class ReferenceTrainer:
             entries[flat] = new.ravel()
             return new
 
-        def sq_sums(block):
-            return np.add.reduce(np.square(block.T, order="C"), axis=0)
-
         g = np.take(grad_sub, mask_idx, axis=1)
         st["t"][subset] += 1
         if cfg.optimizer == "adamw":
@@ -788,12 +786,11 @@ class ReferenceTrainer:
 
         def rescaled(old):
             sub = old - delta
-            off_sq = np.clip(1.0 - sq_sums(old), 0.0, None)
-            target = np.sqrt(1.0 - off_sq)
-            cur = np.sqrt(sq_sums(sub))
-            if np.any(cur < 1e-12) or np.any(target < 1e-12):
+            target = np.sqrt(np.add.reduce(old * old, axis=1))
+            cur = np.sqrt(np.add.reduce(sub * sub, axis=1))
+            if np.any(cur < 1e-12):
                 raise DegenerateVectorError("prototype update collapsed a masked sub-vector")
-            return sub * (target / cur)[:, None]
+            return sub / cur[:, None] * target[:, None]
 
         update(self.prototypes.rows, rescaled)
 

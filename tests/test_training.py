@@ -188,6 +188,31 @@ class TestTrainStep:
         norms = np.linalg.norm(trainer.prototypes.rows, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
+    @pytest.mark.parametrize("r2", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_keeps_the_masked_norm_of_each_updated_row(self, optimizer, r2, seed):
+        # Few masked coordinates make small sub-vector norms, the case a
+        # rescale to sqrt(1 - (1 - s)) gets wrong by tens of ulps.
+        rng = np.random.default_rng(seed)
+        k, d = 12, 8
+        x = unit_rows(rng.standard_normal((8, d)))
+        labels = rng.integers(0, k, size=8)
+        cfg = TrainConfig(optimizer=optimizer, lr=0.05, loss=LossConfig(r1=0.5, r2=r2, seed=seed), seed=seed)
+        trainer = Trainer(LinearEncoder.identity(d), PrototypeMatrix(rng.standard_normal((k, d))), cfg)
+        ulp = np.finfo(np.float64).eps
+        for step in range(5):
+            plan = make_selection_plan(labels, k, d, cfg.loss, step)
+            block = np.ix_(plan.class_subset, plan.feature_mask)
+            before = trainer.prototypes.rows[block].copy()
+            trainer.step(x, labels, plan)
+            after = trainer.prototypes.rows[block]
+            assert not np.array_equal(after, before)
+            np.testing.assert_allclose(
+                np.linalg.norm(after, axis=1), np.linalg.norm(before, axis=1), rtol=4 * ulp, atol=0
+            )
+            np.testing.assert_allclose(np.linalg.norm(trainer.prototypes.rows, axis=1), 1.0, rtol=0, atol=4 * ulp)
+
     def test_loss_decreases_over_200_steps(self):
         spec = SyntheticSpec(true_classes=10, per_class=32, dim=16, intra_noise=0.05, seed=1)
         data, _ = synth_conflict_dataset(spec)
