@@ -187,7 +187,7 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
             unchosen = np.setdiff1d(np.arange(n), chosen[:i])
             chosen[i] = rng.choice(unchosen)
         else:
-            chosen[i] = rng.choice(n, p=closest / total)
+            chosen[i] = _weighted_draw(rng, closest, total)
         c = chosen[i]
         with np.errstate(**_QUIET):
             screened = x_sq - 2.0 * (x32 @ x32[c]).astype(np.float64) + x_sq[c]
@@ -196,6 +196,16 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
         diff = x[rows] - x[c]
         closest[rows] = np.minimum(closest[rows], np.einsum("ij,ij->i", diff, diff))
     return x[chosen].copy()
+
+
+def _weighted_draw(rng, weights, total):
+    """rng.choice(len(weights), p=weights / total) without its O(n) checks
+    and copy of p: the same cdf and one uniform draw, so the same index
+    and the same stream state after it. `total`, the positive finite sum
+    of the non-negative `weights`, is checked by the caller."""
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
 
 
 def _respawn_empty(x, centroids, assignments, counts):

@@ -51,9 +51,11 @@ def _checked_vectors(vectors) -> np.ndarray:
         raise ValidationError("empty embedding sets are not allowed")
     if d == 0:
         raise ValidationError("embedding dimension must be positive")
-    if not np.isfinite(vectors).all():
-        bad = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
-        raise ValidationError(f"row {bad} holds a NaN or infinite value")
+    for a in range(0, n, BLOCK_ROWS):  # O(BLOCK_ROWS * d) scratch
+        block = vectors[a : a + BLOCK_ROWS]
+        if not np.isfinite(block).all():
+            bad = a + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
+            raise ValidationError(f"row {bad} holds a NaN or infinite value")
     return vectors
 
 
@@ -195,9 +197,10 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     path.unlink(missing_ok=True)
     with path.open("wb") as fh:
         fh.write(header)
-        fh.write(embeddings.vectors.astype("<f4", copy=False).tobytes())
+        # The arrays' own buffers; a copy is made only on a big-endian host.
+        fh.write(np.ascontiguousarray(embeddings.vectors, dtype="<f4"))
         if embeddings.labels is not None:
-            fh.write(embeddings.labels.astype("<i8", copy=False).tobytes())
+            fh.write(np.ascontiguousarray(embeddings.labels, dtype="<i8"))
         fh.write(table)
 
 

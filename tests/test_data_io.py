@@ -15,7 +15,7 @@ from unicom import (
     save_embeddings,
     synth_conflict_dataset,
 )
-from unicom.data import UCEB_MAGIC
+from unicom.data import UCEB_MAGIC, _checked_vectors
 from unicom.errors import (
     BadMagicError,
     DuplicateIdError,
@@ -26,6 +26,7 @@ from unicom.errors import (
     UnsupportedVersionError,
     ValidationError,
 )
+from unicom.util import BLOCK_ROWS
 
 
 def _random_set(rng, n=7, d=5, labeled=True):
@@ -109,6 +110,25 @@ class TestEmbeddingSet:
         vectors[1, 2] = bad
         with pytest.raises(ValidationError, match="row 1"):
             EmbeddingSet(vectors, ["a", "b", "c"])
+
+    @pytest.mark.parametrize("row", [0, 2 * BLOCK_ROWS])
+    def test_non_finite_row_named_in_any_block(self, row):
+        # Three row blocks; the last holds one row.
+        vectors = np.ones((2 * BLOCK_ROWS + 1, 4), dtype=np.float32)
+        vectors[row, 3] = np.nan
+        with pytest.raises(ValidationError, match=f"row {row} "):
+            EmbeddingSet(vectors, [str(i) for i in range(len(vectors))])
+
+    def test_finiteness_check_holds_no_whole_set_mask(self):
+        vectors = np.ones((200_000, 32), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            _checked_vectors(vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A bool mask of the whole set takes 6.4 MB.
+        assert peak < vectors.size // 16
 
 
 class TestUcebRoundTrip:
@@ -202,6 +222,21 @@ class TestUcebRoundTrip:
             assert load_embeddings(fifo) == s
         finally:
             writer.join()
+
+    def test_save_writes_the_vectors_without_a_copy(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n, d = 100_000, 64
+        s = EmbeddingSet(rng.standard_normal((n, d)).astype(np.float32),
+                         [f"{i}" for i in range(n)], rng.integers(0, 9, size=n))
+        tracemalloc.start()
+        try:
+            save_embeddings(s, tmp_path / "big.uceb")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load_embeddings(tmp_path / "big.uceb") == s
+        # A bytes copy of the vectors alone would take all of their bytes.
+        assert peak < s.vectors.nbytes / 4
 
     def test_load_holds_the_payload_once(self, tmp_path):
         rng = np.random.default_rng(10)

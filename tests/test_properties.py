@@ -1,8 +1,9 @@
 """Property tests of the blocked kernels (nearest-centroid assignment,
 kmeans++ seeding, top-k neighbor ranking and mAP@100) against exhaustive
-references, and of the class-major sparse prototype update, the class and
-feature samplers and the per-label sums against the column-major and O(k)
-code they replaced, of the whole training step against the out-of-place
+references, of the kmeans++ draw against `Generator.choice`, and of the
+class-major sparse prototype update, the class and feature samplers and
+the per-label sums against the column-major and O(k) code they
+replaced, of the whole training step against the out-of-place
 formulas it replaced, of the streamed synthetic dataset against the
 whole-array code it replaced, and of the UCEB reader on corrupt files.
 
@@ -43,7 +44,7 @@ from unicom import (
     sample_feature_mask,
     save_embeddings,
 )
-from unicom.clustering import _init_centroids
+from unicom.clustering import _init_centroids, _weighted_draw
 from unicom.data import SyntheticSpec, synth_conflict_dataset
 from unicom.errors import (
     DegenerateVectorError,
@@ -192,6 +193,25 @@ def test_kmeanspp_matches_einsum_scan_on_near_ties(seed, n, distinct, d, scale, 
     if huge:
         x = np.hstack([np.full((n, 1), 1e200), x])
     assert_kmeanspp_exact(x, data.draw(st.integers(1, n)), seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 60), d=st.integers(1, 6),
+       scale=st.sampled_from([1e-30, 1.0, 1e30]), zero_share=st.sampled_from([0.0, 0.5, 0.9]))
+def test_kmeanspp_draw_matches_generator_choice(seed, n, d, scale, zero_share):
+    # Squared distances to one row of the near-tie palette: exact zeros for
+    # its duplicates, ulp-sized ones for its neighbors, plus zeroed rows.
+    rng = np.random.default_rng(seed)
+    rows = near_tie_rows(rng, n, d, scale)
+    diff = rows - rows[rng.integers(n)]
+    closest = np.einsum("ij,ij->i", diff, diff)
+    closest[rng.random(n) < zero_share] = 0.0
+    total = closest.sum()
+    assume(total > 0.0)
+    mine, theirs = stream_rng(seed, "draw"), stream_rng(seed, "draw")
+    for _ in range(3):
+        assert _weighted_draw(mine, closest, total) == theirs.choice(n, p=closest / total)
+    assert mine.random() == theirs.random()
 
 
 TIE_VALUES = [-np.inf, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]
@@ -872,3 +892,27 @@ def test_lean_step_matches_reference_step(seed, k, d, d_in, b, optimizer, margin
         assert recorded_step(trainer, x, labels) == want
         if not isinstance(want, list):
             break
+
+
+@pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
+@pytest.mark.parametrize("r1", [0.5, 1.0])
+@pytest.mark.parametrize("r2", [0.5, 1.0])
+def test_blocked_prototype_step_matches_reference_step(optimizer, r1, r2):
+    # 1,250 or 2,500 selected rows of 8 or 16 masked entries are several
+    # blocks of the prototype step, against one in the property above.
+    # Full masks move whole rows, half masks flat positions; at r1 = 0.5
+    # the classes of one block differ in their step counts.
+    rng = np.random.default_rng(5)
+    k, d, b = 2500, 16, 64
+    init = rng.standard_normal((k, d))
+    weights = rng.standard_normal((d, d))
+    cfg = TrainConfig(optimizer=optimizer, lr=0.01, weight_decay=0.05,
+                      loss=LossConfig(r1=r1, r2=r2, seed=3))
+    trainer = Trainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
+    reference = ReferenceTrainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
+    for _ in range(3):
+        x = rng.standard_normal((b, d))
+        labels = rng.integers(0, k, size=b)
+        want = recorded_step(reference, x, labels)
+        assert isinstance(want, list)
+        assert recorded_step(trainer, x, labels) == want

@@ -213,6 +213,25 @@ class TestTrainStep:
             )
             np.testing.assert_allclose(np.linalg.norm(trainer.prototypes.rows, axis=1), 1.0, rtol=0, atol=4 * ulp)
 
+    @pytest.mark.parametrize("r2", [1.0, 0.5])
+    def test_prototype_step_holds_blocks_not_the_selection(self, r2):
+        # 2,000 selected rows of 128 dimensions: a (|S|, |mask|) float64
+        # array takes 2 MB, its flat index as much again.
+        rng = np.random.default_rng(8)
+        k, size, d = 20_000, 2_000, 128
+        cfg = TrainConfig(lr=0.01, loss=LossConfig(r2=r2, seed=1), seed=1)
+        trainer = Trainer(LinearEncoder.identity(d), PrototypeMatrix(rng.standard_normal((k, d))), cfg)
+        subset = np.sort(rng.choice(k, size, replace=False))
+        mask = make_selection_plan([0], k, d, cfg.loss, 0).feature_mask
+        grad = rng.standard_normal((size, d)) * mask
+        tracemalloc.start()
+        try:
+            trainer._update_prototypes(grad, subset, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_loss_decreases_over_200_steps(self):
         spec = SyntheticSpec(true_classes=10, per_class=32, dim=16, intra_noise=0.05, seed=1)
         data, _ = synth_conflict_dataset(spec)
