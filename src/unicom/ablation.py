@@ -29,6 +29,7 @@ from .training import (
     prototypes_from_labels,
     train,
 )
+from .util import ratio_count
 
 ABLATION_PARAMS = ("r1", "r2", "r3", "k")
 
@@ -72,10 +73,20 @@ def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfi
     else:
         raise ValidationError(f"param must be one of {ABLATION_PARAMS}")
     points = cfg.synth.true_classes * cfg.synth.per_class
-    if cfg.cluster_k is not None and not 1 <= cfg.cluster_k <= points:
+    if cfg.cluster_k is not None and not 2 <= cfg.cluster_k <= points:
         raise ValidationError(
-            f"a cluster count must lie in [1, {points}], the number of points, got {cfg.cluster_k}"
+            f"a cluster count must lie in [2, {points}], the number of points, got {cfg.cluster_k}"
         )
+    out_dim = cfg.synth.dim if cfg.embed_dim is None else cfg.embed_dim
+    if not 1 <= out_dim <= cfg.synth.dim:
+        raise ValidationError(f"an embedding dimension must lie in [1, {cfg.synth.dim}], got {out_dim}")
+    r2 = cfg.train.loss.r2
+    if cfg.train.loss.r3 is None and ratio_count(out_dim, r2) < 1:
+        raise ValidationError(f"round({out_dim} * {r2}) selects no coordinates")
+    if cfg.recall_k < 1:
+        raise ValidationError(f"a recall k must be >= 1, got {cfg.recall_k}")
+    if cfg.report_dims is not None and cfg.report_dims < 1:
+        raise ValidationError(f"a report dimension must be >= 1, got {cfg.report_dims}")
     return cfg
 
 

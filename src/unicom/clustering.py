@@ -14,7 +14,7 @@ import numpy as np
 from .data import EmbeddingSet
 from .errors import DimensionMismatchError, ValidationError
 from .rng import stream_rng
-from .util import check_threads, label_sums, map_row_chunks, screen_error
+from .util import check_finite, check_threads, label_sums, map_row_chunks, screen_error
 
 INIT_METHODS = ("kmeanspp", "random-points")
 
@@ -76,11 +76,6 @@ _DISTANCE_SLACK = 8
 _QUIET = dict(over="ignore", invalid="ignore")
 
 
-def _require_finite(values: np.ndarray, what: str) -> None:
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{what} contain NaN or infinite values")
-
-
 def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     """Map each row to its nearest centroid (squared Euclidean distance).
 
@@ -100,8 +95,8 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
         raise DimensionMismatchError(
             f"centroids of shape {c.shape} do not match dimension {x.shape[1]}"
         )
-    _require_finite(x, "points")
-    _require_finite(c, "centroids")
+    check_finite(x, "point")
+    check_finite(c, "centroid")
     k, d = c.shape
     with np.errstate(**_QUIET):
         c_sq = np.einsum("kd,kd->k", c, c)
@@ -142,9 +137,11 @@ def objective(data, centroids: np.ndarray, assignments: np.ndarray) -> float:
     k = centroids.shape[0]
     if np.any(assignments < 0) or np.any(assignments >= k):
         raise ValidationError(f"assignments must lie in [0, {k})")
+    diff = centroids.take(assignments, axis=0)
     with np.errstate(over="ignore"):
-        diff = x - centroids[assignments]
-        return float(np.sum(diff * diff) / x.shape[0])
+        np.subtract(x, diff, out=diff)
+        np.multiply(diff, diff, out=diff)
+        return float(np.sum(diff) / x.shape[0])
 
 
 def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
@@ -218,22 +215,17 @@ def _respawn_empty(x, centroids, assignments, counts):
     empty = np.flatnonzero(counts == 0)
     if empty.size == 0:
         return
-    diff = x - centroids[assignments]
+    diff = centroids.take(assignments, axis=0)
+    np.subtract(x, diff, out=diff)
     dist2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(-dist2, kind="stable")
-    pos = 0
+    order = iter(np.argsort(-dist2, kind="stable"))
     for j in empty:
-        while pos < len(order):
-            p = order[pos]
-            pos += 1
-            if counts[assignments[p]] > 1:
-                counts[assignments[p]] -= 1
-                assignments[p] = j
-                counts[j] = 1
-                centroids[j] = x[p]
-                break
-        else:  # pragma: no cover - n >= k guarantees a donor exists
-            raise ValidationError("cannot respawn empty cluster")
+        # n >= k, so a cluster with a second member is always left.
+        p = next(p for p in order if counts[assignments[p]] > 1)
+        counts[assignments[p]] -= 1
+        assignments[p] = j
+        counts[j] = 1
+        centroids[j] = x[p]
 
 
 def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
@@ -248,13 +240,12 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
     check_threads(threads)
     x = _points(data)
     n = x.shape[0]
-    _require_finite(x, "points")
+    check_finite(x, "point")
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds the number of points {n}")
 
     centroids = _init_centroids(x, cfg)
     trace: list[float] = []
-    assignments = np.zeros(n, dtype=np.int64)
     for _ in range(cfg.max_iters):
         assignments = assign(x, centroids, threads=threads)
         counts = np.bincount(assignments, minlength=cfg.k)

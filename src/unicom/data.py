@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .rng import stream_rng
-from .util import BLOCK_ROWS, ratio_count, unit_rows
+from .util import BLOCK_ROWS, check_finite, ratio_count, unit_rows
 
 UCEB_MAGIC = b"UCEB"
 UCEB_VERSION = 1
@@ -51,11 +51,7 @@ def _checked_vectors(vectors) -> np.ndarray:
         raise ValidationError("empty embedding sets are not allowed")
     if d == 0:
         raise ValidationError("embedding dimension must be positive")
-    for a in range(0, n, BLOCK_ROWS):  # O(BLOCK_ROWS * d) scratch
-        block = vectors[a : a + BLOCK_ROWS]
-        if not np.isfinite(block).all():
-            bad = a + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
-            raise ValidationError(f"row {bad} holds a NaN or infinite value")
+    check_finite(vectors, "row")
     return vectors
 
 

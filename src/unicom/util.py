@@ -1,5 +1,6 @@
-"""Small shared helpers: ratio rounding, row normalization and its norm
-floor, per-label sums, the float32 screen's error bound, row blocks."""
+"""Small shared helpers: ratio rounding, the finiteness check, row
+normalization and its norm floor, per-label sums, the float32 screen's
+error bound, row blocks."""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -8,8 +9,9 @@ import numpy as np
 
 from .errors import DegenerateVectorError, ValidationError
 
-# Rows per block in map_row_chunks. Kernels hold O(BLOCK_ROWS * width)
-# scratch per block, whatever the row count or the thread count.
+# Rows per block in map_row_chunks and check_finite. Kernels hold
+# O(BLOCK_ROWS * width) scratch per block, whatever the row count or the
+# thread count.
 BLOCK_ROWS = 512
 
 # Entries per bincount in label_sums, unless one column of n rows or of k
@@ -26,6 +28,16 @@ NORM_EPS = 1e-12
 def ratio_count(total: int, ratio: float) -> int:
     """Number of items selected by a fractional ratio, round-to-nearest."""
     return int(round(total * ratio))
+
+
+def check_finite(x: np.ndarray, what: str) -> None:
+    """Raise ValidationError naming, as "`what` i", the first row i of the
+    2-D `x` that holds a NaN or infinite value. Reads BLOCK_ROWS rows at a time."""
+    for a in range(0, x.shape[0], BLOCK_ROWS):
+        block = x[a : a + BLOCK_ROWS]
+        if not np.isfinite(block).all():
+            bad = a + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
+            raise ValidationError(f"{what} {bad} holds a NaN or infinite value")
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:

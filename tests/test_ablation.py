@@ -98,6 +98,21 @@ class TestRunAblation:
         with pytest.raises(ValidationError):
             run_ablation("r1", [0.5, 1.0], tiny_config(cluster_k=33), seeds=3)
 
+    @pytest.mark.parametrize("param, values, overrides", [
+        ("k", [4, 1], {}),  # a prototype matrix needs two classes
+        ("r1", [0.5, 1.0], {"cluster_k": 1}),
+        ("r2", [1.0, 0.03], {}),  # round(12 * 0.03) = 0 coordinates
+        ("r2", [1.0, 0.1], {"embed_dim": 4}),  # round(4 * 0.1) = 0
+        ("r1", [0.5, 1.0], {"embed_dim": 13}),
+        ("r1", [0.5, 1.0], {"embed_dim": 0}),
+        ("r1", [0.5, 1.0], {"recall_k": 0}),
+        ("r1", [0.5, 1.0], {"report_dims": 0}),
+    ])
+    def test_grid_point_that_would_fail_in_a_run_rejected(self, param, values, overrides, monkeypatch):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        with pytest.raises(ValidationError):
+            run_ablation(param, values, tiny_config(**overrides), seeds=3)
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ValidationError):
             run_ablation("margin", [0.1, 0.2], tiny_config(), seeds=3)

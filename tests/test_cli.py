@@ -420,6 +420,17 @@ class TestAblateCommand:
         assert "usage error:" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
+    def test_grid_point_with_no_feature_coordinates_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        out = tmp_path / "a"
+        rc = main([
+            "ablate", "--param", "r2", "--values", "1,0.03", "--seeds", "3",
+            "--classes", "4", "--per-class", "8", "--dim", "16", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "round(16 * 0.03) selects no coordinates" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
 
 class TestDeterminismAndConfig:
     def test_pipeline_rerun_is_byte_identical(self, tmp_path):

@@ -4,6 +4,7 @@ compensated summation)."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -98,6 +99,26 @@ class TestAssign:
         with pytest.raises(ValidationError):
             assign(np.zeros((4, 2)), centroids)
 
+    def test_nan_centroid_is_named_by_its_row(self):
+        centroids = np.ones((3, 2))
+        centroids[2, 1] = np.nan
+        with pytest.raises(ValidationError, match=r"^centroid 2 holds a NaN or infinite value$"):
+            assign(np.zeros((4, 2)), centroids)
+
+    def test_finiteness_check_holds_no_whole_set_mask(self):
+        # Zeros from calloc: the 205 MB of points read as the zero page.
+        x = np.zeros((200_000, 128))
+        centroids = np.stack([np.zeros(128), np.ones(128)])
+        tracemalloc.start()
+        try:
+            labels = assign(x, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not labels.any()
+        # A bool mask of the whole set takes 25.6 MB.
+        assert peak < x.size // 2
+
 
 class TestObjective:
     def test_zero_when_points_sit_on_centroids(self):
@@ -124,6 +145,37 @@ class TestObjective:
     def test_out_of_range_assignment_rejected(self):
         with pytest.raises(ValidationError):
             objective(np.ones((2, 2)), np.ones((2, 2)), [0, 5])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150, 1e160])
+    def test_equals_the_two_temporary_formula(self, scale):
+        rng = np.random.default_rng(12)
+        for n, d, k in [(7, 3, 2), (600, 17, 30), (2000, 64, 260)]:
+            x = rng.standard_normal((n, d)) * scale
+            centroids = rng.standard_normal((k, d)) * scale
+            labels = rng.integers(0, k, size=n)
+            with np.errstate(over="ignore"):
+                diff = x - centroids[labels]
+                expected = float(np.sum(diff * diff) / n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert objective(x, centroids, labels) == expected
+                assert objective(np.asfortranarray(x), centroids, labels) == expected
+        assert (objective(x, centroids, labels) == math.inf) == (scale == 1e160)
+
+    def test_holds_one_buffer_of_the_points_size(self):
+        rng = np.random.default_rng(13)
+        n, d, k = 40_000, 64, 2_000
+        x = rng.standard_normal((n, d))
+        centroids = rng.standard_normal((k, d))
+        labels = rng.integers(0, k, size=n)
+        tracemalloc.start()
+        try:
+            objective(x, centroids, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The difference and its square as two temporaries take 2 n d 8 bytes.
+        assert peak < 1.25 * n * d * 8
 
 
 class TestKMeansFit:
@@ -230,6 +282,17 @@ class TestKMeansFit:
         x[4, 1] = np.nan
         with pytest.raises(ValidationError):
             kmeans_fit(x, KMeansConfig(k=2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 512, 1024])
+    def test_non_finite_point_is_named_by_its_row(self, row, value):
+        x = np.random.default_rng(16).standard_normal((1025, 3))
+        x[row, 2] = value
+        message = rf"^point {row} holds a NaN or infinite value$"
+        with pytest.raises(ValidationError, match=message):
+            kmeans_fit(x, KMeansConfig(k=2))
+        with pytest.raises(ValidationError, match=message):
+            assign(x, np.ones((2, 3)))
 
     def test_overflowing_distances_rejected(self):
         # Finite points whose squared distances overflow float64 leave
