@@ -61,6 +61,8 @@ class AblationRow:
 def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfig:
     """The configuration of one grid point, checked as far as it can be
     before any data exists."""
+    if (param == "k" and cfg.cluster_k is not None) or (param == "r3" and cfg.train.loss.r3 is not None):
+        raise ValidationError(f"the {param} grid replaces the base configuration's {param}")
     if param in ("r1", "r2", "r3"):
         if param != "r3" and cfg.train.loss.r3 is not None:
             raise ValidationError(f"an {param} grid does nothing under feature dropout (r3)")
@@ -77,6 +79,8 @@ def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfi
         raise ValidationError(
             f"a cluster count must lie in [2, {points}], the number of points, got {cfg.cluster_k}"
         )
+    if cfg.cluster_k is not None and cfg.synth.conflict_ratio > 0:
+        raise ValidationError("a conflict ratio does nothing when k-means sets the labels")
     out_dim = cfg.synth.dim if cfg.embed_dim is None else cfg.embed_dim
     if not 1 <= out_dim <= cfg.synth.dim:
         raise ValidationError(f"an embedding dimension must lie in [1, {cfg.synth.dim}], got {out_dim}")
@@ -85,8 +89,8 @@ def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfi
         raise ValidationError(f"round({out_dim} * {r2}) selects no coordinates")
     if cfg.recall_k < 1:
         raise ValidationError(f"a recall k must be >= 1, got {cfg.recall_k}")
-    if cfg.report_dims is not None and cfg.report_dims < 1:
-        raise ValidationError(f"a report dimension must be >= 1, got {cfg.report_dims}")
+    if cfg.report_dims is not None and not 1 <= cfg.report_dims < out_dim:
+        raise ValidationError(f"a report dimension must lie in [1, {out_dim - 1}], got {cfg.report_dims}")
     return cfg
 
 
@@ -123,7 +127,7 @@ def run_single(cfg: AblationConfig, seed: int) -> dict[int, float]:
     evaluated = evaluated.with_vectors(embedded)
 
     out = {evaluated.dim: recall_at_k(evaluated, cfg.recall_k)}
-    if cfg.report_dims is not None and cfg.report_dims < evaluated.dim:
+    if cfg.report_dims is not None:
         truncated = truncate_dims(evaluated, cfg.report_dims)
         out[cfg.report_dims] = recall_at_k(truncated, cfg.recall_k)
     return out

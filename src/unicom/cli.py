@@ -37,6 +37,16 @@ _SKIP_MANIFEST_KEYS = {"func", "config", "out"}
 # Flags that name input files.
 _PATH_KEYS = ("input", "centroids", "labels", "queries", "gallery")
 
+# Flags a run ignores, refused before it starts: (commands, condition, flags, message).
+_IDLE_FLAGS = (
+    (("eval",), lambda a: a.metric == "recall", ("queries", "gallery"), "the recall metric does not read --{}"),
+    (("eval",), lambda a: a.metric == "map100", ("input", "labels", "k"), "the map100 metric does not read --{}"),
+    (("train", "ablate"), lambda a: a.dropout_r3 is not None or getattr(a, "param", None) == "r3",
+     ("r1", "r2"), "--{} does nothing under feature dropout (r3)"),
+    (("ablate",), lambda a: a.param == "r1", ("r1",), "--{} does nothing under an r1 grid"),
+    (("ablate",), lambda a: a.param == "r2", ("r2",), "--{} does nothing under an r2 grid"),
+)
+
 
 def _write_manifest(args, out_dir: Path, inputs: list[str], outputs: list[str]) -> None:
     def stored(path):
@@ -149,9 +159,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     out = Path(args.out)
-    for name in ("queries", "gallery") if args.metric == "recall" else ("input", "labels"):
-        if getattr(args, name) is not None:
-            raise ValidationError(f"the {args.metric} metric does not read --{name}")
     if args.metric == "recall":
         if not args.input:
             raise ValidationError("--input is required for the recall metric")
@@ -203,7 +210,7 @@ def cmd_ablate(args) -> int:
     )
     out = Path(args.out)
     _write_manifest(args, out, [], ["ablation.tsv", "ablation.json"])
-    rows = run_ablation(args.param, values, base, args.seeds)
+    rows = run_ablation(args.param, values, base, range(args.seed, args.seed + args.seeds))
     (out / "ablation.tsv").write_text(ablation_to_tsv(rows))
     (out / "ablation.json").write_text(ablation_to_json(rows) + "\n")
     print(ablation_to_tsv(rows), end="")
@@ -228,8 +235,9 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(parser, out_required=True):
-    parser.add_argument("--seed", type=int, default=0, help="master seed for all named random streams")
+def _add_common(parser, out_required=True, seed=True):
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="master seed for all named random streams")
     parser.add_argument("--config", default=None, help="JSON file (or manifest.json) supplying flag defaults")
     parser.add_argument("--out", required=out_required, help="output directory")
 
@@ -298,13 +306,13 @@ def build_parser():
     p.add_argument("--queries", default=None, help="query UCEB file (map100)")
     p.add_argument("--gallery", default=None, help="gallery UCEB file (map100)")
     _add_threads(p)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("ablate", help="grid experiment over r1, r2, r3, or the cluster count")
     p.add_argument("--param", choices=ABLATION_PARAMS, required=True)
     p.add_argument("--values", required=True, help="comma-separated grid values")
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds per grid point")
+    p.add_argument("--seeds", type=int, default=5, help="number of seeds per grid point, from --seed on")
     p.add_argument("--recall-k", type=int, default=AblationConfig.recall_k)
     p.add_argument("--report-dims", type=int, default=None, help="also score recall after truncating to this many dims")
     p.add_argument("--cluster-k", type=int, default=None, help="derive pseudo labels with k-means at this k")
@@ -343,6 +351,9 @@ def main(argv=None) -> int:
     given = vars(parser.parse_args(argv))  # exits: 0 after help, 2 on a usage error
     command, path = given["command"], given.get("config")
     sub, values = commands[command], defaults[command]
+    # A flag is set when typed, or when the config gives a value to a flag whose
+    # default is null: a replayed manifest's stored ratios are not set.
+    set_flags = set(given)
     if path:
         try:
             payload = json.loads(Path(path).read_text())
@@ -371,6 +382,8 @@ def main(argv=None) -> int:
                         value = sub._get_value(action, value)
                     except argparse.ArgumentError as exc:
                         sub.error(str(exc))
+                if values.get(action.dest) is None:
+                    set_flags.add(action.dest)
                 values[action.dest] = value
     values.update(given)
     missing = ["/".join(action.option_strings) for action in required[command] if values[action.dest] is None]
@@ -379,12 +392,10 @@ def main(argv=None) -> int:
 
     args = argparse.Namespace(**values)
     try:
-        # Feature dropout scores every class and coordinate, so a class or
-        # feature ratio given with it would do nothing.
-        if getattr(args, "dropout_r3", None) is not None or getattr(args, "param", None) == "r3":
-            for dest in ("r1", "r2"):
-                if dest in given:
-                    raise ValidationError(f"--{dest} does nothing under feature dropout (r3)")
+        idle = [message.format(flag) for names, applies, flags, message in _IDLE_FLAGS
+                if command in names and applies(args) for flag in flags if flag in set_flags]
+        if idle:
+            raise ValidationError(idle[0])
         return args.func(args)
     except ValidationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -121,7 +121,7 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
         return np.minimum.reduceat(np.where(d2 == best[r], j, k), starts)
 
     parts = map_row_chunks(chunk, x.shape[0], threads)
-    return np.concatenate(parts).astype(np.int64)
+    return np.concatenate(parts).astype(np.int64, copy=False)
 
 
 def objective(data, centroids: np.ndarray, assignments: np.ndarray) -> float:

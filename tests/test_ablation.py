@@ -113,6 +113,28 @@ class TestRunAblation:
         with pytest.raises(ValidationError):
             run_ablation(param, values, tiny_config(**overrides), seeds=3)
 
+    @pytest.mark.parametrize("param, values, overrides, r3, conflict, message", [
+        ("k", [4, 6], {"cluster_k": 5}, None, 0.0, "the k grid replaces"),
+        ("r3", [0.1, 0.3], {}, 0.3, 0.0, "the r3 grid replaces"),
+        ("k", [4, 6], {}, None, 0.5, "a conflict ratio does nothing"),
+        ("r1", [0.5, 1.0], {"cluster_k": 4}, None, 0.5, "a conflict ratio does nothing"),
+        ("r1", [0.5, 1.0], {"report_dims": 12}, None, 0.0, r"must lie in \[1, 11\], got 12"),
+        ("r2", [0.5, 1.0], {"report_dims": 40}, None, 0.0, r"must lie in \[1, 11\], got 40"),
+        ("r1", [0.5, 1.0], {"embed_dim": 8, "report_dims": 8}, None, 0.0, r"must lie in \[1, 7\], got 8"),
+    ])
+    def test_setting_a_run_would_ignore_rejected(self, param, values, overrides, r3, conflict, message, monkeypatch):
+        # Each setting would leave every row as it is without it.
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        base = tiny_config(**overrides)
+        base.train.loss.r3 = r3
+        base.synth.conflict_ratio = conflict
+        with pytest.raises(ValidationError, match=message):
+            run_ablation(param, values, base, seeds=3)
+
+    def test_report_dims_one_below_the_trained_dimension_is_scored(self):
+        rows = run_ablation("r1", [0.5, 1.0], tiny_config(embed_dim=8, report_dims=7), seeds=3)
+        assert [(r.value, r.dims_used) for r in rows] == [(0.5, 8), (0.5, 7), (1.0, 8), (1.0, 7)]
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ValidationError):
             run_ablation("margin", [0.1, 0.2], tiny_config(), seeds=3)

@@ -12,6 +12,7 @@ from unicom import (
     EmbeddingSet,
     KMeansConfig,
     LossConfig,
+    SyntheticSpec,
     TrainConfig,
     ablation,
     cli,
@@ -723,6 +724,107 @@ class TestFlagsThatDoNothing:
         assert main(argv + flags + ["--out", str(out)]) == 2
         assert f"{flags[0]} does nothing under feature dropout" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Every flag setting that would change no output, with the message that
+# refuses it. {data}, {truth} and {config} name input files; `manifest` marks
+# the ablation grid checks, which run once manifest.json is written.
+IDLE_SETTINGS = [
+    (["eval", "--input", "{data}", "--labels", "{truth}", "--queries", "{truth}"],
+     "the recall metric does not read --queries", False),
+    (["eval", "--input", "{data}", "--labels", "{truth}", "--gallery", "{data}"],
+     "the recall metric does not read --gallery", False),
+    (["eval", "--input", "{data}", "--config", "{config}"], "the recall metric does not read --queries", False),
+    (["eval", "--metric", "map100", "--queries", "{truth}", "--gallery", "{data}", "--input", "{data}"],
+     "the map100 metric does not read --input", False),
+    (["eval", "--metric", "map100", "--queries", "{truth}", "--gallery", "{data}", "--labels", "{truth}"],
+     "the map100 metric does not read --labels", False),
+    (["eval", "--metric", "map100", "--queries", "{truth}", "--gallery", "{data}", "--k", "7"],
+     "the map100 metric does not read --k", False),
+    (["train", "--input", "{data}", "--dropout-r3", "0.3", "--r1", "0.2"],
+     "--r1 does nothing under feature dropout", False),
+    (["train", "--input", "{data}", "--dropout-r3", "0.3", "--r2", "0.5"],
+     "--r2 does nothing under feature dropout", False),
+    (["ablate", "--param", "r3", "--values", "0.1,0.3", "--r1", "0.2"],
+     "--r1 does nothing under feature dropout", False),
+    (["ablate", "--param", "k", "--values", "4,6", "--dropout-r3", "0.3", "--r2", "0.5"],
+     "--r2 does nothing under feature dropout", False),
+    (["ablate", "--param", "r1", "--values", "0.5,1.0", "--r1", "0.2"], "--r1 does nothing under an r1 grid", False),
+    (["ablate", "--param", "r2", "--values", "0.5,1.0", "--r2", "0.9"], "--r2 does nothing under an r2 grid", False),
+    (["ablate", "--param", "r1", "--values", "0.5,1.0", "--dropout-r3", "0.3"],
+     "an r1 grid does nothing under feature dropout", True),
+    (["ablate", "--param", "k", "--values", "4,6", "--cluster-k", "5"], "the k grid replaces", True),
+    (["ablate", "--param", "r3", "--values", "0.1,0.3", "--dropout-r3", "0.3"], "the r3 grid replaces", True),
+    (["ablate", "--param", "k", "--values", "4,6", "--conflict", "0.5"], "a conflict ratio does nothing", True),
+    (["ablate", "--param", "r1", "--values", "0.5,1.0", "--cluster-k", "5", "--conflict", "0.5"],
+     "a conflict ratio does nothing", True),
+    (["ablate", "--param", "r1", "--values", "0.5,1.0", "--report-dims", "12"],
+     "a report dimension must lie in [1, 11], got 12", True),
+    (["ablate", "--param", "r2", "--values", "0.5,1.0", "--embed-dim", "8", "--report-dims", "8"],
+     "a report dimension must lie in [1, 7], got 8", True),
+]
+
+
+class TestEveryIdleFlag:
+    @pytest.mark.parametrize("argv, message, manifest", IDLE_SETTINGS)
+    def test_idle_setting_is_usage_error(self, runs, tmp_path, capsys, monkeypatch, argv, message, manifest):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"queries": str(runs / "synth" / "truth.uceb")}))
+        files = {"data": runs / "synth" / "data.uceb", "truth": runs / "synth" / "truth.uceb", "config": config}
+        argv = [part.format(**files) for part in argv]
+        if argv[0] == "ablate":
+            argv += ["--seeds", "3", *TINY_ABLATION]
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        if manifest:
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        else:
+            assert not out.exists()
+
+    def test_eval_has_no_seed(self, runs, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--input", str(runs / "synth" / "data.uceb"), "--seed", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["eval", "eval-map100"])
+    def test_eval_manifest_holding_a_seed_replays_to_the_same_bytes(self, runs, tmp_path, name):
+        # Manifests written while eval took --seed store it; it is ignored.
+        manifest = json.loads((runs / name / "manifest.json").read_text())
+        assert "seed" not in manifest["config"]
+        manifest["seed"] = manifest["config"]["seed"] = 5
+        config = tmp_path / "manifest.json"
+        config.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 0
+        assert read_tree(out) == read_tree(runs / name)
+
+
+class TestAblationSeeds:
+    # At noise 0.5 every seed gives its own recall.
+    ARGV = ["ablate", "--param", "r2", "--values", "0.5,1.0", "--seeds", "3", "--noise", "0.5", *TINY_ABLATION]
+    BASE = ablation.AblationConfig(
+        synth=SyntheticSpec(true_classes=4, per_class=8, dim=12, intra_noise=0.5),
+        train=TrainConfig(epochs=2, batch_size=8, loss=LossConfig(scale=16.0)),
+    )
+
+    def test_seed_zero_is_the_default_and_runs_seeds_zero_to_two(self, tmp_path):
+        assert main(self.ARGV + ["--out", str(tmp_path / "default")]) == 0
+        assert main(self.ARGV + ["--seed", "0", "--out", str(tmp_path / "seed0")]) == 0
+        assert read_tree(tmp_path / "seed0") == read_tree(tmp_path / "default")
+        rows = ablation.run_ablation("r2", [0.5, 1.0], self.BASE, seeds=3)
+        assert (tmp_path / "seed0" / "ablation.tsv").read_text() == ablation.ablation_to_tsv(rows)
+
+    def test_seeds_run_from_the_seed_flag(self, tmp_path):
+        out = tmp_path / "seed1"
+        assert main(self.ARGV + ["--seed", "1", "--out", str(out)]) == 0
+        rows = ablation.run_ablation("r2", [0.5, 1.0], self.BASE, seeds=[1, 2, 3])
+        stored = json.loads((out / "ablation.json").read_text())
+        assert [row["per_seed"] for row in stored] == [row.per_seed for row in rows]
 
 
 class TestOneParse:

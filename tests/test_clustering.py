@@ -119,6 +119,20 @@ class TestAssign:
         # A bool mask of the whole set takes 25.6 MB.
         assert peak < x.size // 2
 
+    def test_labels_are_not_copied_after_their_concatenation(self):
+        x = np.zeros((200_000, 32))
+        centroids = np.stack([np.zeros(32), np.ones(32)])
+        tracemalloc.start()
+        try:
+            labels = assign(x, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.dtype == np.int64 and not labels.any()
+        # The per-block labels and their concatenation take n * 8 bytes
+        # each; a third whole copy of the labels breaks the bound.
+        assert peak < 2.5 * x.shape[0] * 8
+
 
 class TestObjective:
     def test_zero_when_points_sit_on_centroids(self):
