@@ -2,10 +2,10 @@
 
 Pipeline pieces: embedding storage and synthesis (`data`), k-means pseudo
 labeling (`clustering`), a margin softmax with random class and feature
-selection (`losses`), joint encoder/prototype training with one AdamW and
-one SGD-momentum step (`training`), retrieval metrics on full and
-truncated embeddings (`evaluation`), grid experiments (`ablation`),
-gradient verification (`gradcheck`), and a CLI front door (`cli`).
+selection (`losses`), joint encoder/prototype training with one AdamW
+step (`training`), retrieval metrics on full and truncated embeddings
+(`evaluation`), grid experiments (`ablation`), gradient verification
+(`gradcheck`), and a CLI front door (`cli`).
 """
 
 __version__ = "0.1.0"

@@ -25,13 +25,7 @@ from .errors import UcebFormatError, UnicomError, ValidationError
 from .evaluation import RetrievalReport, map_at_100, retrieval_report, truncate_dims
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, check_selection_gradients
 from .losses import LossConfig
-from .training import (
-    OPTIMIZERS,
-    TrainConfig,
-    load_prototypes,
-    save_checkpoint,
-    train,
-)
+from .training import TrainConfig, load_prototypes, save_checkpoint, train
 
 _SKIP_MANIFEST_KEYS = {"func", "config", "out"}
 # Flags that name input files.
@@ -45,6 +39,8 @@ _IDLE_FLAGS = (
      ("r1", "r2"), "--{} does nothing under feature dropout (r3)"),
     (("ablate",), lambda a: a.param == "r1", ("r1",), "--{} does nothing under an r1 grid"),
     (("ablate",), lambda a: a.param == "r2", ("r2",), "--{} does nothing under an r2 grid"),
+    (("train", "ablate"), lambda a: a.lr == 0, ("wd",), "--{} does nothing at --lr 0"),
+    (("cluster",), lambda a: a.max_iters == 1, ("tol",), "--{} does nothing at --max-iters 1"),
 )
 
 
@@ -79,7 +75,6 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
-        optimizer=args.optimizer,
         lr=args.lr,
         weight_decay=args.wd,
         loss=_loss_config(args),
@@ -249,7 +244,6 @@ def _add_threads(parser):
 def _add_train_flags(parser):
     parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    parser.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
     parser.add_argument("--lr", type=float, default=TrainConfig.lr)
     parser.add_argument("--wd", type=float, default=TrainConfig.weight_decay, help="weight decay")
     parser.add_argument("--margin", type=float, default=LossConfig.margin)
@@ -369,6 +363,12 @@ def main(argv=None) -> int:
                 return 2
             payload = payload["config"]
         if isinstance(payload, dict):
+            # Training once offered a second optimizer; a config that chose it
+            # must not replay under AdamW.
+            if payload.get("optimizer") not in (None, "adamw"):
+                print(f"usage error: {path} trains with the removed optimizer "
+                      f"{payload['optimizer']!r}; only adamw remains", file=sys.stderr)
+                return 2
             # A stored value stands in for a flag, required or not, a str as
             # argparse reads a str default; a stored null is no value.
             for action in sub._actions:

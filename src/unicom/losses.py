@@ -291,7 +291,8 @@ def feature_dropout_mask(shape, r3: float, seed: int, step: int) -> np.ndarray:
     probability r3; the loss scales the survivors by 1/(1 - r3), so the
     dropped embedding equals the original in expectation. A row that
     loses every coordinate (only plausible at very small dims) is
-    redrawn, since a fully-zeroed sample has no usable direction.
+    redrawn, since a fully-zeroed sample has no usable direction; one
+    still dead after 100 redraws is a ValidationError.
     """
     if not 0.0 <= r3 < 1.0:
         raise ValidationError("r3 must lie in [0, 1)")
@@ -302,4 +303,9 @@ def feature_dropout_mask(shape, r3: float, seed: int, step: int) -> np.ndarray:
         if not dead.any():
             break
         keep[dead] = rng.random((int(dead.sum()), shape[1])) >= r3
+    if not keep.any(axis=1).all():
+        raise ValidationError(
+            f"feature dropout r3={r3} drops every coordinate of a {shape[1]}-wide row "
+            "even after 100 redraws; lower r3"
+        )
     return keep

@@ -7,9 +7,9 @@ optimized sparsely: only the classes selected by the step's plan, and
 within them only the coordinates enabled by the step's feature mask, are
 touched. Prototypes and their optimizer state are stored as (k, d) class
 rows, so a step gathers the selected rows once and writes them back once.
-Per-class optimizer state keeps sparse Adam moments consistent, and
-untouched classes (and untouched coordinates of touched classes) stay
-bit-identical across a step.
+The one optimizer is AdamW; per-class step counts keep the sparse
+prototype moments consistent, and untouched classes (and untouched
+coordinates of touched classes) stay bit-identical across a step.
 """
 
 import json
@@ -32,12 +32,9 @@ from .losses import (
 from .rng import stream_rng
 from .util import BLOCK_ROWS, label_sums, unit_rows_backward, unit_rows_inplace
 
-OPTIMIZERS = ("adamw", "sgd-momentum")
-
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-_SGD_MOMENTUM = 0.9
 
 # Entries per block of the sparse prototype step: 64 KB a float64 block,
 # so its AdamW passes stay in a core's cache. At |S| = 2,000 and d = 128,
@@ -130,7 +127,6 @@ def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
-    optimizer: str = "adamw"
     lr: float = 1e-3
     weight_decay: float = 0.05
     loss: LossConfig = field(default_factory=LossConfig)
@@ -141,8 +137,6 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValidationError(f"optimizer must be one of {OPTIMIZERS}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValidationError("lr must be finite and >= 0")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
@@ -160,9 +154,9 @@ class TrainResult:
 class Trainer:
     """Single-writer training loop with sparse prototype updates.
 
-    Each parameter block keeps its optimizer moments in a list, [m, v] for
-    AdamW and [vel] for SGD-momentum, shaped like the block. Step counts
-    are kept apart: one for the encoder and one per prototype class.
+    Each parameter block keeps its AdamW moments in a list, [m, v], shaped
+    like the block. Step counts are kept apart: one for the encoder and
+    one per prototype class.
     """
 
     def __init__(self, encoder: LinearEncoder, prototypes: PrototypeMatrix, cfg: TrainConfig):
@@ -174,9 +168,8 @@ class Trainer:
         self.prototypes = prototypes
         self.cfg = cfg
         self.step_count = 0
-        moments = 2 if cfg.optimizer == "adamw" else 1
-        self._enc_moments = [np.zeros_like(encoder.weights) for _ in range(moments)]
-        self._proto_moments = [np.zeros_like(prototypes.rows) for _ in range(moments)]
+        self._enc_moments = [np.zeros_like(encoder.weights) for _ in range(2)]
+        self._proto_moments = [np.zeros_like(prototypes.rows) for _ in range(2)]
         self._proto_flat = [a.reshape(-1) for a in self._proto_moments]
         self._enc_steps = 0
         self._proto_steps = np.zeros(prototypes.classes, dtype=np.int64)
@@ -189,26 +182,18 @@ class Trainer:
         return out, grad_w
 
     def _delta(self, moments, g, t, w, wd):
-        """The optimizer step for parameters `w` with gradient `g`, to be
-        subtracted from them; `moments` are updated in place, and `t` is a
-        step count, scalar or broadcast against the block.
+        """The AdamW step for parameters `w` with gradient `g`, to be
+        subtracted from them; the moments [m, v] are updated in place, and
+        `t` is a step count, scalar or broadcast against the block.
 
         AdamW (Loshchilov and Hutter, 2019): lr * (mh / (sqrt(vh) + eps) +
         wd * w), with mh = m / (1 - b1**t), vh = v / (1 - b2**t),
         m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g.
-        SGD-momentum: lr * vel, with vel = (mu * vel + g) + wd * w.
 
-        Each product and sum keeps the operands and grouping of these
-        formulas, so every bit is as in them; regrouping one, say
+        Each product and sum keeps the operands and grouping of this
+        formula, so every bit is as in it; regrouping one, say
         (1 - b2) * (g * g), changes the results.
         """
-        if self.cfg.optimizer == "sgd-momentum":
-            (vel,) = moments
-            vel *= _SGD_MOMENTUM
-            vel += g
-            if wd:
-                vel += wd * w
-            return self.cfg.lr * vel
         # One scratch block holds (1 - b1) * g, then ((1 - b2) * g) * g,
         # then mh, then wd * w; the step itself is the only other block.
         m, v = moments

@@ -105,36 +105,35 @@ def test_criterion_3_sparse_update_bit_identity():
     rng = np.random.default_rng(3)
     violations = 0
     checked = 0
-    for optimizer in ("adamw", "sgd-momentum"):
-        for trial in range(5):
-            d, k, b = 12, 16, 5
-            prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
-            cfg = TrainConfig(
-                optimizer=optimizer, lr=0.01, seed=trial,
-                loss=LossConfig(margin=0.3, scale=16.0, r1=0.4, r2=0.5, seed=trial),
-            )
-            trainer = Trainer(LinearEncoder.identity(d), prototypes, cfg)
-            for step in range(3):
-                x = unit_rows(rng.standard_normal((b, d)))
-                labels = rng.integers(0, k, size=b)
-                plan = make_selection_plan(labels, k, d, cfg.loss, trainer.step_count)
-                before = trainer.prototypes.rows.copy()
-                trainer.step(x, labels, plan)
-                after = trainer.prototypes.rows
-                outside = np.setdiff1d(np.arange(k), plan.class_subset)
-                off = ~plan.feature_mask
-                checked += 1
-                if after[outside].tobytes() != before[outside].tobytes():
-                    violations += 1
-                if (
-                    after[np.ix_(plan.class_subset, off)].tobytes()
-                    != before[np.ix_(plan.class_subset, off)].tobytes()
-                ):
-                    violations += 1
+    for trial in range(5):
+        d, k, b = 12, 16, 5
+        prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
+        cfg = TrainConfig(
+            lr=0.01, seed=trial,
+            loss=LossConfig(margin=0.3, scale=16.0, r1=0.4, r2=0.5, seed=trial),
+        )
+        trainer = Trainer(LinearEncoder.identity(d), prototypes, cfg)
+        for step in range(3):
+            x = unit_rows(rng.standard_normal((b, d)))
+            labels = rng.integers(0, k, size=b)
+            plan = make_selection_plan(labels, k, d, cfg.loss, trainer.step_count)
+            before = trainer.prototypes.rows.copy()
+            trainer.step(x, labels, plan)
+            after = trainer.prototypes.rows
+            outside = np.setdiff1d(np.arange(k), plan.class_subset)
+            off = ~plan.feature_mask
+            checked += 1
+            if after[outside].tobytes() != before[outside].tobytes():
+                violations += 1
+            if (
+                after[np.ix_(plan.class_subset, off)].tobytes()
+                != before[np.ix_(plan.class_subset, off)].tobytes()
+            ):
+                violations += 1
     report(
         3, "sparse-update contract",
         violations == 0,
-        f"{checked} steps over both optimizers, {violations} bit-level violations "
+        f"{checked} steps, {violations} bit-level violations "
         "(unselected rows and off-mask coordinates, zero tolerance)",
     )
 

@@ -176,6 +176,25 @@ class TestTrainCommand:
         assert "usage error:" in capsys.readouterr().err
         assert not (tmp_path / "t" / "prototypes.uceb").exists()
 
+    def test_optimizer_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--input", str(tmp_path / "d.uceb"), "--optimizer", "adamw", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --optimizer adamw" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dropout_that_kills_a_one_wide_row_is_usage_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        assert main(["synth", "--classes", "4", "--per-class", "4", "--dim", "1", "--out", str(data_dir)]) == 0
+        rc = main([
+            "train", "--input", str(data_dir / "data.uceb"), "--dropout-r3", "0.99",
+            "--out", str(tmp_path / "t"),
+        ])
+        assert rc == 2
+        assert "usage error: feature dropout r3=0.99" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "encoder.uceb").exists()
+
     def test_non_finite_loss_exits_one(self, tmp_path, monkeypatch, capsys):
         data_dir = tmp_path / "d"
         main(synth_args(data_dir))
@@ -620,6 +639,45 @@ class TestManifestReplay:
         skip = ("manifest.json",)
         assert read_tree(elsewhere / "replay", skip) == read_tree(tmp_path / "runs" / name, skip)
 
+    @staticmethod
+    def optimizer_manifest(data, optimizer):
+        """A train manifest as written when training offered two
+        optimizers, storing `optimizer` unless it is None."""
+        manifest = {
+            "command": "train",
+            "config": {
+                "batch_size": 32, "centroids": None, "command": "train", "dropout_r3": None,
+                "epochs": 1, "input": data, "lr": 0.001, "margin": 0.3, "optimizer": optimizer,
+                "r1": 0.5, "r2": 1.0, "scale": 64.0, "seed": 0, "wd": 0.05,
+            },
+            "seed": 0,
+            "inputs": [data],
+            "outputs": ["encoder.uceb", "prototypes.uceb", "train_config.json", "loss_curve.txt", "embeddings.uceb"],
+            "version": "0.1.0",
+        }
+        if optimizer is None:
+            del manifest["config"]["optimizer"]
+        return manifest
+
+    @pytest.mark.parametrize("optimizer", ["adamw", None])
+    def test_manifest_storing_adamw_or_no_optimizer_replays_to_the_same_bytes(self, runs, tmp_path, optimizer):
+        config = tmp_path / "manifest.json"
+        config.write_text(json.dumps(self.optimizer_manifest(str(runs / "synth" / "data.uceb"), optimizer)))
+        out = tmp_path / "replay"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert read_tree(out) == read_tree(runs / "train-label-means")
+
+    @pytest.mark.parametrize("bare", [False, True])
+    def test_config_storing_a_removed_optimizer_is_usage_error(self, runs, tmp_path, capsys, bare):
+        # Replaying it under AdamW would quietly train something else.
+        manifest = self.optimizer_manifest(str(runs / "synth" / "data.uceb"), "sgd-momentum")
+        config = tmp_path / "manifest.json"
+        config.write_text(json.dumps(manifest["config"] if bare else manifest))
+        out = tmp_path / "replay"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert "removed optimizer 'sgd-momentum'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifests_store_the_config_field_defaults(self, runs, tmp_path):
         # Runs with only the required flags; a flag stores its field's
         # default under the flag's name.
@@ -762,6 +820,10 @@ IDLE_SETTINGS = [
      "a report dimension must lie in [1, 11], got 12", True),
     (["ablate", "--param", "r2", "--values", "0.5,1.0", "--embed-dim", "8", "--report-dims", "8"],
      "a report dimension must lie in [1, 7], got 8", True),
+    (["train", "--input", "{data}", "--lr", "0", "--wd", "0.5"], "--wd does nothing at --lr 0", False),
+    (["ablate", "--param", "r1", "--values", "0.5,1.0", "--lr", "0", "--wd", "0"], "--wd does nothing at --lr 0", False),
+    (["cluster", "--input", "{data}", "--k", "4", "--max-iters", "1", "--tol", "0.5"],
+     "--tol does nothing at --max-iters 1", False),
 ]
 
 
@@ -782,6 +844,19 @@ class TestEveryIdleFlag:
             assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--input", "{data}", "--lr", "0"],
+        ["cluster", "--input", "{data}", "--k", "4", "--max-iters", "1"],
+    ])
+    def test_run_without_the_idle_flag_is_accepted_and_replays(self, runs, tmp_path, argv):
+        # --lr 0 is the untrained baseline; the replayed manifest stores
+        # --wd or --tol, which is not a flag given.
+        argv = [part.format(data=runs / "synth" / "data.uceb") for part in argv]
+        out, replay = tmp_path / "o", tmp_path / "replay"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main([argv[0], "--config", str(out / "manifest.json"), "--out", str(replay)]) == 0
+        assert read_tree(replay, skip=("manifest.json",)) == read_tree(out, skip=("manifest.json",))
 
     def test_eval_has_no_seed(self, runs, tmp_path, capsys):
         out = tmp_path / "o"

@@ -354,6 +354,13 @@ class TestDropout:
             with pytest.raises(ValidationError, match="r3"):
                 LossConfig(r3=r3)
 
+    def test_row_dead_after_every_redraw_is_a_validation_error(self):
+        # At d = 1 and r3 = 0.99 a redraw revives a row with chance 0.01,
+        # so some of eight rows are still dead after all 100 redraws.
+        with pytest.raises(ValidationError, match=r"r3=0.99 .* 1-wide row"):
+            feature_dropout_mask((8, 1), 0.99, seed=0, step=0)
+        assert feature_dropout_mask((8, 1), 0.5, seed=0, step=0).all()
+
     def test_plan_draws_the_mask_and_selects_everything_else(self):
         cfg = LossConfig(r1=0.2, r2=0.5, r3=0.9, seed=4)
         labels = np.array([0, 2, 2])

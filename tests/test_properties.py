@@ -57,7 +57,7 @@ from unicom import util
 from unicom.evaluation import _ranking, _top_k
 from unicom.losses import LossOutput
 from unicom.rng import stream_rng
-from unicom.training import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, _SGD_MOMENTUM
+from unicom.training import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
 from unicom.util import BLOCK_ROWS, LABEL_SUM_ENTRIES, label_sums, ratio_count, unit_rows
 
 ROW_COUNTS = st.sampled_from([1, 2, 9, 40, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
@@ -380,27 +380,23 @@ def test_ranking_is_exact_whatever_the_blocks_and_threads(s, ks):
                     assert map_at_100(queries, gallery, threads=threads) == want_map
 
 
-def column_major_update(cols, st_, lr, optimizer, grad_sub, subset, mask):
+def column_major_update(cols, st_, lr, grad_sub, subset, mask):
     """The sparse prototype update on (d, k) columns and (d, k) optimizer
     state, as it was before prototypes were stored class-major, with the
     AdamW step grouped as lr * (mh / den), like the encoder's, with
-    per-class step counts kept for both optimizers, and with the masked
+    per-class step counts, and with the masked
     sub-vector rescaled by norms summed over C-ordered (|S|, |mask|) rows."""
     mask_idx = np.flatnonzero(mask)
     ix = np.ix_(mask_idx, subset)
     sub = cols[ix]
     g = grad_sub[:, mask_idx].T  # (|mask|, |S|)
     st_["t"][subset] += 1
-    if optimizer == "adamw":
-        t = st_["t"][subset]
-        st_["m"][ix] = _ADAM_BETA1 * st_["m"][ix] + (1 - _ADAM_BETA1) * g
-        st_["v"][ix] = _ADAM_BETA2 * st_["v"][ix] + (1 - _ADAM_BETA2) * g * g
-        mh = st_["m"][ix] / (1 - _ADAM_BETA1**t)[None, :]
-        vh = st_["v"][ix] / (1 - _ADAM_BETA2**t)[None, :]
-        sub = sub - lr * (mh / (np.sqrt(vh) + _ADAM_EPS))
-    else:
-        st_["vel"][ix] = _SGD_MOMENTUM * st_["vel"][ix] + g
-        sub = sub - lr * st_["vel"][ix]
+    t = st_["t"][subset]
+    st_["m"][ix] = _ADAM_BETA1 * st_["m"][ix] + (1 - _ADAM_BETA1) * g
+    st_["v"][ix] = _ADAM_BETA2 * st_["v"][ix] + (1 - _ADAM_BETA2) * g * g
+    mh = st_["m"][ix] / (1 - _ADAM_BETA1**t)[None, :]
+    vh = st_["v"][ix] / (1 - _ADAM_BETA2**t)[None, :]
+    sub = sub - lr * (mh / (np.sqrt(vh) + _ADAM_EPS))
 
     old, new = np.ascontiguousarray(cols[ix].T), np.ascontiguousarray(sub.T)  # (|S|, |mask|)
     target = np.sqrt(np.add.reduce(old * old, axis=1))
@@ -420,10 +416,9 @@ def _raised(fn, *args):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, k=st.integers(2, 40), d=st.integers(1, 20),
-       optimizer=st.sampled_from(["adamw", "sgd-momentum"]),
        r2=st.sampled_from([0.3, 0.5, 0.8, 1.0]), steps=st.integers(1, 4),
        fortran=st.booleans())
-def test_class_major_update_matches_column_major(seed, k, d, optimizer, r2, steps, fortran):
+def test_class_major_update_matches_column_major(seed, k, d, r2, steps, fortran):
     rng = np.random.default_rng(seed)
     init = rng.standard_normal((k, d))
     # Rows are normalized in C order, whatever the memory order given.
@@ -432,9 +427,9 @@ def test_class_major_update_matches_column_major(seed, k, d, optimizer, r2, step
     cols = protos.rows.T.copy()
 
     lr = 0.05
-    cfg = TrainConfig(optimizer=optimizer, lr=lr)
+    cfg = TrainConfig(lr=lr)
     trainer = Trainer(LinearEncoder.identity(d), protos, cfg)
-    names = ["m", "v"] if optimizer == "adamw" else ["vel"]
+    names = ["m", "v"]
     ref = {name: np.zeros((d, k)) for name in names}
     ref["t"] = np.zeros(k, dtype=np.int64)
     for _ in range(steps):
@@ -446,7 +441,7 @@ def test_class_major_update_matches_column_major(seed, k, d, optimizer, r2, step
         before = {"rows": protos.rows.copy()}
         before.update({n: a.copy() for n, a in zip(names, trainer._proto_moments)})
 
-        ref_raised = _raised(column_major_update, cols, ref, lr, optimizer, grad, subset, mask)
+        ref_raised = _raised(column_major_update, cols, ref, lr, grad, subset, mask)
         assert _raised(trainer._update_prototypes, grad, subset, mask) == ref_raised
 
         assert protos.rows.T.tobytes() == cols.tobytes()
@@ -660,8 +655,7 @@ class ReferenceTrainer:
     arithmetic and fewer numpy calls: `Trainer.step` and everything under
     it, copied verbatim apart from the names and the prototype AdamW step,
     which is grouped as lr * (mh / den), like the encoder's, since both
-    share one optimizer step, the step counts, kept for both optimizers,
-    and the rescale of each masked sub-vector to its old norm.
+    share one optimizer step, the per-class step counts, and the rescale of each masked sub-vector to its old norm.
     It still applies dropout outside the loss, on `full_plan`, and reports
     the gradient chained through the keep mask as `grad_embeddings`.
     Every output of the current step must equal this one's bit for bit."""
@@ -670,16 +664,12 @@ class ReferenceTrainer:
         self.encoder, self.prototypes, self.cfg = encoder, prototypes, cfg
         self.step_count = 0
         w, rows = encoder.weights, prototypes.rows
-        if cfg.optimizer == "adamw":
-            self._enc_state = {"m": np.zeros_like(w), "v": np.zeros_like(w), "t": 0}
-            self._proto_state = {
-                "m": np.zeros_like(rows),
-                "v": np.zeros_like(rows),
-                "t": np.zeros(prototypes.classes, dtype=np.int64),
-            }
-        else:
-            self._enc_state = {"vel": np.zeros_like(w), "t": 0}
-            self._proto_state = {"vel": np.zeros_like(rows), "t": np.zeros(prototypes.classes, dtype=np.int64)}
+        self._enc_state = {"m": np.zeros_like(w), "v": np.zeros_like(w), "t": 0}
+        self._proto_state = {
+            "m": np.zeros_like(rows),
+            "v": np.zeros_like(rows),
+            "t": np.zeros(prototypes.classes, dtype=np.int64),
+        }
 
     @staticmethod
     def _encode_cache(weights, inputs):
@@ -770,15 +760,11 @@ class ReferenceTrainer:
         cfg, st = self.cfg, self._enc_state
         w = self.encoder.weights
         st["t"] += 1
-        if cfg.optimizer == "adamw":
-            st["m"] = _ADAM_BETA1 * st["m"] + (1 - _ADAM_BETA1) * grad
-            st["v"] = _ADAM_BETA2 * st["v"] + (1 - _ADAM_BETA2) * grad * grad
-            mh = st["m"] / (1 - _ADAM_BETA1 ** st["t"])
-            vh = st["v"] / (1 - _ADAM_BETA2 ** st["t"])
-            w -= cfg.lr * (mh / (np.sqrt(vh) + _ADAM_EPS) + cfg.weight_decay * w)
-        else:
-            st["vel"] = _SGD_MOMENTUM * st["vel"] + grad + cfg.weight_decay * w
-            w -= cfg.lr * st["vel"]
+        st["m"] = _ADAM_BETA1 * st["m"] + (1 - _ADAM_BETA1) * grad
+        st["v"] = _ADAM_BETA2 * st["v"] + (1 - _ADAM_BETA2) * grad * grad
+        mh = st["m"] / (1 - _ADAM_BETA1 ** st["t"])
+        vh = st["v"] / (1 - _ADAM_BETA2 ** st["t"])
+        w -= cfg.lr * (mh / (np.sqrt(vh) + _ADAM_EPS) + cfg.weight_decay * w)
 
     def _update_prototypes(self, grad_sub, subset, mask):
         cfg, st = self.cfg, self._proto_state
@@ -793,16 +779,12 @@ class ReferenceTrainer:
 
         g = np.take(grad_sub, mask_idx, axis=1)
         st["t"][subset] += 1
-        if cfg.optimizer == "adamw":
-            t = st["t"][subset][:, None]
-            m = update(st["m"], lambda old: _ADAM_BETA1 * old + (1 - _ADAM_BETA1) * g)
-            v = update(st["v"], lambda old: _ADAM_BETA2 * old + (1 - _ADAM_BETA2) * g * g)
-            mh = m / (1 - _ADAM_BETA1**t)
-            vh = v / (1 - _ADAM_BETA2**t)
-            delta = cfg.lr * (mh / (np.sqrt(vh) + _ADAM_EPS))
-        else:
-            vel = update(st["vel"], lambda old: _SGD_MOMENTUM * old + g)
-            delta = cfg.lr * vel
+        t = st["t"][subset][:, None]
+        m = update(st["m"], lambda old: _ADAM_BETA1 * old + (1 - _ADAM_BETA1) * g)
+        v = update(st["v"], lambda old: _ADAM_BETA2 * old + (1 - _ADAM_BETA2) * g * g)
+        mh = m / (1 - _ADAM_BETA1**t)
+        vh = v / (1 - _ADAM_BETA2**t)
+        delta = cfg.lr * (mh / (np.sqrt(vh) + _ADAM_EPS))
 
         def rescaled(old):
             sub = old - delta
@@ -857,7 +839,7 @@ def recorded_step(trainer, x, labels):
               trainer.encoder.weights, trainer.prototypes.rows]
     if isinstance(trainer, ReferenceTrainer):
         arrays += [np.asarray(st[n]) for st in (trainer._enc_state, trainer._proto_state)
-                   for n in ("m", "v", "vel", "t") if n in st]
+                   for n in ("m", "v", "t")]
     else:
         arrays += [*trainer._enc_moments, np.int64(trainer._enc_steps),
                    *trainer._proto_moments, trainer._proto_steps]
@@ -868,19 +850,19 @@ def recorded_step(trainer, x, labels):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=SEEDS, k=st.integers(2, 12), d=st.integers(1, 9), d_in=st.integers(1, 7),
-       b=st.integers(1, 9), optimizer=st.sampled_from(["adamw", "sgd-momentum"]),
+       b=st.integers(1, 9),
        margin=st.sampled_from([0.0, 0.3, 3.0]), r1=st.sampled_from([0.3, 0.5, 1.0]),
        r2=st.sampled_from([0.5, 0.8, 1.0]), r3=st.sampled_from([None, 0.3]),
        lr=st.sampled_from([0.0, 0.01, 0.3]), weight_decay=st.sampled_from([0.0, 0.05]),
        fortran=st.booleans(), steps=st.integers(1, 4))
-def test_lean_step_matches_reference_step(seed, k, d, d_in, b, optimizer, margin, r1, r2, r3,
+def test_lean_step_matches_reference_step(seed, k, d, d_in, b, margin, r1, r2, r3,
                                           lr, weight_decay, fortran, steps):
     if ratio_count(d, r2) < 1:
         return
     rng = np.random.default_rng(seed)
     init = rng.standard_normal((k, d))
     weights = rng.standard_normal((d_in, d))
-    cfg = TrainConfig(optimizer=optimizer, lr=lr, weight_decay=weight_decay,
+    cfg = TrainConfig(lr=lr, weight_decay=weight_decay,
                       loss=LossConfig(margin=margin, scale=8.0, r1=r1, r2=r2, r3=r3, seed=seed % 97))
     trainer = Trainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
     reference = ReferenceTrainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
@@ -894,10 +876,9 @@ def test_lean_step_matches_reference_step(seed, k, d, d_in, b, optimizer, margin
             break
 
 
-@pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
 @pytest.mark.parametrize("r1", [0.5, 1.0])
 @pytest.mark.parametrize("r2", [0.5, 1.0])
-def test_blocked_prototype_step_matches_reference_step(optimizer, r1, r2):
+def test_blocked_prototype_step_matches_reference_step(r1, r2):
     # 1,250 or 2,500 selected rows of 8 or 16 masked entries are several
     # blocks of the prototype step, against one in the property above.
     # Full masks move whole rows, half masks flat positions; at r1 = 0.5
@@ -906,7 +887,7 @@ def test_blocked_prototype_step_matches_reference_step(optimizer, r1, r2):
     k, d, b = 2500, 16, 64
     init = rng.standard_normal((k, d))
     weights = rng.standard_normal((d, d))
-    cfg = TrainConfig(optimizer=optimizer, lr=0.01, weight_decay=0.05,
+    cfg = TrainConfig(lr=0.01, weight_decay=0.05,
                       loss=LossConfig(r1=r1, r2=r2, seed=3))
     trainer = Trainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
     reference = ReferenceTrainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)

@@ -1,4 +1,4 @@
-"""Tests for the encoder, optimizers, and the sparse-update contracts."""
+"""Tests for the encoder, the AdamW step, and the sparse-update contracts."""
 
 import json
 import tracemalloc
@@ -166,10 +166,9 @@ class TestTrainStep:
         on = plan.feature_mask
         assert after[np.ix_(plan.class_subset, on)].tobytes() != before[np.ix_(plan.class_subset, on)].tobytes()
 
-    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
-    def test_non_finite_loss_raises_before_any_update(self, optimizer):
+    def test_non_finite_loss_raises_before_any_update(self):
         x, labels, prototypes = _small_problem(seed=4)
-        cfg = TrainConfig(optimizer=optimizer, lr=0.01, loss=LossConfig(r1=0.5, r2=0.5, seed=1), seed=1)
+        cfg = TrainConfig(lr=0.01, loss=LossConfig(r1=0.5, r2=0.5, seed=1), seed=1)
         trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
         trainer.step(x, labels)
         state = [a.tobytes() for a in trainer_arrays(trainer)]
@@ -188,17 +187,16 @@ class TestTrainStep:
         norms = np.linalg.norm(trainer.prototypes.rows, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
-    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
     @pytest.mark.parametrize("r2", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("seed", range(4))
-    def test_step_keeps_the_masked_norm_of_each_updated_row(self, optimizer, r2, seed):
+    def test_step_keeps_the_masked_norm_of_each_updated_row(self, r2, seed):
         # Few masked coordinates make small sub-vector norms, the case a
         # rescale to sqrt(1 - (1 - s)) gets wrong by tens of ulps.
         rng = np.random.default_rng(seed)
         k, d = 12, 8
         x = unit_rows(rng.standard_normal((8, d)))
         labels = rng.integers(0, k, size=8)
-        cfg = TrainConfig(optimizer=optimizer, lr=0.05, loss=LossConfig(r1=0.5, r2=r2, seed=seed), seed=seed)
+        cfg = TrainConfig(lr=0.05, loss=LossConfig(r1=0.5, r2=r2, seed=seed), seed=seed)
         trainer = Trainer(LinearEncoder.identity(d), PrototypeMatrix(rng.standard_normal((k, d))), cfg)
         ulp = np.finfo(np.float64).eps
         for step in range(5):
@@ -260,11 +258,10 @@ class TestCallerPlans:
 
     @pytest.mark.parametrize("subset", [[-1, 0, 1], [0, 1, 1, 4], [0, 1, 4, 7]],
                              ids=["negative", "duplicate", "out-of-range"])
-    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
-    def test_step_raises_and_every_array_keeps_its_bits(self, subset, optimizer):
+    def test_step_raises_and_every_array_keeps_its_bits(self, subset):
         x, _, prototypes = _small_problem(seed=3, k=5, b=3)
         labels = np.array([0, 1, 1])
-        cfg = TrainConfig(optimizer=optimizer, lr=0.01, loss=LossConfig(r1=0.5, seed=1), seed=1)
+        cfg = TrainConfig(lr=0.01, loss=LossConfig(r1=0.5, seed=1), seed=1)
         trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
         trainer.step(x, labels)  # leaves non-zero optimizer state behind
 
@@ -298,12 +295,11 @@ class TestDropoutStep:
         num = finite_difference(lambda w: backward(w)[0].loss, weights)
         assert max_relative_error(backward(weights)[1], num) < 1e-5
 
-    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
-    def test_zero_ratio_steps_equal_full_softmax_steps(self, optimizer):
+    def test_zero_ratio_steps_equal_full_softmax_steps(self):
         x, labels, _ = _small_problem(seed=13)
         results = []
         for r3 in (0.0, None):
-            cfg = TrainConfig(optimizer=optimizer, lr=0.01, seed=2,
+            cfg = TrainConfig(lr=0.01, seed=2,
                               loss=LossConfig(margin=0.0, scale=8.0, r1=1.0, r2=1.0, r3=r3, seed=2))
             _, _, prototypes = _small_problem(seed=13)
             weights = np.random.default_rng(1).standard_normal((10, 10))
@@ -324,12 +320,11 @@ class TestOptimizers:
         expected = before - cfg.lr * (cfg.weight_decay * before)
         np.testing.assert_array_equal(enc.weights, expected)
 
-    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
-    def test_both_optimizers_converge_on_separable_data(self, optimizer):
+    def test_adamw_converges_on_separable_data(self):
         spec = SyntheticSpec(true_classes=5, per_class=80, dim=16, intra_noise=0.01, seed=0)
         data, _ = synth_conflict_dataset(spec)
         protos = PrototypeMatrix(stream_rng(0, "test-protos").standard_normal((5, 16)))
-        cfg = TrainConfig(epochs=40, batch_size=32, optimizer=optimizer, lr=0.001,
+        cfg = TrainConfig(epochs=40, batch_size=32, lr=0.001,
                           loss=LossConfig(margin=0.3, scale=64.0, r1=1.0, r2=1.0, seed=0), seed=0)
         result = train(data, cfg, prototypes=protos)
         losses = result.losses
@@ -340,7 +335,6 @@ class TestOptimizers:
 class TestTrainConfigDefaults:
     def test_defaults_match_published_recipe(self):
         cfg = TrainConfig()
-        assert cfg.optimizer == "adamw"
         assert cfg.lr == 0.001
         assert cfg.weight_decay == 0.05
         assert cfg.loss.r1 == 0.1
@@ -348,8 +342,6 @@ class TestTrainConfigDefaults:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValidationError):
             TrainConfig(lr=-0.1)
-        with pytest.raises(ValidationError):
-            TrainConfig(optimizer="lbfgs")
         with pytest.raises(ValidationError):
             TrainConfig(loss=LossConfig(r3=1.0))
 
@@ -384,16 +376,15 @@ class TestTrainLoop:
         with pytest.raises(ValidationError):
             train(single, TrainConfig())
 
-    @pytest.mark.parametrize("optimizer", ["adamw", "sgd-momentum"])
     @pytest.mark.parametrize("passed", [False, True])
     @pytest.mark.parametrize("r2", [0.5, 1.0])
     @pytest.mark.parametrize("r3", [None, 0.3])
-    def test_matches_a_loop_over_the_whole_set_in_float64(self, optimizer, passed, r2, r3):
+    def test_matches_a_loop_over_the_whole_set_in_float64(self, passed, r2, r3):
         rng = np.random.default_rng(8)
         vectors = (rng.standard_normal((70, 8)) * 3).astype(np.float32)
         data = EmbeddingSet(vectors, [str(i) for i in range(70)], rng.integers(0, 6, 70))
         init = rng.standard_normal((6, 8))
-        cfg = TrainConfig(epochs=2, batch_size=16, optimizer=optimizer, lr=0.01, seed=4,
+        cfg = TrainConfig(epochs=2, batch_size=16, lr=0.01, seed=4,
                           loss=LossConfig(r1=0.5, r2=r2, r3=r3, seed=4))
 
         # The loop as it ran with the whole set converted up front.
