@@ -876,9 +876,10 @@ def test_lean_step_matches_reference_step(seed, k, d, d_in, b, margin, r1, r2, r
             break
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
 @pytest.mark.parametrize("r1", [0.5, 1.0])
 @pytest.mark.parametrize("r2", [0.5, 1.0])
-def test_blocked_prototype_step_matches_reference_step(r1, r2):
+def test_blocked_prototype_step_matches_reference_step(weight_decay, r1, r2):
     # 1,250 or 2,500 selected rows of 8 or 16 masked entries are several
     # blocks of the prototype step, against one in the property above.
     # Full masks move whole rows, half masks flat positions; at r1 = 0.5
@@ -887,7 +888,7 @@ def test_blocked_prototype_step_matches_reference_step(r1, r2):
     k, d, b = 2500, 16, 64
     init = rng.standard_normal((k, d))
     weights = rng.standard_normal((d, d))
-    cfg = TrainConfig(lr=0.01, weight_decay=0.05,
+    cfg = TrainConfig(lr=0.01, weight_decay=weight_decay,
                       loss=LossConfig(r1=r1, r2=r2, seed=3))
     trainer = Trainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)
     reference = ReferenceTrainer(LinearEncoder(weights), PrototypeMatrix(init), cfg)

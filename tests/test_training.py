@@ -166,9 +166,10 @@ class TestTrainStep:
         on = plan.feature_mask
         assert after[np.ix_(plan.class_subset, on)].tobytes() != before[np.ix_(plan.class_subset, on)].tobytes()
 
-    def test_non_finite_loss_raises_before_any_update(self):
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_non_finite_loss_raises_before_any_update(self, weight_decay):
         x, labels, prototypes = _small_problem(seed=4)
-        cfg = TrainConfig(lr=0.01, loss=LossConfig(r1=0.5, r2=0.5, seed=1), seed=1)
+        cfg = TrainConfig(lr=0.01, weight_decay=weight_decay, loss=LossConfig(r1=0.5, r2=0.5, seed=1), seed=1)
         trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
         trainer.step(x, labels)
         state = [a.tobytes() for a in trainer_arrays(trainer)]
@@ -258,10 +259,11 @@ class TestCallerPlans:
 
     @pytest.mark.parametrize("subset", [[-1, 0, 1], [0, 1, 1, 4], [0, 1, 4, 7]],
                              ids=["negative", "duplicate", "out-of-range"])
-    def test_step_raises_and_every_array_keeps_its_bits(self, subset):
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_step_raises_and_every_array_keeps_its_bits(self, subset, weight_decay):
         x, _, prototypes = _small_problem(seed=3, k=5, b=3)
         labels = np.array([0, 1, 1])
-        cfg = TrainConfig(lr=0.01, loss=LossConfig(r1=0.5, seed=1), seed=1)
+        cfg = TrainConfig(lr=0.01, weight_decay=weight_decay, loss=LossConfig(r1=0.5, seed=1), seed=1)
         trainer = Trainer(LinearEncoder.identity(10), prototypes, cfg)
         trainer.step(x, labels)  # leaves non-zero optimizer state behind
 
@@ -295,11 +297,12 @@ class TestDropoutStep:
         num = finite_difference(lambda w: backward(w)[0].loss, weights)
         assert max_relative_error(backward(weights)[1], num) < 1e-5
 
-    def test_zero_ratio_steps_equal_full_softmax_steps(self):
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_zero_ratio_steps_equal_full_softmax_steps(self, weight_decay):
         x, labels, _ = _small_problem(seed=13)
         results = []
         for r3 in (0.0, None):
-            cfg = TrainConfig(lr=0.01, seed=2,
+            cfg = TrainConfig(lr=0.01, weight_decay=weight_decay, seed=2,
                               loss=LossConfig(margin=0.0, scale=8.0, r1=1.0, r2=1.0, r3=r3, seed=2))
             _, _, prototypes = _small_problem(seed=13)
             weights = np.random.default_rng(1).standard_normal((10, 10))
@@ -320,11 +323,12 @@ class TestOptimizers:
         expected = before - cfg.lr * (cfg.weight_decay * before)
         np.testing.assert_array_equal(enc.weights, expected)
 
-    def test_adamw_converges_on_separable_data(self):
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_adamw_converges_on_separable_data(self, weight_decay):
         spec = SyntheticSpec(true_classes=5, per_class=80, dim=16, intra_noise=0.01, seed=0)
         data, _ = synth_conflict_dataset(spec)
         protos = PrototypeMatrix(stream_rng(0, "test-protos").standard_normal((5, 16)))
-        cfg = TrainConfig(epochs=40, batch_size=32, lr=0.001,
+        cfg = TrainConfig(epochs=40, batch_size=32, lr=0.001, weight_decay=weight_decay,
                           loss=LossConfig(margin=0.3, scale=64.0, r1=1.0, r2=1.0, seed=0), seed=0)
         result = train(data, cfg, prototypes=protos)
         losses = result.losses
@@ -376,15 +380,16 @@ class TestTrainLoop:
         with pytest.raises(ValidationError):
             train(single, TrainConfig())
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     @pytest.mark.parametrize("passed", [False, True])
     @pytest.mark.parametrize("r2", [0.5, 1.0])
     @pytest.mark.parametrize("r3", [None, 0.3])
-    def test_matches_a_loop_over_the_whole_set_in_float64(self, passed, r2, r3):
+    def test_matches_a_loop_over_the_whole_set_in_float64(self, weight_decay, passed, r2, r3):
         rng = np.random.default_rng(8)
         vectors = (rng.standard_normal((70, 8)) * 3).astype(np.float32)
         data = EmbeddingSet(vectors, [str(i) for i in range(70)], rng.integers(0, 6, 70))
         init = rng.standard_normal((6, 8))
-        cfg = TrainConfig(epochs=2, batch_size=16, lr=0.01, seed=4,
+        cfg = TrainConfig(epochs=2, batch_size=16, lr=0.01, weight_decay=weight_decay, seed=4,
                           loss=LossConfig(r1=0.5, r2=r2, r3=r3, seed=4))
 
         # The loop as it ran with the whole set converted up front.
