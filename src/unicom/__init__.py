@@ -38,7 +38,6 @@ from .losses import (
     sample_classes,
     sample_feature_mask,
     selection_backward,
-    selection_forward,
 )
 from .training import (
     LinearEncoder,

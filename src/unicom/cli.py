@@ -354,37 +354,42 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
             return 3
-        if isinstance(payload, dict) and isinstance(payload.get("config"), dict):
-            if payload.get("command", command) != command:
+        # A manifest names its command; anything else must be an object of
+        # flag values. A train_config.json nests its settings under names no
+        # flag has, so reading it as flags would quietly train with defaults.
+        if isinstance(payload, dict) and "command" in payload and "config" in payload:
+            if payload["command"] != command:
                 print(
                     f"usage error: {path} is a manifest of `{payload['command']}`, not `{command}`",
                     file=sys.stderr,
                 )
                 return 2
             payload = payload["config"]
-        if isinstance(payload, dict):
-            # Training once offered a second optimizer; a config that chose it
-            # must not replay under AdamW.
-            if payload.get("optimizer") not in (None, "adamw"):
-                print(f"usage error: {path} trains with the removed optimizer "
-                      f"{payload['optimizer']!r}; only adamw remains", file=sys.stderr)
-                return 2
-            # A stored value stands in for a flag, required or not, a str as
-            # argparse reads a str default; a stored null is no value.
-            for action in sub._actions:
-                value = payload.get(action.dest)
-                if value is None or action.dest in given:
-                    continue
-                if action.dest in _PATH_KEYS and isinstance(value, str) and not os.path.isabs(value):
-                    value = os.path.join(os.path.dirname(path), value)
-                if isinstance(value, str):
-                    try:
-                        value = sub._get_value(action, value)
-                    except argparse.ArgumentError as exc:
-                        sub.error(str(exc))
-                if values.get(action.dest) is None:
-                    set_flags.add(action.dest)
-                values[action.dest] = value
+        if not isinstance(payload, dict) or any(isinstance(v, (dict, list)) for v in payload.values()):
+            print(f"usage error: {path} is neither a manifest nor a JSON object of flag values", file=sys.stderr)
+            return 2
+        # Training once offered a second optimizer; a config that chose it
+        # must not replay under AdamW.
+        if payload.get("optimizer") not in (None, "adamw"):
+            print(f"usage error: {path} trains with the removed optimizer "
+                  f"{payload['optimizer']!r}; only adamw remains", file=sys.stderr)
+            return 2
+        # A stored value stands in for a flag, required or not, a str as
+        # argparse reads a str default; a stored null is no value.
+        for action in sub._actions:
+            value = payload.get(action.dest)
+            if value is None or action.dest in given:
+                continue
+            if action.dest in _PATH_KEYS and isinstance(value, str) and not os.path.isabs(value):
+                value = os.path.join(os.path.dirname(path), value)
+            if isinstance(value, str):
+                try:
+                    value = sub._get_value(action, value)
+                except argparse.ArgumentError as exc:
+                    sub.error(str(exc))
+            if values.get(action.dest) is None:
+                set_flags.add(action.dest)
+            values[action.dest] = value
     values.update(given)
     missing = ["/".join(action.option_strings) for action in required[command] if values[action.dest] is None]
     if missing:

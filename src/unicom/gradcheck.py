@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .losses import (
-    LossConfig,
-    PrototypeMatrix,
-    make_selection_plan,
-    selection_backward,
-    selection_forward,
-)
+from .losses import LossConfig, PrototypeMatrix, make_selection_plan, selection_backward
 from .util import unit_rows
 
 DEFAULT_STEP = 1e-5
@@ -102,14 +96,14 @@ def check_selection_gradients(
         out = selection_backward(embeddings, labels, prototypes, plan, cfg)
 
         def loss_of_embeddings(e):
-            return selection_forward(e, labels, prototypes, plan, cfg).loss
+            return selection_backward(e, labels, prototypes, plan, cfg).loss
 
         def loss_of_selected(w_sub, subset=plan.class_subset):
             # The loss renormalizes masked sub-vectors, so it is invariant
             # to the row rescaling done by the PrototypeMatrix ctor.
             rows = prototypes.rows.copy()
             rows[subset] = w_sub
-            return selection_forward(embeddings, labels, PrototypeMatrix(rows), plan, cfg).loss
+            return selection_backward(embeddings, labels, PrototypeMatrix(rows), plan, cfg).loss
 
         num_e = finite_difference(loss_of_embeddings, embeddings, fd_step)
         w_sub = prototypes.rows[plan.class_subset]

@@ -94,8 +94,8 @@ class SelectionPlan:
 class LossOutput:
     loss: float
     probs: np.ndarray  # (b, |S|), rows sum to 1
-    grad_embeddings: np.ndarray | None = None  # (b, d)
-    grad_prototypes: np.ndarray | None = None  # (|S|, d), rows follow class_subset
+    grad_embeddings: np.ndarray  # (b, d)
+    grad_prototypes: np.ndarray  # (|S|, d), rows follow class_subset
 
 
 def sample_classes(batch_labels, num_classes: int, r1: float, seed: int, step: int):
@@ -164,7 +164,15 @@ def make_selection_plan(batch_labels, num_classes: int, dim: int, cfg: LossConfi
     )
 
 
-def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: SelectionPlan, cfg: LossConfig, with_grad: bool) -> LossOutput:
+def selection_backward(embeddings, labels, prototypes: PrototypeMatrix, plan: SelectionPlan, cfg: LossConfig) -> LossOutput:
+    """Loss, per-sample probabilities and analytic gradients of the selection softmax.
+
+    grad_embeddings is (b, d), taken with respect to the embeddings as
+    passed (before any dropout), with exact zeros outside the feature mask;
+    grad_prototypes is (|S|, d) with one row per selected class, in
+    class_subset order, also exactly zero off-mask. Classes outside the
+    subset receive no gradient at all.
+    """
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if e.ndim != 2 or labels.ndim != 1 or e.shape[0] != labels.shape[0]:
@@ -225,7 +233,7 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
         c_pos - cfg.margin * sin_m,
     )
     logits.put(pos, cfg.scale * phi)
-    # d(phi)/d(cos theta) on each branch, used by the backward pass.
+    # d(phi)/d(cos theta) on each branch, used by the gradient below.
     safe_sin = np.maximum(sin_pos, NORM_EPS)
     margin_factor = np.where(in_range, cos_m + sin_m * c_pos / safe_sin, 1.0)
 
@@ -236,9 +244,6 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
     denom = np.add.reduce(probs, axis=1)
     probs /= denom[:, None]
     loss = float(np.add.reduce(np.log(denom) - shifted_pos) / b)
-
-    if not with_grad:
-        return LossOutput(loss=loss, probs=probs)
 
     dcos = probs / b
     dcos.put(pos, (probs.take(pos) - 1.0) / b)
@@ -253,23 +258,6 @@ def _selection_core(embeddings, labels, prototypes: PrototypeMatrix, plan: Selec
         grad_e = grad_e * plan.keep / (1.0 - cfg.r3)
 
     return LossOutput(loss=loss, probs=probs, grad_embeddings=grad_e, grad_prototypes=grad_w)
-
-
-def selection_forward(embeddings, labels, prototypes, plan, cfg) -> LossOutput:
-    """Loss and per-sample probabilities of the selection softmax."""
-    return _selection_core(embeddings, labels, prototypes, plan, cfg, with_grad=False)
-
-
-def selection_backward(embeddings, labels, prototypes, plan, cfg) -> LossOutput:
-    """Like `selection_forward`, with analytic gradients populated.
-
-    grad_embeddings is (b, d), taken with respect to the embeddings as
-    passed (before any dropout), with exact zeros outside the feature mask;
-    grad_prototypes is (|S|, d) with one row per selected class, in
-    class_subset order, also exactly zero off-mask. Classes outside the
-    subset receive no gradient at all.
-    """
-    return _selection_core(embeddings, labels, prototypes, plan, cfg, with_grad=True)
 
 
 def full_plan(num_classes: int, dim: int) -> SelectionPlan:

@@ -31,7 +31,7 @@ from unicom import (
     map_at_100,
     recall_at_k,
     run_ablation,
-    selection_forward,
+    selection_backward,
     EmbeddingSet,
 )
 from unicom.ablation import run_single
@@ -87,7 +87,7 @@ def test_criterion_2_reduction_equivalence():
         scale = float(rng.uniform(0.5, 32.0))
         cfg = LossConfig(margin=0.0, scale=scale, r1=1.0, r2=1.0)
         plan = make_selection_plan(labels, k, d, cfg, 0)
-        got = selection_forward(e, labels, prototypes, plan, cfg).loss
+        got = selection_backward(e, labels, prototypes, plan, cfg).loss
         expected = _plain_softmax_oracle(e, labels, prototypes.rows.T, scale)
         worst = max(worst, abs(got - expected))
     report(

@@ -1,13 +1,19 @@
-"""End-to-end tests of the command-line pipeline (in-process)."""
+"""End-to-end tests of the command-line pipeline, in-process except where
+the BLAS thread count must be set before numpy loads."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unicom
 from unicom import (
     EmbeddingSet,
     KMeansConfig,
@@ -17,7 +23,9 @@ from unicom import (
     ablation,
     cli,
     load_embeddings,
+    map_at_100,
     save_embeddings,
+    truncate_dims,
 )
 from unicom.cli import main
 from unicom.errors import NonFiniteLossError
@@ -250,6 +258,19 @@ class TestEvalCommand:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["map_at_100"] <= 1.0
+
+    def test_map100_on_truncated_dims(self, tmp_path, capsys):
+        data_dir = self._trained(tmp_path)
+        queries, gallery = data_dir / "truth.uceb", data_dir / "data.uceb"
+        argv = ["eval", "--metric", "map100", "--queries", str(queries), "--gallery", str(gallery)]
+        out = tmp_path / "e"
+        assert main(argv + ["--dims", "8", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        expected = map_at_100(truncate_dims(load_embeddings(queries), 8), truncate_dims(load_embeddings(gallery), 8))
+        assert report["map_at_100"] == expected
+        assert report["dims_used"] == 8
+        assert main(argv + ["--dims", "17", "--out", str(tmp_path / "x")]) == 2
+        assert "d_prime must lie in [1, 16], got 17" in capsys.readouterr().err
 
     def test_missing_labels_is_usage_error(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -489,6 +510,33 @@ class TestDeterminismAndConfig:
         for k in ("1", "3"):
             assert abs(reports["1"]["recall_at"][k] - reports["4"]["recall_at"][k]) <= 1e-9
 
+    def test_blas_thread_count_does_not_change_cluster_or_eval_outputs(self, tmp_path):
+        # The BLAS thread count is fixed when numpy loads, so each count
+        # runs the three commands in a process of its own.
+        data, truth = tmp_path / "d" / "data.uceb", tmp_path / "d" / "truth.uceb"
+        assert main([
+            "synth", "--classes", "40", "--per-class", "30", "--dim", "64",
+            "--conflict", "0.3", "--seed", "3", "--out", str(tmp_path / "d"),
+        ]) == 0
+        argvs = {
+            "cluster": ["cluster", "--input", str(data), "--k", "48", "--seed", "3"],
+            "eval": ["eval", "--input", str(data), "--labels", str(truth), "--k", "1,5", "--dims", "32"],
+            "eval-map100": ["eval", "--metric", "map100", "--queries", str(truth), "--gallery", str(data)],
+        }
+        script = "import json, sys\nfrom unicom.cli import main\nsys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+        src = str(Path(unicom.__file__).parents[1])
+        for threads in ("1", "2"):
+            runs = [argv + ["--out", str(tmp_path / threads / name)] for name, argv in argvs.items()]
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+            }
+            subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+        for name in argvs:
+            assert read_tree(tmp_path / "2" / name) == read_tree(tmp_path / "1" / name), name
+
     def test_manifest_is_reusable_as_config(self, tmp_path):
         a = tmp_path / "a"
         main(synth_args(a, seed=9))
@@ -609,6 +657,28 @@ class TestManifestReplay:
         rc = main([command, "--config", str(runs / "cluster" / "manifest.json"), "--out", str(out)])
         assert rc == 2
         assert "manifest of `cluster`" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_config_sidecar_is_usage_error(self, runs, tmp_path, capsys):
+        # It nests the loss settings under `loss` and names the decay
+        # `weight_decay`: read as flags, it would train with the defaults.
+        sidecar = runs / "train" / "train_config.json"
+        out = tmp_path / "o"
+        rc = main(["train", "--config", str(sidecar), "--input", str(runs / "synth" / "data.uceb"), "--out", str(out)])
+        assert rc == 2
+        assert f"{sidecar} is neither a manifest nor a JSON object of flag values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [["--k", "3"], "k=3", 3, {"command": "cluster", "config": ["--k", "3"]}],
+                             ids=["array", "string", "number", "manifest-of-an-array"])
+    def test_config_that_is_no_object_of_flags_is_usage_error(self, runs, tmp_path, capsys, payload):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        rc = main(["cluster", "--config", str(config), "--input", str(runs / "synth" / "data.uceb"),
+                   "--k", "3", "--out", str(out)])
+        assert rc == 2
+        assert f"{config} is neither a manifest nor a JSON object of flag values" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["cluster", "train", "eval", "eval-map100"])

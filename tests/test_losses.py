@@ -16,7 +16,6 @@ from unicom import (
     sample_classes,
     sample_feature_mask,
     selection_backward,
-    selection_forward,
 )
 from unicom.errors import DegenerateVectorError, DimensionMismatchError, ValidationError
 from unicom.gradcheck import finite_difference, max_relative_error
@@ -164,7 +163,7 @@ class TestSelectionForward:
         prototypes = PrototypeMatrix(w)
         e = np.array([[1.0, 0.0]])
         cfg = LossConfig(margin=0.0, scale=1.0, r1=1.0, r2=1.0)
-        out = selection_forward(e, [0], prototypes, full_plan(2, 2), cfg)
+        out = selection_backward(e, [0], prototypes, full_plan(2, 2), cfg)
         assert abs(out.loss - math.log(1 + math.exp(-1))) < 1e-12
 
     def test_reduces_to_full_softmax(self):
@@ -178,7 +177,7 @@ class TestSelectionForward:
             prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
             scale = float(rng.uniform(0.5, 16))
             cfg = LossConfig(margin=0.0, scale=scale, r1=1.0, r2=1.0)
-            out = selection_forward(e, labels, prototypes, full_plan(k, d), cfg)
+            out = selection_backward(e, labels, prototypes, full_plan(k, d), cfg)
             oracle = full_softmax_oracle(e, labels, prototypes.rows.T, scale)
             assert abs(out.loss - oracle) < 1e-10
 
@@ -199,7 +198,7 @@ class TestSelectionForward:
             labels = rng.integers(0, k, size=b)
             prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
             plan = make_selection_plan(labels, k, d, cfg, int(rng.integers(50)))
-            out = selection_forward(e, labels, prototypes, plan, cfg)
+            out = selection_backward(e, labels, prototypes, plan, cfg)
             np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_margin_increases_loss(self):
@@ -208,8 +207,8 @@ class TestSelectionForward:
         labels = np.array([0, 1, 2, 3])
         prototypes = PrototypeMatrix(rng.standard_normal((6, 8)))
         plan = full_plan(6, 8)
-        base = selection_forward(e, labels, prototypes, plan, LossConfig(margin=0.0, scale=64, r1=1, r2=1))
-        with_margin = selection_forward(e, labels, prototypes, plan, LossConfig(margin=0.3, scale=64, r1=1, r2=1))
+        base = selection_backward(e, labels, prototypes, plan, LossConfig(margin=0.0, scale=64, r1=1, r2=1))
+        with_margin = selection_backward(e, labels, prototypes, plan, LossConfig(margin=0.3, scale=64, r1=1, r2=1))
         assert with_margin.loss >= base.loss
 
     def test_scale_preserves_argmax(self):
@@ -221,7 +220,7 @@ class TestSelectionForward:
         arg = None
         for scale in (1.0, 8.0, 64.0):
             cfg = LossConfig(margin=0.0, scale=scale, r1=1, r2=1)
-            out = selection_forward(e, labels, prototypes, plan, cfg)
+            out = selection_backward(e, labels, prototypes, plan, cfg)
             cur = np.argmax(out.probs, axis=1)
             if arg is not None:
                 np.testing.assert_array_equal(cur, arg)
@@ -236,7 +235,7 @@ class TestSelectionForward:
         # Between two selected classes, and above every one of them.
         for label in (3, 5):
             with pytest.raises(ValidationError, match="outside the selected class subset"):
-                selection_forward(e, [label], prototypes, plan, cfg)
+                selection_backward(e, [label], prototypes, plan, cfg)
 
     def test_zero_norm_masked_embedding_rejected(self):
         e = np.array([[1.0, 0.0, 0.0, 0.0]])
@@ -245,7 +244,7 @@ class TestSelectionForward:
         plan = SelectionPlan(np.array([0, 1]), mask)
         cfg = LossConfig(margin=0.0, scale=1.0, r1=1.0, r2=0.75)
         with pytest.raises(DegenerateVectorError):
-            selection_forward(e, [0], prototypes, plan, cfg)
+            selection_backward(e, [0], prototypes, plan, cfg)
 
 
 # Class subsets that break "non-empty, strictly increasing indices in
@@ -261,8 +260,7 @@ BAD_SUBSETS = {
 
 class TestClassSubsetValidation:
     @pytest.mark.parametrize("subset", BAD_SUBSETS.values(), ids=BAD_SUBSETS.keys())
-    @pytest.mark.parametrize("loss", [selection_forward, selection_backward])
-    def test_bad_subset_rejected_and_inputs_keep_their_bits(self, subset, loss):
+    def test_bad_subset_rejected_and_inputs_keep_their_bits(self, subset):
         rng = np.random.default_rng(9)
         e = random_units(rng, 3, 4)
         labels = np.array([0, 1, 1])
@@ -271,7 +269,7 @@ class TestClassSubsetValidation:
         arrays = (e, labels, prototypes.rows, plan.class_subset, plan.feature_mask)
         before = [a.tobytes() for a in arrays]
         with pytest.raises(ValidationError, match="strictly increasing"):
-            loss(e, labels, prototypes, plan, LossConfig(margin=0.3, scale=4.0))
+            selection_backward(e, labels, prototypes, plan, LossConfig(margin=0.3, scale=4.0))
         assert [a.tobytes() for a in arrays] == before
 
 
@@ -288,14 +286,14 @@ class TestSelectionBackward:
         out = selection_backward(e, labels, prototypes, plan, cfg)
 
         num_e = finite_difference(
-            lambda x: selection_forward(x, labels, prototypes, plan, cfg).loss, e
+            lambda x: selection_backward(x, labels, prototypes, plan, cfg).loss, e
         )
         assert max_relative_error(out.grad_embeddings, num_e) < 1e-5
 
         def loss_of_rows(sub):
             rows = prototypes.rows.copy()
             rows[plan.class_subset] = sub
-            return selection_forward(e, labels, PrototypeMatrix(rows), plan, cfg).loss
+            return selection_backward(e, labels, PrototypeMatrix(rows), plan, cfg).loss
 
         sub = prototypes.rows[plan.class_subset]
         num_w = finite_difference(loss_of_rows, sub)
@@ -387,13 +385,13 @@ class TestDropout:
         # The gradient is taken with respect to the undropped embeddings,
         # and a dropped coordinate gets exactly zero.
         num_e = finite_difference(
-            lambda x: selection_forward(x, labels, prototypes, plan, cfg).loss, e
+            lambda x: selection_backward(x, labels, prototypes, plan, cfg).loss, e
         )
         assert max_relative_error(out.grad_embeddings, num_e) < 1e-5
         assert np.all(out.grad_embeddings[~plan.keep] == 0.0)
 
         num_w = finite_difference(
-            lambda rows: selection_forward(e, labels, PrototypeMatrix(rows), plan, cfg).loss,
+            lambda rows: selection_backward(e, labels, PrototypeMatrix(rows), plan, cfg).loss,
             prototypes.rows,
         )
         assert max_relative_error(out.grad_prototypes, num_w) < 1e-5
@@ -405,24 +403,23 @@ class TestDropout:
         prototypes = PrototypeMatrix(rng.standard_normal((4, 5)))
         cfg = LossConfig(margin=0.2, scale=8.0, r3=0.3, seed=1)
         plan = make_selection_plan(labels, 4, 5, cfg, 0)
-        out = selection_forward(e, labels, prototypes, plan, cfg)
-        dropped = selection_forward(
+        out = selection_backward(e, labels, prototypes, plan, cfg)
+        dropped = selection_backward(
             e * plan.keep / (1.0 - 0.3), labels, prototypes, full_plan(4, 5), replace(cfg, r3=None)
         )
         assert out.loss == dropped.loss
         np.testing.assert_array_equal(out.probs, dropped.probs)
 
-    @pytest.mark.parametrize("loss", [selection_forward, selection_backward])
-    def test_mask_and_ratio_must_come_together(self, loss):
+    def test_mask_and_ratio_must_come_together(self):
         rng = np.random.default_rng(18)
         e = random_units(rng, 2, 4)
         prototypes = PrototypeMatrix(rng.standard_normal((3, 4)))
         keep = np.ones((2, 4), dtype=bool)
         with_mask = SelectionPlan(np.arange(3), np.ones(4, dtype=bool), keep)
         with pytest.raises(ValidationError, match="keep mask"):
-            loss(e, [0, 1], prototypes, with_mask, LossConfig())
+            selection_backward(e, [0, 1], prototypes, with_mask, LossConfig())
         with pytest.raises(ValidationError, match="keep mask"):
-            loss(e, [0, 1], prototypes, full_plan(3, 4), LossConfig(r3=0.3))
+            selection_backward(e, [0, 1], prototypes, full_plan(3, 4), LossConfig(r3=0.3))
 
     @pytest.mark.parametrize("shape", [(1, 4), (2, 3), (4,), (2, 4, 1)])
     def test_mask_of_another_shape_rejected(self, shape):

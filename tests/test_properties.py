@@ -687,7 +687,7 @@ class ReferenceTrainer:
             raise DegenerateVectorError("zero-norm masked sub-vector")
         return norms, vectors / norms[:, None]
 
-    def _selection_core(self, embeddings, labels, plan, cfg):
+    def _selection_loss(self, embeddings, labels, plan, cfg):
         e = np.asarray(embeddings, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         b, d = e.shape
@@ -746,11 +746,11 @@ class ReferenceTrainer:
         z, norms, e = self._encode_cache(self.encoder.weights, inputs)
         r3 = self.cfg.loss.r3
         if r3 is None:
-            out = self._selection_core(e, labels, plan, self.cfg.loss)
+            out = self._selection_loss(e, labels, plan, self.cfg.loss)
             g = out.grad_embeddings
         else:
             keep = feature_dropout_mask(e.shape, r3, self.cfg.loss.seed, self.step_count)
-            out = self._selection_core(e * keep / (1.0 - r3), labels, plan, self.cfg.loss)
+            out = self._selection_loss(e * keep / (1.0 - r3), labels, plan, self.cfg.loss)
             g = out.grad_embeddings = out.grad_embeddings * keep / (1.0 - r3)
         grad_z = (g - np.sum(g * e, axis=1, keepdims=True) * e) / norms[:, None]
         grad_w = np.asarray(inputs, dtype=np.float64).T @ grad_z
