@@ -327,76 +327,69 @@ def build_parser():
     return parser, subs.choices
 
 
+def _stored_tokens(payload, path: str, command: str, actions: dict) -> dict[str, str]:
+    """The command-line token of each flag a --config payload stores, by
+    flag name: a manifest's `config` section, or a bare object of flag values."""
+    owner = command
+    # A manifest names its command; anything else must be an object of
+    # flag values. A train_config.json nests its settings under names no
+    # flag has, so reading it as flags would quietly train with defaults.
+    if isinstance(payload, dict) and "command" in payload and "config" in payload:
+        owner, payload = payload["command"], payload["config"]
+    if not isinstance(payload, dict) or any(isinstance(v, (dict, list)) for v in payload.values()):
+        raise ValidationError(f"{path} is neither a manifest nor a JSON object of flag values")
+    owner = payload.pop("command", owner)
+    if owner != command:
+        raise ValidationError(f"{path} is a manifest of `{owner}`, not `{command}`")
+    # Training once offered a second optimizer, and eval a seed; a config
+    # that chose another optimizer must not replay under AdamW.
+    optimizer = payload.pop("optimizer", None) if command in ("train", "ablate") else None
+    if optimizer not in (None, "adamw"):
+        raise ValidationError(f"{path} trains with the removed optimizer {optimizer!r}; only adamw remains")
+    if command == "eval":
+        payload.pop("seed", None)
+    tokens = {}
+    for key, value in payload.items():
+        if key not in actions:
+            raise ValidationError(f"{path} stores `{key}`, which names no flag of `{command}`")
+        if isinstance(value, bool) and actions[key].nargs != 0:
+            raise ValidationError(f"{path} stores {json.dumps(value)} for `{key}`, which takes a value")
+        if value is None or value is False:
+            continue
+        if key in _PATH_KEYS and isinstance(value, str) and not os.path.isabs(value):
+            value = os.path.join(os.path.dirname(path), value)
+        # The = form keeps a value that starts with - a value.
+        flag = actions[key].option_strings[0]
+        tokens[key] = flag if value is True else f"{flag}={value}"
+    return tokens
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
-    # A flag takes its default, then its --config value, then its value on
-    # the command line. The parse below sees only the flags given: no
-    # defaults, and nothing required until the config has had its say.
-    required, defaults = {}, {}
-    for name, sub in commands.items():
-        required[name] = [action for action in sub._actions if action.required]
-        for action in required[name]:
-            action.required = False
-        defaults[name] = vars(sub.parse_args([]))
-        for action in sub._actions:
-            action.default = argparse.SUPPRESS
-
-    given = vars(parser.parse_args(argv))  # exits: 0 after help, 2 on a usage error
+    # The probe parse learns the command, the config path and the typed
+    # flags; the real parse reads the stored flags ahead of the typed ones,
+    # so a typed flag wins and a stored one passes every argparse check.
+    probe, probe_commands = build_parser()
+    for probe_sub in probe_commands.values():
+        for action in probe_sub._actions:
+            action.required, action.default = False, argparse.SUPPRESS
+    given = vars(probe.parse_args(argv))  # exits: 0 after help, 2 on a usage error
     command, path = given["command"], given.get("config")
-    sub, values = commands[command], defaults[command]
-    # A flag is set when typed, or when the config gives a value to a flag whose
-    # default is null: a replayed manifest's stored ratios are not set.
-    set_flags = set(given)
-    if path:
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
-            return 3
-        # A manifest names its command; anything else must be an object of
-        # flag values. A train_config.json nests its settings under names no
-        # flag has, so reading it as flags would quietly train with defaults.
-        if isinstance(payload, dict) and "command" in payload and "config" in payload:
-            if payload["command"] != command:
-                print(
-                    f"usage error: {path} is a manifest of `{payload['command']}`, not `{command}`",
-                    file=sys.stderr,
-                )
-                return 2
-            payload = payload["config"]
-        if not isinstance(payload, dict) or any(isinstance(v, (dict, list)) for v in payload.values()):
-            print(f"usage error: {path} is neither a manifest nor a JSON object of flag values", file=sys.stderr)
-            return 2
-        # Training once offered a second optimizer; a config that chose it
-        # must not replay under AdamW.
-        if payload.get("optimizer") not in (None, "adamw"):
-            print(f"usage error: {path} trains with the removed optimizer "
-                  f"{payload['optimizer']!r}; only adamw remains", file=sys.stderr)
-            return 2
-        # A stored value stands in for a flag, required or not, a str as
-        # argparse reads a str default; a stored null is no value.
-        for action in sub._actions:
-            value = payload.get(action.dest)
-            if value is None or action.dest in given:
-                continue
-            if action.dest in _PATH_KEYS and isinstance(value, str) and not os.path.isabs(value):
-                value = os.path.join(os.path.dirname(path), value)
-            if isinstance(value, str):
-                try:
-                    value = sub._get_value(action, value)
-                except argparse.ArgumentError as exc:
-                    sub.error(str(exc))
-            if values.get(action.dest) is None:
-                set_flags.add(action.dest)
-            values[action.dest] = value
-    values.update(given)
-    missing = ["/".join(action.option_strings) for action in required[command] if values[action.dest] is None]
-    if missing:
-        sub.error("the following arguments are required: " + ", ".join(missing))
-
-    args = argparse.Namespace(**values)
+    actions = {action.dest: action for action in commands[command]._actions if action.dest != "help"}
     try:
+        tokens = {}
+        if path:
+            try:
+                payload = json.loads(Path(path).read_text())
+            except (OSError, json.JSONDecodeError) as exc:
+                print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
+                return 3
+            tokens = _stored_tokens(payload, path, command, actions)
+        args = parser.parse_args([command, *tokens.values(), *argv[1:]])
+        # A flag is set when typed, or when stored with a value other than
+        # its default: a replayed manifest's stored defaults are not set.
+        set_flags = set(given) | {dest for dest in tokens if getattr(args, dest) != actions[dest].default}
         idle = [message.format(flag) for names, applies, flags, message in _IDLE_FLAGS
                 if command in names and applies(args) for flag in flags if flag in set_flags]
         if idle:

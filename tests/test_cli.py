@@ -238,6 +238,23 @@ class TestEvalCommand:
         assert report["dims_used"] == 8
         assert "recall@1" in (out / "report.tsv").read_text()
 
+    @pytest.mark.parametrize("argv, message, manifest", [
+        (["eval"], "--input is required for the recall metric", False),
+        (["eval", "--input", "{data}", "--labels", "{centroids}"], "{centroids} carries no labels", True),
+        (["eval", "--metric", "map100", "--queries", "{truth}"], "--queries and --gallery are required", False),
+        (["eval", "--metric", "map100", "--gallery", "{data}"], "--queries and --gallery are required", False),
+    ], ids=["recall-no-input", "unlabeled-labels", "map100-no-gallery", "map100-no-queries"])
+    def test_missing_input_or_labels_is_usage_error(self, runs, tmp_path, capsys, argv, message, manifest):
+        files = {"data": runs / "synth" / "data.uceb", "truth": runs / "synth" / "truth.uceb",
+                 "centroids": runs / "cluster" / "centroids.uceb"}
+        out = tmp_path / "e"
+        assert main([part.format(**files) for part in argv] + ["--out", str(out)]) == 2
+        assert f"usage error: {message.format(**files)}" in capsys.readouterr().err
+        if manifest:
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        else:
+            assert not out.exists()
+
     def test_map100_on_split_files(self, tmp_path):
         rng = np.random.default_rng(0)
         queries = EmbeddingSet(
@@ -1012,4 +1029,48 @@ class TestOneParse:
                 main(argv)
             assert exc.value.code == 2
             assert f"error: the following arguments are required: {missing}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+# --config payloads that the typed flags they stand for would not pass:
+# (command, payload, message). {data}, {truth} and {embedded} name input
+# files; `bare` stands for the cluster manifest's `config` section alone.
+REFUSED_CONFIGS = [
+    ("eval", {"metric": "bogus", "queries": "{truth}", "gallery": "{embedded}"},
+     "argument --metric: invalid choice: 'bogus'"),
+    ("cluster", {"input": "{data}", "k": 2.5}, "argument --k: invalid int value: '2.5'"),
+    ("cluster", {"input": "{data}", "k": 3, "threads": 1.5}, "argument --threads: invalid int value: '1.5'"),
+    ("ablate", {"param": "r1", "values": "0.5,1.0", "transfer_eval": "false"},
+     "argument --transfer-eval: ignored explicit argument 'false'"),
+    ("train", {"input": "{data}", "weight_decay": 0.2}, "stores `weight_decay`, which names no flag of `train`"),
+    ("train", "bare", "is a manifest of `cluster`, not `train`"),
+    ("train", {"input": "{data}", "dropout_r3": 0.3, "r1": 0.5}, "--r1 does nothing under feature dropout"),
+    ("train", {"input": "{data}", "lr": 0, "wd": 0.5}, "--wd does nothing at --lr 0"),
+    ("cluster", {"input": "{data}", "k": 3, "help": True}, "stores `help`, which names no flag of `cluster`"),
+    ("train", {"input": "{data}", "epochs": False}, "stores false for `epochs`, which takes a value"),
+]
+
+
+class TestStoredFlagsParseAsTyped:
+    @pytest.mark.parametrize("command, payload, message", REFUSED_CONFIGS,
+                             ids=["choice", "int-k", "int-threads", "store-true", "unknown-key", "bare-of-cluster",
+                                  "idle-r1", "idle-wd", "help", "bool-of-a-value"])
+    def test_config_the_typed_flags_would_fail_is_usage_error(self, runs, tmp_path, capsys, monkeypatch,
+                                                              command, payload, message):
+        monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
+        files = {"data": runs / "synth" / "data.uceb", "truth": runs / "synth" / "truth.uceb",
+                 "embedded": runs / "train" / "embeddings.uceb"}
+        if payload == "bare":
+            payload = json.loads((runs / "cluster" / "manifest.json").read_text())["config"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({k: v.format(**files) if isinstance(v, str) else v for k, v in payload.items()}))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+        if command == "ablate":
+            argv += ["--seeds", "3", *TINY_ABLATION]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -160,6 +160,16 @@ class TestObjective:
         with pytest.raises(ValidationError):
             objective(np.ones((2, 2)), np.ones((2, 2)), [0, 5])
 
+    @pytest.mark.parametrize("centroids, assignments, message", [
+        (np.ones((2, 2)), [0], "one assignment per row is required"),
+        (np.ones((2, 2)), [[0, 1]], "one assignment per row is required"),
+        (np.ones((2, 3)), [0, 1], "centroid dimension does not match data"),
+        (np.ones(2), [0, 1], "centroid dimension does not match data"),
+    ], ids=["short", "2-d", "dim", "1-d-centroids"])
+    def test_shapes_that_do_not_fit_are_rejected(self, centroids, assignments, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            objective(np.ones((2, 2)), centroids, assignments)
+
     @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150, 1e160])
     def test_equals_the_two_temporary_formula(self, scale):
         rng = np.random.default_rng(12)

@@ -237,6 +237,19 @@ class TestSelectionForward:
             with pytest.raises(ValidationError, match="outside the selected class subset"):
                 selection_backward(e, [label], prototypes, plan, cfg)
 
+    @pytest.mark.parametrize("batch, dim, mask, error, message", [
+        (3, 4, [True] * 4, DimensionMismatchError, "disagree on batch size"),
+        (2, 5, [True] * 5, DimensionMismatchError, "embedding dim 5 does not match prototype dim 4"),
+        (2, 4, [True] * 3, DimensionMismatchError, "feature mask length does not match dim"),
+        (2, 4, [False] * 4, ValidationError, "feature mask selects no coordinates"),
+    ], ids=["batch", "dim", "mask-length", "empty-mask"])
+    def test_operands_that_do_not_fit_are_rejected(self, batch, dim, mask, error, message):
+        rng = np.random.default_rng(6)
+        prototypes = PrototypeMatrix(rng.standard_normal((6, 4)))
+        plan = SelectionPlan(np.arange(6), np.array(mask))
+        with pytest.raises(error, match=message):
+            selection_backward(random_units(rng, batch, dim), [0, 1], prototypes, plan, LossConfig())
+
     def test_zero_norm_masked_embedding_rejected(self):
         e = np.array([[1.0, 0.0, 0.0, 0.0]])
         prototypes = PrototypeMatrix(np.eye(4)[:2] + 0.1)

@@ -23,7 +23,7 @@ from unicom import (
     synth_conflict_dataset,
     train,
 )
-from unicom.errors import DegenerateVectorError, NonFiniteLossError, ValidationError
+from unicom.errors import DegenerateVectorError, DimensionMismatchError, NonFiniteLossError, ValidationError
 from unicom.gradcheck import finite_difference, max_relative_error
 from unicom.rng import stream_rng
 from unicom.training import _encode_cache, load_prototypes, save_checkpoint
@@ -47,6 +47,11 @@ class TestEncode:
         enc = LinearEncoder(np.zeros((3, 3)))
         with pytest.raises(DegenerateVectorError):
             enc.encode(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 3), (4,), (1, 2, 4)])
+    def test_inputs_of_another_dim_are_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match=rf"inputs of shape \({shape[0]},.* do not match encoder input dim 4"):
+            LinearEncoder.identity(4).encode(np.ones(shape))
 
     def test_normalization_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(2)
