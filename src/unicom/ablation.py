@@ -104,7 +104,8 @@ def run_single(cfg: AblationConfig, seed: int) -> dict[int, float]:
     if cfg.cluster_k is not None:
         clusters = kmeans_fit(data, KMeansConfig(k=cfg.cluster_k, seed=seed))
         data = data.with_labels(clusters.assignments)
-        prototypes = init_prototypes(clusters)
+        if cfg.embed_dim is None:
+            prototypes = init_prototypes(clusters)
     if cfg.embed_dim is not None:
         encoder = LinearEncoder.orthonormal(data.dim, cfg.embed_dim, seed=seed)
         embedded = encoder.encode(data.vectors)

@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 assertion or computation failure, 2 usage error,
 3 I/O or file-format error. Every file-producing command writes a
-manifest.json with the fully resolved configuration before any
-computation starts, so a run can be reproduced from its output directory
-alone (`--config manifest.json` re-applies it; explicit flags win). A
-manifest stores relative input paths relative to its own directory, and
-a config file's relative paths are read that way, so a replay works from
-any working directory. A manifest replays only its own command.
+manifest.json holding its command, its fully resolved configuration and
+the package version before any computation starts (gradcheck, whose
+flags the gradient check itself validates, after the check), so a run
+can be reproduced from its output directory alone (`--config
+manifest.json` re-applies it; explicit flags win). A manifest stores
+relative input paths relative to its own directory, and a config file's
+relative paths are read that way, so a replay works from any working
+directory. A manifest replays only its own command.
 """
 
 import argparse
@@ -21,7 +23,7 @@ from . import __version__
 from .ablation import ABLATION_PARAMS, AblationConfig, ablation_to_json, ablation_to_tsv, run_ablation
 from .clustering import KMeansConfig, kmeans_fit, INIT_METHODS
 from .data import EmbeddingSet, SyntheticSpec, load_embeddings, save_embeddings, synth_conflict_dataset
-from .errors import UcebFormatError, UnicomError, ValidationError
+from .errors import DimensionMismatchError, UcebFormatError, UnicomError, ValidationError
 from .evaluation import RetrievalReport, map_at_100, retrieval_report, truncate_dims
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, check_selection_gradients
 from .losses import LossConfig
@@ -44,7 +46,7 @@ _IDLE_FLAGS = (
 )
 
 
-def _write_manifest(args, out_dir: Path, inputs: list[str], outputs: list[str]) -> None:
+def _write_manifest(args, out_dir: Path) -> None:
     def stored(path):
         return path if os.path.isabs(path) else os.path.relpath(path, out_dir)
 
@@ -56,9 +58,6 @@ def _write_manifest(args, out_dir: Path, inputs: list[str], outputs: list[str]) 
     manifest = {
         "command": args.command,
         "config": config,
-        "seed": getattr(args, "seed", None),
-        "inputs": [stored(p) for p in inputs],
-        "outputs": outputs,
         "version": __version__,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -104,7 +103,7 @@ def _number_list(text: str, convert, flag: str) -> list:
 def cmd_synth(args) -> int:
     spec = _synth_spec(args)
     out = Path(args.out)
-    _write_manifest(args, out, [], ["data.uceb", "truth.uceb"])
+    _write_manifest(args, out)
     data, truth = synth_conflict_dataset(spec)
     save_embeddings(data, out / "data.uceb")
     save_embeddings(data.with_labels(truth), out / "truth.uceb")
@@ -117,7 +116,7 @@ def cmd_cluster(args) -> int:
         k=args.k, max_iters=args.max_iters, tol=args.tol, init=args.init, seed=args.seed
     )
     out = Path(args.out)
-    _write_manifest(args, out, [args.input], ["centroids.uceb", "assigned.uceb", "objective_trace.txt"])
+    _write_manifest(args, out)
     data = load_embeddings(args.input)
     result = kmeans_fit(data, cfg, threads=args.threads)
     save_embeddings(
@@ -135,8 +134,7 @@ def cmd_cluster(args) -> int:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     out = Path(args.out)
-    outputs = ["encoder.uceb", "prototypes.uceb", "train_config.json", "loss_curve.txt", "embeddings.uceb"]
-    _write_manifest(args, out, [args.input], outputs)
+    _write_manifest(args, out)
     data = load_embeddings(args.input)
     prototypes = load_prototypes(args.centroids) if args.centroids else None
     result = train(data, cfg, prototypes=prototypes)
@@ -158,7 +156,7 @@ def cmd_eval(args) -> int:
         if not args.input:
             raise ValidationError("--input is required for the recall metric")
         ks = _number_list(args.k, int, "--k")
-        _write_manifest(args, out, [args.input], ["report.json", "report.tsv"])
+        _write_manifest(args, out)
         data = load_embeddings(args.input)
         if args.labels:
             labeled = load_embeddings(args.labels)
@@ -169,23 +167,21 @@ def cmd_eval(args) -> int:
             data = data.with_labels(labeled.labels)
         if args.dims is not None:
             data = truncate_dims(data, args.dims)
-        report = retrieval_report(
-            data, ks, threads=args.threads, config={"dims": args.dims, "k": args.k}
-        )
+        report = retrieval_report(data, ks, threads=args.threads)
     else:
         if not (args.queries and args.gallery):
             raise ValidationError("--queries and --gallery are required for map100")
-        _write_manifest(args, out, [args.queries, args.gallery], ["report.json", "report.tsv"])
+        _write_manifest(args, out)
         queries = load_embeddings(args.queries)
         gallery = load_embeddings(args.gallery)
+        # Checked before truncation, which would give both sides --dims.
+        if queries.dim != gallery.dim:
+            raise DimensionMismatchError("query and gallery dimensions differ")
         if args.dims is not None:
             queries = truncate_dims(queries, args.dims)
             gallery = truncate_dims(gallery, args.dims)
         value = map_at_100(queries, gallery, threads=args.threads)
-        report = RetrievalReport(
-            recall_at={}, dims_used=gallery.dim, map_at_100=value,
-            config={"dims": args.dims},
-        )
+        report = RetrievalReport(recall_at={}, dims_used=gallery.dim, map_at_100=value)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.tsv").write_text(report.to_tsv())
     print(report.to_tsv(), end="")
@@ -204,7 +200,7 @@ def cmd_ablate(args) -> int:
         transfer_eval=args.transfer_eval,
     )
     out = Path(args.out)
-    _write_manifest(args, out, [], ["ablation.tsv", "ablation.json"])
+    _write_manifest(args, out)
     rows = run_ablation(args.param, values, base, range(args.seed, args.seed + args.seeds))
     (out / "ablation.tsv").write_text(ablation_to_tsv(rows))
     (out / "ablation.json").write_text(ablation_to_json(rows) + "\n")
@@ -218,7 +214,7 @@ def cmd_gradcheck(args) -> int:
     )
     if args.out:
         out = Path(args.out)
-        _write_manifest(args, out, [], ["gradcheck.json"])
+        _write_manifest(args, out)
         payload = {**asdict(report), "passed": report.passed}
         (out / "gradcheck.json").write_text(json.dumps(payload, indent=2) + "\n")
     status = "PASS" if report.passed else "FAIL"

@@ -3,7 +3,7 @@ compact embeddings."""
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +18,12 @@ class RetrievalReport:
     recall_at: dict[int, float]
     dims_used: int
     map_at_100: float | None = None
-    config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
             "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
             "map_at_100": self.map_at_100,
             "dims_used": self.dims_used,
-            "config": self.config,
         }
         return json.dumps(payload, indent=2)
 
@@ -168,18 +166,9 @@ def recall_at_k(embeddings: EmbeddingSet, k: int, threads: int = 1) -> float:
     return _recall_at(embeddings, [k], threads)[int(k)]
 
 
-def retrieval_report(
-    embeddings: EmbeddingSet,
-    ks=(1,),
-    threads: int = 1,
-    config: dict | None = None,
-) -> RetrievalReport:
+def retrieval_report(embeddings: EmbeddingSet, ks=(1,), threads: int = 1) -> RetrievalReport:
     """Recall@K for several K from a single neighbor ranking."""
-    return RetrievalReport(
-        recall_at=_recall_at(embeddings, ks, threads),
-        dims_used=embeddings.dim,
-        config=dict(config or {}),
-    )
+    return RetrievalReport(recall_at=_recall_at(embeddings, ks, threads), dims_used=embeddings.dim)
 
 
 def map_at_100(queries: EmbeddingSet, gallery: EmbeddingSet, threads: int = 1) -> float:

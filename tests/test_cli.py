@@ -60,7 +60,7 @@ class TestSynthCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["config"]["classes"] == 6
-        assert manifest["seed"] == 1
+        assert manifest["config"]["seed"] == 1
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -288,6 +288,19 @@ class TestEvalCommand:
         assert report["dims_used"] == 8
         assert main(argv + ["--dims", "17", "--out", str(tmp_path / "x")]) == 2
         assert "d_prime must lie in [1, 16], got 17" in capsys.readouterr().err
+
+    def test_map100_dimension_mismatch_is_not_hidden_by_truncation(self, tmp_path, capsys):
+        # Truncated to --dims 8, the 8-dim queries and 16-dim gallery would fit.
+        data_dir = self._trained(tmp_path)
+        gallery = load_embeddings(data_dir / "truth.uceb")
+        queries = tmp_path / "q.uceb"
+        save_embeddings(gallery.with_vectors(gallery.vectors[:, :8]), queries)
+        out = tmp_path / "e"
+        rc = main(["eval", "--metric", "map100", "--queries", str(queries),
+                   "--gallery", str(data_dir / "truth.uceb"), "--dims", "8", "--out", str(out)])
+        assert rc == 2
+        assert "usage error: query and gallery dimensions differ" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_missing_labels_is_usage_error(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -717,7 +730,8 @@ class TestManifestReplay:
         for run in ("cluster", "train", name):
             assert main(argvs[run] + ["--out", f"runs/{run}"]) == 0
         manifest = json.loads((tmp_path / "runs" / name / "manifest.json").read_text())
-        assert not any(p.startswith("/") for p in manifest["inputs"])
+        paths = [v for k, v in manifest["config"].items() if k in cli._PATH_KEYS and v is not None]
+        assert paths and not any(os.path.isabs(p) for p in paths)
         elsewhere = tmp_path / "x" / "y"
         elsewhere.mkdir(parents=True)
         monkeypatch.chdir(elsewhere)
@@ -821,6 +835,35 @@ class TestManifestReplay:
             "--config", str(runs / "train" / "manifest.json"), "--out", str(out),
         ])
         assert rc == 0
+        assert read_tree(out) == read_tree(runs / "train")
+
+
+class TestOutputFiles:
+    """A manifest holds the run's configuration and a report its results,
+    each once."""
+
+    @pytest.mark.parametrize("name", [
+        "synth", "cluster", "cluster-random", "train", "train-label-means",
+        "train-dropout", "eval", "eval-map100", "ablate", "gradcheck",
+    ])
+    def test_manifest_holds_command_config_and_version(self, runs, name):
+        manifest = json.loads((runs / name / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "config", "version"]
+        assert manifest["version"] == unicom.__version__
+
+    @pytest.mark.parametrize("name", ["eval", "eval-map100"])
+    def test_report_holds_only_results(self, runs, name):
+        report = json.loads((runs / name / "report.json").read_text())
+        assert sorted(report) == ["dims_used", "map_at_100", "recall_at"]
+
+    def test_manifest_with_the_retired_keys_replays_to_the_same_bytes(self, runs, tmp_path):
+        # Manifests once also stored the seed, input paths and output names.
+        manifest = json.loads((runs / "train" / "manifest.json").read_text())
+        manifest.update(seed=2, inputs=["../cluster/assigned.uceb"], outputs=["encoder.uceb"])
+        config = tmp_path / "manifest.json"
+        config.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         assert read_tree(out) == read_tree(runs / "train")
 
 

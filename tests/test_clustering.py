@@ -346,3 +346,12 @@ class TestKMeansFit:
         res = kmeans_fit(s, KMeansConfig(k=3, seed=2))
         assert res.assignments.shape == (12,)
         assert res.centroids.shape == (3, 4)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"max_iters": 0}, "max_iters must be >= 1"),
+    ({"init": "farthest"}, "init must be one of"),
+])
+def test_config_refuses_bad_settings(settings, message):
+    with pytest.raises(ValidationError, match=message):
+        KMeansConfig(k=2, **settings)

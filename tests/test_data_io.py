@@ -393,3 +393,20 @@ class TestSynthConflictDataset:
             SyntheticSpec(true_classes=3, per_class=5, dim=4, conflict_ratio=1.5)
         with pytest.raises(ValidationError):
             SyntheticSpec(true_classes=3, per_class=5, dim=4, intra_noise=-0.1)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"true_classes": 1}, "true_classes must be >= 2"),
+    ({"per_class": 1}, "per_class must be >= 2"),
+    ({"dim": 0}, "dim must be >= 1"),
+])
+def test_spec_refuses_sizes_below_the_floor(settings, message):
+    with pytest.raises(ValidationError, match=message):
+        SyntheticSpec(**{"true_classes": 3, "per_class": 5, "dim": 4, **settings})
+
+
+@pytest.mark.parametrize("labels, shown", [([0, 1], "labeled"), (None, "unlabeled")])
+def test_set_equals_only_sets_and_shows_its_shape(labels, shown):
+    s = EmbeddingSet(np.eye(2, 3, dtype=np.float32), ["a", "b"], labels)
+    assert s != "a set" and s != 3
+    assert repr(s) == f"EmbeddingSet(n=2, d=3, {shown})"

@@ -248,3 +248,11 @@ class TestTruncateDims:
             s.labels,
         )
         assert recall_at_k(truncate_dims(padded, 5), 2) == recall_at_k(s, 2)
+
+
+def test_map_refuses_queries_with_no_relevant_gallery_item():
+    rng = np.random.default_rng(20)
+    queries = random_labeled(rng, 4, 3, 2)  # labels 0 and 1
+    gallery = labeled_set(unit_rows(rng.standard_normal((6, 3))), 2 + np.arange(6) % 2)
+    with pytest.raises(ValidationError, match="no query has a relevant gallery item"):
+        evaluation.map_at_100(queries, gallery)

@@ -442,3 +442,13 @@ class TestDropout:
         plan = SelectionPlan(np.arange(3), np.ones(4, dtype=bool), np.ones(shape, dtype=bool))
         with pytest.raises(DimensionMismatchError, match="keep mask"):
             selection_backward(e, [0, 1], prototypes, plan, LossConfig(r3=0.3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PrototypeMatrix(np.ones(4)), "prototype rows must form a 2-D matrix"),
+    (lambda: sample_classes([], 4, 0.5, seed=0, step=0), "batch_labels must be non-empty"),
+    (lambda: sample_classes([0, 1], 4, 0.0, seed=0, step=0), "r1 must lie in"),
+])
+def test_refuses_malformed_prototypes_and_class_draws(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

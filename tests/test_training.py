@@ -443,3 +443,15 @@ class TestTrainLoop:
         sidecar = json.loads((tmp_path / "train_config.json").read_text())
         assert sidecar["steps"] == result.steps
         assert sidecar["config"]["lr"] == cfg.lr
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LinearEncoder(np.ones(4)), "encoder weights must be 2-D"),
+    (lambda: LinearEncoder.orthonormal(4, 8), "orthonormal init needs output_dim <= input_dim"),
+    (lambda: prototypes_from_labels(np.ones((3, 2)), [0, 0, 0]), "at least two classes are required"),
+    (lambda: TrainConfig(epochs=0), "epochs must be >= 1"),
+    (lambda: TrainConfig(batch_size=0), "batch_size must be >= 1"),
+])
+def test_refuses_malformed_encoders_prototypes_and_configs(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
