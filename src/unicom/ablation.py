@@ -26,7 +26,6 @@ from .training import (
     LinearEncoder,
     TrainConfig,
     init_prototypes,
-    prototypes_from_labels,
     train,
 )
 from .util import ratio_count
@@ -99,17 +98,14 @@ def run_single(cfg: AblationConfig, seed: int) -> dict[int, float]:
     spec = replace(cfg.synth, seed=seed)
     data, truth = synth_conflict_dataset(spec)
 
-    encoder = None
-    prototypes = None
+    encoder = prototypes = None  # without prototypes, `train` takes label means of the encoded rows
+    if cfg.embed_dim is not None:
+        encoder = LinearEncoder.orthonormal(data.dim, cfg.embed_dim, seed=seed)
     if cfg.cluster_k is not None:
         clusters = kmeans_fit(data, KMeansConfig(k=cfg.cluster_k, seed=seed))
         data = data.with_labels(clusters.assignments)
-        if cfg.embed_dim is None:
+        if encoder is None:
             prototypes = init_prototypes(clusters)
-    if cfg.embed_dim is not None:
-        encoder = LinearEncoder.orthonormal(data.dim, cfg.embed_dim, seed=seed)
-        embedded = encoder.encode(data.vectors)
-        prototypes = prototypes_from_labels(embedded, data.labels, seed=seed)
 
     loss = replace(cfg.train.loss, seed=seed)
     train_cfg = replace(cfg.train, seed=seed, loss=loss)

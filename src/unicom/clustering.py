@@ -95,9 +95,11 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
         raise DimensionMismatchError(
             f"centroids of shape {c.shape} do not match dimension {x.shape[1]}"
         )
+    k, d = c.shape
+    if k == 0:
+        raise ValidationError("assign needs at least one centroid, got 0")
     check_finite(x, "point")
     check_finite(c, "centroid")
-    k, d = c.shape
     with np.errstate(**_QUIET):
         c_sq = np.einsum("kd,kd->k", c, c)
         c_norm = np.sqrt(c_sq.max())
@@ -134,6 +136,8 @@ def objective(data, centroids: np.ndarray, assignments: np.ndarray) -> float:
         raise DimensionMismatchError("one assignment per row is required")
     if centroids.ndim != 2 or centroids.shape[1] != x.shape[1]:
         raise DimensionMismatchError("centroid dimension does not match data")
+    if x.shape[0] == 0:
+        raise ValidationError("the objective needs at least one row, got 0")
     k = centroids.shape[0]
     if np.any(assignments < 0) or np.any(assignments >= k):
         raise ValidationError(f"assignments must lie in [0, {k})")

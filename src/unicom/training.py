@@ -50,6 +50,8 @@ class LinearEncoder:
         weights = np.array(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ValidationError("encoder weights must be 2-D")
+        if 0 in weights.shape:
+            raise ValidationError(f"encoder weights of shape {weights.shape} have an empty dimension")
         self.weights = weights
 
     @property
@@ -107,6 +109,8 @@ def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed
     """
     x = np.asarray(vectors)
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValidationError("label means need at least one labeled row, got 0")
     k = int(labels.max()) + 1 if num_classes is None else int(num_classes)
     if k < 2:
         raise ValidationError("at least two classes are required")
@@ -162,7 +166,8 @@ class Trainer:
     def __init__(self, encoder: LinearEncoder, prototypes: PrototypeMatrix, cfg: TrainConfig):
         if encoder.output_dim != prototypes.dim:
             raise DimensionMismatchError(
-                "encoder output dim does not match prototype dim"
+                f"prototype dim {prototypes.dim} does not match "
+                f"the encoder's output dim {encoder.output_dim}"
             )
         self.encoder = encoder
         self.prototypes = prototypes
@@ -290,9 +295,10 @@ def train(
     """Train on a labeled embedding set for cfg.epochs of shuffled batches.
 
     The stored vectors are the encoder inputs; by default the encoder
-    starts as the identity map, so prototype initialization from label
-    means (or cluster centroids) lines up with the initial embeddings.
-    A fresh selection plan is drawn for every step.
+    starts as the identity map. Without `prototypes`, each class starts
+    at the mean of its rows' embeddings under `encoder`, or of the raw
+    rows when the default identity is used. A fresh selection plan is
+    drawn for every step.
     """
     if data.labels is None:
         raise ValidationError("training data must carry labels")
@@ -300,7 +306,8 @@ def train(
         raise ValidationError("training labels must cover at least 2 classes")
     x = data.vectors  # float32; each batch is converted on its own
     if prototypes is None:
-        prototypes = prototypes_from_labels(x, data.labels, seed=cfg.seed)
+        start = x if encoder is None else encoder.encode(x)
+        prototypes = prototypes_from_labels(start, data.labels, seed=cfg.seed)
     if encoder is None:
         encoder = LinearEncoder.identity(data.dim)
 

@@ -355,3 +355,12 @@ class TestKMeansFit:
 def test_config_refuses_bad_settings(settings, message):
     with pytest.raises(ValidationError, match=message):
         KMeansConfig(k=2, **settings)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: assign(np.ones((3, 2)), np.empty((0, 2))), "at least one centroid, got 0"),
+    (lambda: objective(np.empty((0, 2)), np.ones((2, 2)), []), "at least one row, got 0"),
+])
+def test_refuses_empty_inputs(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -1,5 +1,6 @@
 """Tests for embedding storage, UCEB round trips, and synthesis."""
 
+import io
 import os
 import struct
 import threading
@@ -295,6 +296,26 @@ class TestUcebErrors:
         path.write_bytes(blob[:-1])
         with pytest.raises(TruncatedPayloadError):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("short_block", [0, 1])  # the vectors, then the labels
+    def test_file_that_shrinks_while_it_is_read(self, tmp_path, monkeypatch, short_block):
+        blob = self._valid_bytes(tmp_path)
+
+        class Shrinking(io.BytesIO):
+            """The whole file for the size check; one block read comes
+            back a byte short, as if the file were cut after the check."""
+            reads = 0
+
+            def readinto(self, buffer):
+                view = memoryview(buffer).cast("B")
+                if self.reads == short_block:
+                    view = view[:-1]
+                self.reads += 1
+                return super().readinto(view)
+
+        monkeypatch.setattr("unicom.data.open", lambda path, mode: Shrinking(blob), raising=False)
+        with pytest.raises(TruncatedPayloadError, match="shrank while it was read"):
+            load_embeddings(tmp_path / "valid.uceb")
 
     def test_zero_dim_header(self, tmp_path):
         blob = bytearray(self._valid_bytes(tmp_path))

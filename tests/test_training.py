@@ -429,6 +429,36 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert peak < n * d * 4
 
+    @staticmethod
+    def _synth_20x20():
+        spec = SyntheticSpec(true_classes=20, per_class=20, dim=32, intra_noise=1.0, seed=0)
+        return synth_conflict_dataset(spec)[0]
+
+    def test_starts_from_label_means_of_the_encoded_rows(self):
+        data = self._synth_20x20()
+        # Class 19 is left empty, so its prototype is drawn from cfg.seed.
+        data = data.with_labels(np.where(data.labels == 19, 20, data.labels))
+        cfg = TrainConfig(epochs=1, lr=0.01, seed=3, loss=LossConfig(r1=1.0, seed=3))
+        got = train(data, cfg, encoder=LinearEncoder.orthonormal(32, 8, seed=5))
+        encoder = LinearEncoder.orthonormal(32, 8, seed=5)
+        start = prototypes_from_labels(encoder.encode(data.vectors), data.labels, seed=cfg.seed)
+        want = train(data, cfg, prototypes=start, encoder=encoder)
+        assert np.asarray(got.losses).tobytes() == np.asarray(want.losses).tobytes()
+        assert got.encoder.weights.tobytes() == want.encoder.weights.tobytes()
+        assert got.prototypes.rows.tobytes() == want.prototypes.rows.tobytes()
+
+    def test_a_rotated_encoder_starts_at_the_identity_loss(self):
+        data = self._synth_20x20()
+        cfg = TrainConfig(epochs=1, loss=LossConfig(r1=1.0))
+        rotated = train(data, cfg, encoder=LinearEncoder.orthonormal(32, 32, seed=5)).losses[0]
+        identity = train(data, cfg, encoder=LinearEncoder.identity(32)).losses[0]
+        assert rotated == pytest.approx(identity, rel=1e-9)
+
+    def test_mismatch_names_both_dimensions(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="prototype dim 12 does not match the encoder's output dim 16"):
+            Trainer(LinearEncoder.identity(16), PrototypeMatrix(np.eye(12)), TrainConfig())
+
     def test_checkpoint_round_trip(self, tmp_path):
         spec = SyntheticSpec(true_classes=4, per_class=8, dim=6, intra_noise=0.1, seed=9)
         data, _ = synth_conflict_dataset(spec)
@@ -451,6 +481,8 @@ class TestTrainLoop:
     (lambda: prototypes_from_labels(np.ones((3, 2)), [0, 0, 0]), "at least two classes are required"),
     (lambda: TrainConfig(epochs=0), "epochs must be >= 1"),
     (lambda: TrainConfig(batch_size=0), "batch_size must be >= 1"),
+    (lambda: LinearEncoder.orthonormal(4, 0), r"shape \(4, 0\) have an empty dimension"),
+    (lambda: prototypes_from_labels(np.empty((0, 3)), []), "at least one labeled row, got 0"),
 ])
 def test_refuses_malformed_encoders_prototypes_and_configs(call, message):
     with pytest.raises(ValidationError, match=message):
