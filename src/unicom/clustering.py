@@ -8,6 +8,7 @@ cosine-based losses trained on top of them.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,26 +55,55 @@ def _points(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
-# The screens below take x.c from a float32 product and the squared norms
-# in float64. With m = (|x| + |c|) / 2 and delta = screen_error(m, m, d),
-# x.c errs by at most screen_error(|x|, |c|, d), and as that bound is
-# affine in each norm, 2 delta exceeds it by (2 u + gamma_d)(|x| + |c|)^2
-# / 2 (notation of `screen_error`), far above the float64 rounding of the
-# norms and sums. So:
-# - kmeans++ screens |x|^2 - 2 x.c + |c|^2, within 4 delta of the true
-#   squared distance. The exact sum((x - c)^2), evaluated in float64, is
-#   within 4 delta too, so a row whose screen exceeds its current nearest
-#   by 8 delta or more cannot get nearer.
-# - `assign` ranks a row's centroids by |c|^2 / 2 - x.c, half the squared
-#   distance less the row's own |x|^2 / 2, within 2 delta of its true
-#   value; half the exact formula lies within 2 delta of half the true
-#   distance. So the centroid nearest by the exact formula screens within
-#   8 delta of the row minimum.
-_DISTANCE_SLACK = 8
+# The screens below take x.c from a float32 product. With |c| the largest
+# centroid norm, m = (|x| + |c|) / 2 and delta = screen_error(m, m, d), in
+# the notation of `screen_error`:
+# - x.c errs by at most screen_error(|x|, |c|, d) <= delta for every
+#   centroid, as that bound grows with |x| |c| <= m^2 and |x| + |c| = 2 m;
+# - delta >= 2 (2 u + gamma_d) m^2 + 8 t >= 6 u m^2 + 8 t, far above the
+#   float64 rounding of the norms, of the sums and of delta itself.
+# So:
+# - kmeans++ screens |x|^2 - 2 x.c + |c|^2, norms in float64, within 4 delta
+#   of the true squared distance. The exact sum((x - c)^2), evaluated in
+#   float64, is within 4 delta too, so a row whose screen exceeds its
+#   current nearest by 8 delta or more cannot get nearer.
+# - `assign` ranks a row's centroids by h - x.c in float32, half the squared
+#   distance less the row's own |x|^2 / 2: h = |c|^2 / 2, taken in float64,
+#   is rounded to float32 and subtracted in place from the product P. Each
+#   of the two roundings errs by at most u times its exact value plus t.
+#   With h <= 2 m^2 (as |c| <= 2 m) and |P| <= |x| |c| + delta <= m^2 +
+#   delta, they add at most (5 + 2 u) u m^2 + (2 + u) t + u delta < delta.
+#   So the screen lies within 3 delta of its true value: delta for x.c,
+#   delta for these roundings and delta for the float64 ones. Half the
+#   exact formula lies within 2 delta of half the true distance, so the
+#   centroid nearest by the exact formula screens within 10 delta of the
+#   row minimum: at most the row's limit, that sum rounded up to float32.
+#   Overflow leaves the limit non-finite, and the row is rescored in full:
+#   - where h overflows float32 (|c| past about 2.6e19), m^2 >= |c|^2 / 4
+#     is at least half the largest float32, so delta is inf;
+#   - where h - P overflows with delta finite, the centroid's true value
+#     exceeds the largest float32 less 2 delta. Were it the nearest, the
+#     row minimum would exceed the largest float32 less 9 delta, and the
+#     limit would round up to inf.
+_DISTANCE_SLACK = 10
 # Norms of huge rows may overflow where their differences do not, and
 # float32 casts of coordinates beyond about 3.4e38 do; such rows get a
 # non-finite bound and are rescored in full, so the screen stays silent.
 _QUIET = dict(over="ignore", invalid="ignore")
+
+
+class _Rows(NamedTuple):
+    """Checked float64 points with the row terms of both screens: the
+    points in float32 and their float64 squared norms."""
+
+    vectors: np.ndarray
+    x32: np.ndarray
+    x_sq: np.ndarray
+
+
+def _screen_rows(x: np.ndarray) -> _Rows:
+    with np.errstate(**_QUIET):
+        return _Rows(x, x.astype(np.float32), np.einsum("id,id->i", x, x))
 
 
 def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -82,14 +112,18 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     `centroids` holds one centroid per row. Ties break toward the lowest
     centroid index.
 
-    Each block of rows is screened with one float32 matrix product
-    through |c|^2 / 2 - x.c, the squared norms kept in float64. The
-    few centroids whose screened distance lies within a rounding-error
-    bound of the row minimum are rescored as sum((x - c)^2) in float64,
-    and the winner is chosen on those values, so the result equals an
-    exhaustive scan with that formula.
+    Each block of rows is screened in float32: one matrix product x.c,
+    from which |c|^2 / 2 is subtracted in place. A row takes its screen
+    minimum unless another centroid screens within a rounding-error bound
+    of it. Only such near ties are rescored, as sum((x - c)^2) in float64
+    over the centroids within the bound, and the winner is chosen on those
+    values, so the result equals an exhaustive scan with that formula.
+
+    Points are checked and cast block by block, unless `data` is the
+    `_Rows` that `kmeans_fit` builds once for all of its passes.
     """
-    x = _points(data)
+    rows = data if isinstance(data, _Rows) else None
+    x = _points(data) if rows is None else rows.vectors
     c = np.ascontiguousarray(centroids, dtype=np.float64)
     if c.ndim != 2 or c.shape[1] != x.shape[1]:
         raise DimensionMismatchError(
@@ -98,29 +132,41 @@ def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     k, d = c.shape
     if k == 0:
         raise ValidationError("assign needs at least one centroid, got 0")
-    check_finite(x, "point")
+    if rows is None:
+        check_finite(x, "point")
     check_finite(c, "centroid")
     with np.errstate(**_QUIET):
         c_sq = np.einsum("kd,kd->k", c, c)
         c_norm = np.sqrt(c_sq.max())
-        c_half = c_sq / 2
+        c_half = (c_sq / 2).astype(np.float32)
         c32 = c.astype(np.float32)
 
     def chunk(a, b):
-        rows = x[a:b]
+        block = _screen_rows(x[a:b]) if rows is None else _Rows(*(v[a:b] for v in rows))
+        at = np.arange(b - a)
         with np.errstate(**_QUIET):
-            x_sq = np.einsum("id,id->i", rows, rows)
-            screened = np.subtract(c_half, rows.astype(np.float32) @ c32.T, dtype=np.float64)
-            m = (np.sqrt(x_sq) + c_norm) / 2
-            limit = screened.min(axis=1) + _DISTANCE_SLACK * screen_error(m, m, d)
-        near = screened <= limit[:, None]
-        near[~np.isfinite(limit)] = True
+            screen = block.x32 @ c32.T
+            np.subtract(c_half, screen, out=screen)
+            best = screen.argmin(axis=1)
+            m = (np.sqrt(block.x_sq) + c_norm) / 2
+            # Rounded to float32, then one step up, so never below the bound.
+            limit = (screen[at, best] + _DISTANCE_SLACK * screen_error(m, m, d)).astype(np.float32)
+            limit = np.nextafter(limit, np.float32(np.inf))
+            screen[at, best] = np.inf
+            # Negated, so rows with a NaN or infinite limit are rescored too.
+            tied = np.flatnonzero(~(screen.min(axis=1) > limit))
+        if tied.size == 0:
+            return best
+        near = screen[tied] <= limit[tied, None]
+        near[np.arange(tied.size), best[tied]] = True
+        near[~np.isfinite(limit[tied])] = True
         r, j = np.divmod(np.flatnonzero(near), k)
-        diff = rows[r] - c[j]
+        diff = block.vectors[tied[r]] - c[j]
         d2 = np.einsum("ij,ij->i", diff, diff)
-        starts = np.searchsorted(r, np.arange(b - a))
-        best = np.minimum.reduceat(d2, starts)
-        return np.minimum.reduceat(np.where(d2 == best[r], j, k), starts)
+        starts = np.searchsorted(r, np.arange(tied.size))
+        low = np.minimum.reduceat(d2, starts)
+        best[tied] = np.minimum.reduceat(np.where(d2 == low[r], j, k), starts)
+        return best
 
     parts = map_row_chunks(chunk, x.shape[0], threads)
     return np.concatenate(parts).astype(np.int64, copy=False)
@@ -148,7 +194,7 @@ def objective(data, centroids: np.ndarray, assignments: np.ndarray) -> float:
         return float(np.sum(diff) / x.shape[0])
 
 
-def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
+def _init_centroids(x: np.ndarray, cfg: KMeansConfig, rows=None) -> np.ndarray:
     """Starting centroids as rows: `cfg.k` distinct points drawn uniformly,
     or by kmeans++.
 
@@ -160,7 +206,8 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
     screened distance could lie below their current nearest within the
     rounding bound of `assign`. The distances, and so every draw, equal
     those of an exhaustive scan with that formula. Squared distances that
-    overflow float64 raise ValidationError.
+    overflow float64 raise ValidationError. `rows`, the `_screen_rows` of
+    `x`, are built here when None.
     """
     n, d = x.shape
     rng = stream_rng(cfg.seed, "kmeans-init")
@@ -172,9 +219,8 @@ def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
     chosen[0] = rng.integers(n)
     diff = x - x[chosen[0]]
     closest = np.einsum("ij,ij->i", diff, diff)
+    _, x32, x_sq = _screen_rows(x) if rows is None else rows
     with np.errstate(**_QUIET):
-        x32 = x.astype(np.float32)
-        x_sq = np.einsum("id,id->i", x, x)
         # Every centroid is a row, so its norm is at most the largest.
         m = (np.sqrt(x_sq) + np.sqrt(x_sq.max())) / 2
         slack = _DISTANCE_SLACK * screen_error(m, m, d)
@@ -248,10 +294,13 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds the number of points {n}")
 
-    centroids = _init_centroids(x, cfg)
+    # The points are checked, cast and normed once for the seeding and
+    # every assignment pass.
+    rows = _screen_rows(x)
+    centroids = _init_centroids(x, cfg, rows)
     trace: list[float] = []
     for _ in range(cfg.max_iters):
-        assignments = assign(x, centroids, threads=threads)
+        assignments = assign(rows, centroids, threads=threads)
         counts = np.bincount(assignments, minlength=cfg.k)
         _respawn_empty(x, centroids, assignments, counts)
         trace.append(objective(x, centroids, assignments))

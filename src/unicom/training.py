@@ -111,6 +111,10 @@ def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValidationError("label means need at least one labeled row, got 0")
+    if labels.shape != x.shape[:1]:
+        raise DimensionMismatchError(
+            f"one label per row is required, got {labels.size} labels for {x.shape[0]} rows"
+        )
     k = int(labels.max()) + 1 if num_classes is None else int(num_classes)
     if k < 2:
         raise ValidationError("at least two classes are required")

@@ -1,11 +1,12 @@
 """Property tests of the blocked kernels (nearest-centroid assignment,
-kmeans++ seeding, top-k neighbor ranking and mAP@100) against exhaustive
-references, of the kmeans++ draw against `Generator.choice`, and of the
-class-major sparse prototype update, the class and feature samplers and
-the per-label sums against the column-major and O(k) code they
-replaced, of the whole training step against the out-of-place
-formulas it replaced, of the streamed synthetic dataset against the
-whole-array code it replaced, and of the UCEB reader on corrupt files.
+kmeans++ seeding, the Lloyd loop, top-k neighbor ranking and mAP@100)
+against exhaustive references, of the kmeans++ draw against
+`Generator.choice`, and of the class-major sparse prototype update, the
+class and feature samplers and the per-label sums against the
+column-major and O(k) code they replaced, of the whole training step
+against the out-of-place formulas it replaced, of the streamed synthetic
+dataset against the whole-array code it replaced, and of the UCEB reader
+on corrupt files.
 
 Kernel inputs are built to be full of exact ties, and row counts run
 below, at and across the row-block size, with one and three threads.
@@ -44,7 +45,15 @@ from unicom import (
     sample_feature_mask,
     save_embeddings,
 )
-from unicom.clustering import _init_centroids, _weighted_draw
+from unicom.clustering import (
+    INIT_METHODS,
+    ClusterResult,
+    _init_centroids,
+    _respawn_empty,
+    _weighted_draw,
+    kmeans_fit,
+    objective,
+)
 from unicom.data import SyntheticSpec, synth_conflict_dataset
 from unicom.errors import (
     DegenerateVectorError,
@@ -139,6 +148,60 @@ def test_assign_when_a_float32_cross_term_overflows():
     np.testing.assert_array_equal(assert_assign_exact(x, np.array([[0.0, 1e30], [-1e19, 0.0]])), [1])
 
 
+# |c|^2 / 2 overflows float32 from |c| of about 2.6e19, long before the
+# coordinates or, for small points, the products x.c do.
+MAX32 = float(np.finfo(np.float32).max)
+HALF_NORM_EDGE = math.sqrt(2.0 * MAX32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n=ROW_COUNTS, k=st.integers(2, 12), d=st.integers(1, 24),
+       ratio=st.sampled_from([0.5, 0.99, 1.0, 1.01, 2.0]),
+       shrink=st.sampled_from([1.0, 2.0**-2, 2.0**-3, 2.0**-40]))
+def test_assign_matches_einsum_scan_where_half_norms_overflow_float32(seed, n, k, d, ratio, shrink):
+    # The near-tie palette with norms around the edge, so some centroids'
+    # |c|^2 / 2 overflows float32 and others' does not. Points on, halfway
+    # between or shrunk toward the centroids keep x.c in range, so the
+    # nearest centroid may be one whose half norm overflows.
+    rng = np.random.default_rng(seed)
+    rows = near_tie_rows(rng, k, d, ratio * HALF_NORM_EDGE / math.sqrt(d))
+    a = rows[rng.integers(0, k, size=n)]
+    b = rows[rng.integers(0, k, size=n)]
+    x = np.where(rng.random((n, 1)) < 0.5, a, (a + b) / 2) * shrink
+    assert_assign_exact(x, rows)
+
+
+def test_assign_when_the_nearest_half_norm_overflows_float32():
+    # Centroid 1 is nearest, and only its |c|^2 / 2 overflows float32; x.c
+    # stays in range, so its screen is +inf while centroid 0's is finite.
+    # The screen's bound is then inf, so the row is rescored in full.
+    x = np.array([[3e18, 0.0]])
+    centroids = np.array([[0.0, 0.99 * HALF_NORM_EDGE], [1.004 * HALF_NORM_EDGE, 0.0]])
+    norms = np.linalg.norm(centroids, axis=1)
+    assert (norms**2 / 2 > MAX32).tolist() == [False, True]
+    assert abs(x @ centroids.T).max() < MAX32
+    m = (3e18 + norms.max()) / 2
+    assert util.screen_error(m, m, 2) == np.inf
+    np.testing.assert_array_equal(assert_assign_exact(x, centroids), [1])
+
+
+def test_assign_on_a_block_of_finite_and_non_finite_limits():
+    # One block of near ties at unit scale, with a third of the rows scaled
+    # to 1e20 and 1e40: their screens may overflow, so their limits are
+    # non-finite and those rows rescored in full, while the others decide
+    # on the screen.
+    rng = np.random.default_rng(27)
+    centroids = near_tie_rows(rng, 12, 8, 1.0)
+    a = centroids[rng.integers(0, 12, size=300)]
+    b = centroids[rng.integers(0, 12, size=300)]
+    x = np.where(rng.random((300, 1)) < 0.5, a, (a + b) / 2)
+    x *= rng.choice([1.0, 1.0, 1e20, 1e40], size=(300, 1))
+    norm = (np.linalg.norm(x, axis=1) + np.linalg.norm(centroids, axis=1).max()) / 2
+    finite = np.isfinite(util.screen_error(norm, norm, 8))
+    assert finite.any() and not finite.all()
+    assert_assign_exact(x, centroids)
+
+
 def reference_kmeanspp(x, cfg):
     """kmeans++ seeding as an exhaustive einsum scan at every step, the
     formula `_init_centroids` must reproduce bit for bit."""
@@ -193,6 +256,55 @@ def test_kmeanspp_matches_einsum_scan_on_near_ties(seed, n, distinct, d, scale, 
     if huge:
         x = np.hstack([np.full((n, 1), 1e200), x])
     assert_kmeanspp_exact(x, data.draw(st.integers(1, n)), seed)
+
+
+def reference_lloyd(x, cfg):
+    """`kmeans_fit` as a plain Lloyd loop whose assignment step is the
+    exhaustive einsum scan, from the same seeding, respawns, `objective`
+    and `label_sums`. Returns the result and the number of passes that
+    respawned a cluster."""
+    centroids = _init_centroids(x, cfg)
+    trace, respawns = [], 0
+    for _ in range(cfg.max_iters):
+        labels = einsum_scan(x, centroids)
+        counts = np.bincount(labels, minlength=cfg.k)
+        respawns += int((counts == 0).any())
+        _respawn_empty(x, centroids, labels, counts)
+        trace.append(objective(x, centroids, labels))
+        if len(trace) >= 2:
+            if trace[-2] <= 0.0 or (trace[-2] - trace[-1]) / trace[-2] < cfg.tol:
+                break
+        elif trace[-1] == 0.0:
+            break
+        centroids = label_sums(x, labels, cfg.k) / counts[:, None]
+    return ClusterResult(centroids, labels, trace, len(trace)), respawns
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=ROW_COUNTS, distinct=st.integers(2, 12), d=st.integers(1, 24),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e4, 1e150] + FLOAT32_EDGES),
+       k=st.integers(1, 16), init=st.sampled_from(INIT_METHODS))
+def test_kmeans_fit_matches_reference_lloyd_loop(seed, n, distinct, d, scale, k, init):
+    # Points on or halfway between rows of the near-tie palette, so every
+    # point has duplicates once n exceeds the distinct values, and a k
+    # above them leaves clusters empty on every pass. The fit checks and
+    # casts its points once for all passes; the reference starts each
+    # pass from the float64 points alone.
+    rng = np.random.default_rng(seed)
+    rows = near_tie_rows(rng, distinct, d, scale)
+    a = rows[rng.integers(0, distinct, size=n)]
+    b = rows[rng.integers(0, distinct, size=n)]
+    x = np.where(rng.random((n, 1)) < 0.5, a, (a + b) / 2)
+    cfg = KMeansConfig(k=min(k, n), max_iters=5, tol=0.0, init=init, seed=seed)
+    want, respawns = reference_lloyd(x, cfg)
+    if cfg.k > len(np.unique(x, axis=0)):
+        assert respawns == want.iterations_run
+    for threads in (1, 3):
+        got = kmeans_fit(x, cfg, threads=threads)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.assignments.tobytes() == want.assignments.tobytes()
+        assert np.array(got.objective_trace).tobytes() == np.array(want.objective_trace).tobytes()
+        assert got.iterations_run == want.iterations_run
 
 
 @settings(max_examples=80, deadline=None)

@@ -127,6 +127,11 @@ class TestInitPrototypes:
             with pytest.raises(ValidationError):
                 prototypes_from_labels(x, labels, num_classes=3)
 
+    @pytest.mark.parametrize("labels, count", [([0, 1], 2), ([0, 1, 0, 1], 4), ([[0, 1, 0]], 3)])
+    def test_one_label_per_row_is_required(self, labels, count):
+        with pytest.raises(DimensionMismatchError, match=rf"got {count} labels for 3 rows$"):
+            prototypes_from_labels(np.ones((3, 2)), labels)
+
 
 def trainer_arrays(trainer):
     """The parameters of a Trainer and every array of its optimizer state:
