@@ -1,15 +1,16 @@
 """Command-line pipeline: synth, cluster, train, eval, ablate, gradcheck.
 
 Exit codes: 0 success, 1 assertion or computation failure, 2 usage error,
-3 I/O or file-format error. Every file-producing command writes a
-manifest.json holding its command, its fully resolved configuration and
-the package version before any computation starts (gradcheck, whose
-flags the gradient check itself validates, after the check), so a run
-can be reproduced from its output directory alone (`--config
-manifest.json` re-applies it; explicit flags win). A manifest stores
-relative input paths relative to its own directory, and a config file's
-relative paths are read that way, so a replay works from any working
-directory. A manifest replays only its own command.
+3 I/O or file-format error. Each command computes its whole result
+first, then writes a manifest.json holding its command, its fully
+resolved configuration and the package version, then its outputs. A run
+that stops on an error writes nothing; a failed gradcheck (exit 1) is a
+result and is written. A manifest reproduces its run from the output
+directory alone (`--config manifest.json` re-applies it; explicit flags
+win). A manifest stores relative input paths relative to its own
+directory, and a config file's relative paths are read that way, so a
+replay works from any working directory. A manifest replays only its own
+command.
 """
 
 import argparse
@@ -46,7 +47,10 @@ _IDLE_FLAGS = (
 )
 
 
-def _write_manifest(args, out_dir: Path) -> None:
+def _write_manifest(args) -> Path:
+    """Write manifest.json into --out, creating it, and return --out."""
+    out_dir = Path(args.out)
+
     def stored(path):
         return path if os.path.isabs(path) else os.path.relpath(path, out_dir)
 
@@ -62,6 +66,7 @@ def _write_manifest(args, out_dir: Path) -> None:
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return out_dir
 
 
 def _loss_config(args) -> LossConfig:
@@ -102,9 +107,8 @@ def _number_list(text: str, convert, flag: str) -> list:
 
 def cmd_synth(args) -> int:
     spec = _synth_spec(args)
-    out = Path(args.out)
-    _write_manifest(args, out)
     data, truth = synth_conflict_dataset(spec)
+    out = _write_manifest(args)
     save_embeddings(data, out / "data.uceb")
     save_embeddings(data.with_labels(truth), out / "truth.uceb")
     print(f"wrote {data.count} samples, {spec.pseudo_classes} pseudo classes -> {out}")
@@ -115,10 +119,9 @@ def cmd_cluster(args) -> int:
     cfg = KMeansConfig(
         k=args.k, max_iters=args.max_iters, tol=args.tol, init=args.init, seed=args.seed
     )
-    out = Path(args.out)
-    _write_manifest(args, out)
     data = load_embeddings(args.input)
     result = kmeans_fit(data, cfg, threads=args.threads)
+    out = _write_manifest(args)
     save_embeddings(
         EmbeddingSet(result.centroids, [f"cluster-{i:06d}" for i in range(cfg.k)]),
         out / "centroids.uceb",
@@ -133,17 +136,16 @@ def cmd_cluster(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    out = Path(args.out)
-    _write_manifest(args, out)
     data = load_embeddings(args.input)
     prototypes = load_prototypes(args.centroids) if args.centroids else None
     result = train(data, cfg, prototypes=prototypes)
+    embedded = data.with_vectors(result.encoder.encode(data.vectors))
+    out = _write_manifest(args)
     save_checkpoint(out, result, cfg)
     (out / "loss_curve.txt").write_text(
         "".join(f"{v:.12e}\n" for v in result.losses)
     )
-    embedded = result.encoder.encode(data.vectors)
-    save_embeddings(data.with_vectors(embedded), out / "embeddings.uceb")
+    save_embeddings(embedded, out / "embeddings.uceb")
     print(
         f"trained {result.steps} steps; loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f}"
     )
@@ -151,12 +153,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = Path(args.out)
     if args.metric == "recall":
         if not args.input:
             raise ValidationError("--input is required for the recall metric")
         ks = _number_list(args.k, int, "--k")
-        _write_manifest(args, out)
         data = load_embeddings(args.input)
         if args.labels:
             labeled = load_embeddings(args.labels)
@@ -171,7 +171,6 @@ def cmd_eval(args) -> int:
     else:
         if not (args.queries and args.gallery):
             raise ValidationError("--queries and --gallery are required for map100")
-        _write_manifest(args, out)
         queries = load_embeddings(args.queries)
         gallery = load_embeddings(args.gallery)
         # Checked before truncation, which would give both sides --dims.
@@ -182,6 +181,7 @@ def cmd_eval(args) -> int:
             gallery = truncate_dims(gallery, args.dims)
         value = map_at_100(queries, gallery, threads=args.threads)
         report = RetrievalReport(recall_at={}, dims_used=gallery.dim, map_at_100=value)
+    out = _write_manifest(args)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.tsv").write_text(report.to_tsv())
     print(report.to_tsv(), end="")
@@ -199,9 +199,8 @@ def cmd_ablate(args) -> int:
         embed_dim=args.embed_dim,
         transfer_eval=args.transfer_eval,
     )
-    out = Path(args.out)
-    _write_manifest(args, out)
     rows = run_ablation(args.param, values, base, range(args.seed, args.seed + args.seeds))
+    out = _write_manifest(args)
     (out / "ablation.tsv").write_text(ablation_to_tsv(rows))
     (out / "ablation.json").write_text(ablation_to_json(rows) + "\n")
     print(ablation_to_tsv(rows), end="")
@@ -213,8 +212,7 @@ def cmd_gradcheck(args) -> int:
         trials=args.trials, tolerance=args.tol, seed=args.seed, fd_step=args.fd_step
     )
     if args.out:
-        out = Path(args.out)
-        _write_manifest(args, out)
+        out = _write_manifest(args)
         payload = {**asdict(report), "passed": report.passed}
         (out / "gradcheck.json").write_text(json.dumps(payload, indent=2) + "\n")
     status = "PASS" if report.passed else "FAIL"

@@ -105,6 +105,7 @@ class TestClusterCommand:
             "--out", str(tmp_path / "c"),
         ])
         assert rc == 3
+        assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -182,7 +183,7 @@ class TestTrainCommand:
         rc = main(["train", "--input", str(path), "--out", str(tmp_path / "t")])
         assert rc == 2
         assert "usage error:" in capsys.readouterr().err
-        assert not (tmp_path / "t" / "prototypes.uceb").exists()
+        assert not (tmp_path / "t").exists()
 
     def test_optimizer_flag_is_gone(self, tmp_path, capsys):
         out = tmp_path / "t"
@@ -201,7 +202,7 @@ class TestTrainCommand:
         ])
         assert rc == 2
         assert "usage error: feature dropout r3=0.99" in capsys.readouterr().err
-        assert not (tmp_path / "t" / "encoder.uceb").exists()
+        assert not (tmp_path / "t").exists()
 
     def test_non_finite_loss_exits_one(self, tmp_path, monkeypatch, capsys):
         data_dir = tmp_path / "d"
@@ -214,6 +215,7 @@ class TestTrainCommand:
         rc = main(["train", "--input", str(data_dir / "data.uceb"), "--out", str(tmp_path / "t")])
         assert rc == 1
         assert "non-finite loss" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
 
 class TestEvalCommand:
@@ -238,22 +240,19 @@ class TestEvalCommand:
         assert report["dims_used"] == 8
         assert "recall@1" in (out / "report.tsv").read_text()
 
-    @pytest.mark.parametrize("argv, message, manifest", [
-        (["eval"], "--input is required for the recall metric", False),
-        (["eval", "--input", "{data}", "--labels", "{centroids}"], "{centroids} carries no labels", True),
-        (["eval", "--metric", "map100", "--queries", "{truth}"], "--queries and --gallery are required", False),
-        (["eval", "--metric", "map100", "--gallery", "{data}"], "--queries and --gallery are required", False),
+    @pytest.mark.parametrize("argv, message", [
+        (["eval"], "--input is required for the recall metric"),
+        (["eval", "--input", "{data}", "--labels", "{centroids}"], "{centroids} carries no labels"),
+        (["eval", "--metric", "map100", "--queries", "{truth}"], "--queries and --gallery are required"),
+        (["eval", "--metric", "map100", "--gallery", "{data}"], "--queries and --gallery are required"),
     ], ids=["recall-no-input", "unlabeled-labels", "map100-no-gallery", "map100-no-queries"])
-    def test_missing_input_or_labels_is_usage_error(self, runs, tmp_path, capsys, argv, message, manifest):
+    def test_missing_input_or_labels_is_usage_error(self, runs, tmp_path, capsys, argv, message):
         files = {"data": runs / "synth" / "data.uceb", "truth": runs / "synth" / "truth.uceb",
                  "centroids": runs / "cluster" / "centroids.uceb"}
         out = tmp_path / "e"
         assert main([part.format(**files) for part in argv] + ["--out", str(out)]) == 2
         assert f"usage error: {message.format(**files)}" in capsys.readouterr().err
-        if manifest:
-            assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
-        else:
-            assert not out.exists()
+        assert not out.exists()
 
     def test_map100_on_split_files(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -300,7 +299,7 @@ class TestEvalCommand:
                    "--gallery", str(data_dir / "truth.uceb"), "--dims", "8", "--out", str(out)])
         assert rc == 2
         assert "usage error: query and gallery dimensions differ" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert not out.exists()
 
     def test_missing_labels_is_usage_error(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -341,6 +340,7 @@ class TestEvalCommand:
         rc = main(["eval", "--input", str(path), "--out", str(tmp_path / "e")])
         assert rc == 3
         assert "i/o error:" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("metric", ["recall", "map100"])
     def test_huge_label_ids_give_the_relabelled_report(self, tmp_path, capsys, metric):
@@ -394,7 +394,7 @@ class TestMismatchedInputs:
             argv = ["eval", "--input", str(other)]
         assert main(argv + ["--out", str(out)]) == 2
         assert "usage error:" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -410,6 +410,13 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--trials", "3"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_failed_check_writes_its_report(self, tmp_path, flipped_gradient):
+        # A FAIL is the check's result, not a refusal, so it is written.
+        out = tmp_path / "g"
+        assert main(["gradcheck", "--trials", "3", "--out", str(out)]) == 1
+        assert json.loads((out / "gradcheck.json").read_text())["passed"] is False
+        assert (out / "manifest.json").exists()
 
     def test_zero_trials_is_usage_error(self):
         assert main(["gradcheck", "--trials", "0"]) == 2
@@ -439,7 +446,7 @@ class TestAblateCommand:
         ])
         assert rc == 2
         assert "usage error:" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert not out.exists()
 
     def test_two_seeds_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
@@ -450,7 +457,7 @@ class TestAblateCommand:
         ])
         assert rc == 2
         assert "usage error:" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert not out.exists()
 
     def test_malformed_values_list_is_usage_error(self, tmp_path, capsys):
         rc = main([
@@ -489,7 +496,7 @@ class TestAblateCommand:
         ])
         assert rc == 2
         assert "usage error:" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert not out.exists()
 
     def test_grid_point_with_no_feature_coordinates_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
@@ -500,7 +507,7 @@ class TestAblateCommand:
         ])
         assert rc == 2
         assert "round(16 * 0.03) selects no coordinates" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert not out.exists()
 
 
 class TestDeterminismAndConfig:
@@ -613,6 +620,35 @@ class TestDeterminismAndConfig:
         ])
         assert rc == 2
         assert "usage error:" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+
+class TestRefusedRunWritesNothing:
+    """A run that stops on an error creates no --out; an --out that cannot
+    be created is an I/O error found once the result is computed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--input", "{data}", "--k", "4", "--threads", "0"],
+        ["eval", "--input", "{truth}", "--k", "0"],
+        ["cluster", "--input", "{data}", "--k", "61"],  # 60 rows
+    ], ids=["cluster-threads-0", "eval-k-0", "cluster-k-above-rows"])
+    def test_library_refusal_creates_no_out(self, runs, tmp_path, capsys, argv):
+        files = {"data": runs / "synth" / "data.uceb", "truth": runs / "synth" / "truth.uceb"}
+        out = tmp_path / "o"
+        assert main([part.format(**files) for part in argv] + ["--out", str(out)]) == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, out", [("synth", "taken"), ("cluster", "taken"), ("synth", "taken/sub")])
+    def test_out_that_cannot_be_created_is_io_error(self, runs, tmp_path, capsys, command, out):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        out = tmp_path / out
+        argv = synth_args(out) if command == "synth" else [
+            "cluster", "--input", str(runs / "synth" / "data.uceb"), "--k", "4", "--out", str(out)]
+        assert main(argv) == 3
+        assert "i/o error:" in capsys.readouterr().err
+        assert taken.read_bytes() == b"not a directory\n"
 
 
 TINY_ABLATION = [
@@ -893,7 +929,7 @@ class TestFlagsThatDoNothing:
         ])
         assert rc == 2
         assert "dropout" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("train", ["--r1", "0.2"]),
@@ -915,51 +951,50 @@ class TestFlagsThatDoNothing:
 
 
 # Every flag setting that would change no output, with the message that
-# refuses it. {data}, {truth} and {config} name input files; `manifest` marks
-# the ablation grid checks, which run once manifest.json is written.
+# refuses it. {data}, {truth} and {config} name input files.
 IDLE_SETTINGS = [
     (["eval", "--input", "{data}", "--labels", "{truth}", "--queries", "{truth}"],
-     "the recall metric does not read --queries", False),
+     "the recall metric does not read --queries"),
     (["eval", "--input", "{data}", "--labels", "{truth}", "--gallery", "{data}"],
-     "the recall metric does not read --gallery", False),
-    (["eval", "--input", "{data}", "--config", "{config}"], "the recall metric does not read --queries", False),
+     "the recall metric does not read --gallery"),
+    (["eval", "--input", "{data}", "--config", "{config}"], "the recall metric does not read --queries"),
     (["eval", "--metric", "map100", "--queries", "{truth}", "--gallery", "{data}", "--input", "{data}"],
-     "the map100 metric does not read --input", False),
+     "the map100 metric does not read --input"),
     (["eval", "--metric", "map100", "--queries", "{truth}", "--gallery", "{data}", "--labels", "{truth}"],
-     "the map100 metric does not read --labels", False),
+     "the map100 metric does not read --labels"),
     (["eval", "--metric", "map100", "--queries", "{truth}", "--gallery", "{data}", "--k", "7"],
-     "the map100 metric does not read --k", False),
+     "the map100 metric does not read --k"),
     (["train", "--input", "{data}", "--dropout-r3", "0.3", "--r1", "0.2"],
-     "--r1 does nothing under feature dropout", False),
+     "--r1 does nothing under feature dropout"),
     (["train", "--input", "{data}", "--dropout-r3", "0.3", "--r2", "0.5"],
-     "--r2 does nothing under feature dropout", False),
+     "--r2 does nothing under feature dropout"),
     (["ablate", "--param", "r3", "--values", "0.1,0.3", "--r1", "0.2"],
-     "--r1 does nothing under feature dropout", False),
+     "--r1 does nothing under feature dropout"),
     (["ablate", "--param", "k", "--values", "4,6", "--dropout-r3", "0.3", "--r2", "0.5"],
-     "--r2 does nothing under feature dropout", False),
-    (["ablate", "--param", "r1", "--values", "0.5,1.0", "--r1", "0.2"], "--r1 does nothing under an r1 grid", False),
-    (["ablate", "--param", "r2", "--values", "0.5,1.0", "--r2", "0.9"], "--r2 does nothing under an r2 grid", False),
+     "--r2 does nothing under feature dropout"),
+    (["ablate", "--param", "r1", "--values", "0.5,1.0", "--r1", "0.2"], "--r1 does nothing under an r1 grid"),
+    (["ablate", "--param", "r2", "--values", "0.5,1.0", "--r2", "0.9"], "--r2 does nothing under an r2 grid"),
     (["ablate", "--param", "r1", "--values", "0.5,1.0", "--dropout-r3", "0.3"],
-     "an r1 grid does nothing under feature dropout", True),
-    (["ablate", "--param", "k", "--values", "4,6", "--cluster-k", "5"], "the k grid replaces", True),
-    (["ablate", "--param", "r3", "--values", "0.1,0.3", "--dropout-r3", "0.3"], "the r3 grid replaces", True),
-    (["ablate", "--param", "k", "--values", "4,6", "--conflict", "0.5"], "a conflict ratio does nothing", True),
+     "an r1 grid does nothing under feature dropout"),
+    (["ablate", "--param", "k", "--values", "4,6", "--cluster-k", "5"], "the k grid replaces"),
+    (["ablate", "--param", "r3", "--values", "0.1,0.3", "--dropout-r3", "0.3"], "the r3 grid replaces"),
+    (["ablate", "--param", "k", "--values", "4,6", "--conflict", "0.5"], "a conflict ratio does nothing"),
     (["ablate", "--param", "r1", "--values", "0.5,1.0", "--cluster-k", "5", "--conflict", "0.5"],
-     "a conflict ratio does nothing", True),
+     "a conflict ratio does nothing"),
     (["ablate", "--param", "r1", "--values", "0.5,1.0", "--report-dims", "12"],
-     "a report dimension must lie in [1, 11], got 12", True),
+     "a report dimension must lie in [1, 11], got 12"),
     (["ablate", "--param", "r2", "--values", "0.5,1.0", "--embed-dim", "8", "--report-dims", "8"],
-     "a report dimension must lie in [1, 7], got 8", True),
-    (["train", "--input", "{data}", "--lr", "0", "--wd", "0.5"], "--wd does nothing at --lr 0", False),
-    (["ablate", "--param", "r1", "--values", "0.5,1.0", "--lr", "0", "--wd", "0"], "--wd does nothing at --lr 0", False),
+     "a report dimension must lie in [1, 7], got 8"),
+    (["train", "--input", "{data}", "--lr", "0", "--wd", "0.5"], "--wd does nothing at --lr 0"),
+    (["ablate", "--param", "r1", "--values", "0.5,1.0", "--lr", "0", "--wd", "0"], "--wd does nothing at --lr 0"),
     (["cluster", "--input", "{data}", "--k", "4", "--max-iters", "1", "--tol", "0.5"],
-     "--tol does nothing at --max-iters 1", False),
+     "--tol does nothing at --max-iters 1"),
 ]
 
 
 class TestEveryIdleFlag:
-    @pytest.mark.parametrize("argv, message, manifest", IDLE_SETTINGS)
-    def test_idle_setting_is_usage_error(self, runs, tmp_path, capsys, monkeypatch, argv, message, manifest):
+    @pytest.mark.parametrize("argv, message", IDLE_SETTINGS)
+    def test_idle_setting_is_usage_error(self, runs, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"queries": str(runs / "synth" / "truth.uceb")}))
@@ -970,10 +1005,7 @@ class TestEveryIdleFlag:
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2
         assert f"usage error: {message}" in capsys.readouterr().err
-        if manifest:
-            assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
-        else:
-            assert not out.exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--input", "{data}", "--lr", "0"],
