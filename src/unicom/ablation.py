@@ -22,12 +22,7 @@ from .clustering import KMeansConfig, kmeans_fit
 from .data import SyntheticSpec, synth_conflict_dataset
 from .errors import ValidationError
 from .evaluation import recall_at_k, truncate_dims
-from .training import (
-    LinearEncoder,
-    TrainConfig,
-    init_prototypes,
-    train,
-)
+from .training import LinearEncoder, TrainConfig, train
 from .util import ratio_count
 
 ABLATION_PARAMS = ("r1", "r2", "r3", "k")
@@ -98,18 +93,16 @@ def run_single(cfg: AblationConfig, seed: int) -> dict[int, float]:
     spec = replace(cfg.synth, seed=seed)
     data, truth = synth_conflict_dataset(spec)
 
-    encoder = prototypes = None  # without prototypes, `train` takes label means of the encoded rows
+    encoder = None  # `train` starts each class at the label mean of the encoded rows
     if cfg.embed_dim is not None:
         encoder = LinearEncoder.orthonormal(data.dim, cfg.embed_dim, seed=seed)
     if cfg.cluster_k is not None:
         clusters = kmeans_fit(data, KMeansConfig(k=cfg.cluster_k, seed=seed))
         data = data.with_labels(clusters.assignments)
-        if encoder is None:
-            prototypes = init_prototypes(clusters)
 
     loss = replace(cfg.train.loss, seed=seed)
     train_cfg = replace(cfg.train, seed=seed, loss=loss)
-    result = train(data, train_cfg, prototypes=prototypes, encoder=encoder)
+    result = train(data, train_cfg, encoder=encoder)
 
     if cfg.transfer_eval:
         eval_spec = replace(

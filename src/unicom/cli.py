@@ -280,7 +280,7 @@ def build_parser():
 
     p = subs.add_parser("train", help="train the encoder and prototypes on labeled embeddings")
     p.add_argument("--input", required=True, help="labeled UCEB file")
-    p.add_argument("--centroids", default=None, help="UCEB file with initial prototypes (default: label means)")
+    p.add_argument("--centroids", default=None, help="UCEB file with initial prototypes (default: label means of the encoder's outputs)")
     _add_train_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)

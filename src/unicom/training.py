@@ -300,20 +300,18 @@ def train(
 
     The stored vectors are the encoder inputs; by default the encoder
     starts as the identity map. Without `prototypes`, each class starts
-    at the mean of its rows' embeddings under `encoder`, or of the raw
-    rows when the default identity is used. A fresh selection plan is
-    drawn for every step.
+    at the mean of its rows' embeddings under the starting encoder. A
+    fresh selection plan is drawn for every step.
     """
     if data.labels is None:
         raise ValidationError("training data must carry labels")
     if np.unique(data.labels).size < 2:
         raise ValidationError("training labels must cover at least 2 classes")
     x = data.vectors  # float32; each batch is converted on its own
-    if prototypes is None:
-        start = x if encoder is None else encoder.encode(x)
-        prototypes = prototypes_from_labels(start, data.labels, seed=cfg.seed)
     if encoder is None:
         encoder = LinearEncoder.identity(data.dim)
+    if prototypes is None:
+        prototypes = prototypes_from_labels(encoder.encode(x), data.labels, seed=cfg.seed)
 
     trainer = Trainer(encoder, prototypes, cfg)
     losses: list[float] = []

@@ -6,7 +6,18 @@ import json
 import numpy as np
 import pytest
 
-from unicom import AblationConfig, LossConfig, SyntheticSpec, TrainConfig, ablation, run_ablation
+from unicom import (
+    AblationConfig,
+    KMeansConfig,
+    LinearEncoder,
+    LossConfig,
+    SyntheticSpec,
+    TrainConfig,
+    ablation,
+    kmeans_fit,
+    run_ablation,
+    train,
+)
 from unicom.ablation import ablation_to_json, ablation_to_tsv, run_single
 from unicom.errors import ValidationError
 
@@ -44,6 +55,23 @@ class TestRunSingle:
         cfg = tiny_config(cluster_k=4)
         out = run_single(cfg, seed=3)
         assert set(out) == {12}
+
+    def test_cluster_labels_start_at_the_label_means_of_the_encoded_rows(self, monkeypatch):
+        calls = []
+
+        def recording(data, cfg, **kwargs):
+            result = train(data, cfg, **kwargs)
+            calls.append((data, cfg, result))
+            return result
+
+        monkeypatch.setattr(ablation, "train", recording)
+        synth = SyntheticSpec(true_classes=4, per_class=8, dim=12, intra_noise=0.5, seed=0)
+        run_single(tiny_config(synth=synth, cluster_k=5), seed=1)
+        [(data, cfg, got)] = calls
+        assignments = kmeans_fit(data, KMeansConfig(k=5, seed=1)).assignments
+        want = train(data.with_labels(assignments), cfg, encoder=LinearEncoder.identity(12))
+        assert np.asarray(got.losses).tobytes() == np.asarray(want.losses).tobytes()
+        assert got.prototypes.rows.tobytes() == want.prototypes.rows.tobytes()
 
     def test_deterministic(self):
         cfg = tiny_config(embed_dim=8, transfer_eval=True)

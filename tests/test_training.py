@@ -404,7 +404,8 @@ class TestTrainLoop:
 
         # The loop as it ran with the whole set converted up front.
         x = data.vectors.astype(np.float64)
-        want = PrototypeMatrix(init) if passed else prototypes_from_labels(x, data.labels, seed=cfg.seed)
+        start = LinearEncoder.identity(8).encode(x)
+        want = PrototypeMatrix(init) if passed else prototypes_from_labels(start, data.labels, seed=cfg.seed)
         trainer = Trainer(LinearEncoder.identity(8), want, cfg)
         losses = []
         for epoch in range(cfg.epochs):
@@ -448,6 +449,21 @@ class TestTrainLoop:
         encoder = LinearEncoder.orthonormal(32, 8, seed=5)
         start = prototypes_from_labels(encoder.encode(data.vectors), data.labels, seed=cfg.seed)
         want = train(data, cfg, prototypes=start, encoder=encoder)
+        assert np.asarray(got.losses).tobytes() == np.asarray(want.losses).tobytes()
+        assert got.encoder.weights.tobytes() == want.encoder.weights.tobytes()
+        assert got.prototypes.rows.tobytes() == want.prototypes.rows.tobytes()
+
+    def test_the_default_encoder_starts_like_an_explicit_identity(self):
+        # Rows far from unit length, and class 2 of 0..5 left empty: the
+        # default start takes the label means of the encoded rows too.
+        rng = np.random.default_rng(6)
+        vectors = (rng.standard_normal((60, 10)) * 3).astype(np.float32)
+        labels = rng.integers(0, 5, 60)
+        labels[labels == 2] = 5
+        data = EmbeddingSet(vectors, [str(i) for i in range(60)], labels)
+        cfg = TrainConfig(epochs=2, batch_size=16, lr=0.01, seed=3, loss=LossConfig(r1=0.5, seed=3))
+        got = train(data, cfg)
+        want = train(data, cfg, encoder=LinearEncoder.identity(10))
         assert np.asarray(got.losses).tobytes() == np.asarray(want.losses).tobytes()
         assert got.encoder.weights.tobytes() == want.encoder.weights.tobytes()
         assert got.prototypes.rows.tobytes() == want.prototypes.rows.tobytes()
