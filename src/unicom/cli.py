@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .ablation import ABLATION_PARAMS, AblationConfig, ablation_to_json, ablation_to_tsv, run_ablation
-from .clustering import KMeansConfig, kmeans_fit, INIT_METHODS
+from .clustering import KMeansConfig, kmeans_fit
 from .data import EmbeddingSet, SyntheticSpec, load_embeddings, save_embeddings, synth_conflict_dataset
 from .errors import DimensionMismatchError, UcebFormatError, UnicomError, ValidationError
 from .evaluation import RetrievalReport, map_at_100, retrieval_report, truncate_dims
@@ -44,6 +44,15 @@ _IDLE_FLAGS = (
     (("ablate",), lambda a: a.param == "r2", ("r2",), "--{} does nothing under an r2 grid"),
     (("train", "ablate"), lambda a: a.lr == 0, ("wd",), "--{} does nothing at --lr 0"),
     (("cluster",), lambda a: a.max_iters == 1, ("tol",), "--{} does nothing at --max-iters 1"),
+)
+
+# Keys older manifests store for settings that are gone: (commands, key,
+# the one stored value that replays as today's run, or None for any value).
+# Another value would quietly run another way, so it is refused.
+_RETIRED_KEYS = (
+    (("train", "ablate"), "optimizer", "adamw"),
+    (("cluster",), "init", "random-points"),
+    (("eval",), "seed", None),
 )
 
 
@@ -116,9 +125,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    cfg = KMeansConfig(
-        k=args.k, max_iters=args.max_iters, tol=args.tol, init=args.init, seed=args.seed
-    )
+    cfg = KMeansConfig(k=args.k, max_iters=args.max_iters, tol=args.tol, seed=args.seed)
     data = load_embeddings(args.input)
     result = kmeans_fit(data, cfg, threads=args.threads)
     out = _write_manifest(args)
@@ -273,7 +280,6 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-iters", type=int, default=KMeansConfig.max_iters)
     p.add_argument("--tol", type=float, default=KMeansConfig.tol)
-    p.add_argument("--init", choices=INIT_METHODS, default=KMeansConfig.init)
     _add_threads(p)
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
@@ -335,15 +341,14 @@ def _stored_tokens(payload, path: str, command: str, actions: dict) -> dict[str,
     owner = payload.pop("command", owner)
     if owner != command:
         raise ValidationError(f"{path} is a manifest of `{owner}`, not `{command}`")
-    # Training once offered a second optimizer, and eval a seed; a config
-    # that chose another optimizer must not replay under AdamW.
-    optimizer = payload.pop("optimizer", None) if command in ("train", "ablate") else None
-    if optimizer not in (None, "adamw"):
-        raise ValidationError(f"{path} trains with the removed optimizer {optimizer!r}; only adamw remains")
-    if command == "eval":
-        payload.pop("seed", None)
+    for names, key, kept in _RETIRED_KEYS:
+        value = payload.pop(key, None) if command in names else None
+        if kept is not None and value not in (None, kept):
+            raise ValidationError(f"{path} stores the removed {key} {value!r}; only {kept} remains")
     tokens = {}
     for key, value in payload.items():
+        if key == "config":
+            raise ValidationError(f"{path} stores `config`; a config file cannot name another")
         if key not in actions:
             raise ValidationError(f"{path} stores `{key}`, which names no flag of `{command}`")
         if isinstance(value, bool) and actions[key].nargs != 0:
@@ -376,7 +381,7 @@ def main(argv=None) -> int:
         if path:
             try:
                 payload = json.loads(Path(path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
                 print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
                 return 3
             tokens = _stored_tokens(payload, path, command, actions)

@@ -17,15 +17,11 @@ from .errors import DimensionMismatchError, ValidationError
 from .rng import stream_rng
 from .util import check_finite, check_threads, label_sums, map_row_chunks, screen_error
 
-INIT_METHODS = ("kmeanspp", "random-points")
-
-
 @dataclass
 class KMeansConfig:
     k: int
     max_iters: int = 100
     tol: float = 1e-6
-    init: str = "kmeanspp"
     seed: int = 0
 
     def __post_init__(self):
@@ -35,8 +31,6 @@ class KMeansConfig:
             raise ValidationError("max_iters must be >= 1")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValidationError("tol must be finite and >= 0")
-        if self.init not in INIT_METHODS:
-            raise ValidationError(f"init must be one of {INIT_METHODS}")
 
 
 @dataclass
@@ -55,36 +49,32 @@ def _points(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
-# The screens below take x.c from a float32 product. With |c| the largest
+# The screen below takes x.c from a float32 product. With |c| the largest
 # centroid norm, m = (|x| + |c|) / 2 and delta = screen_error(m, m, d), in
 # the notation of `screen_error`:
 # - x.c errs by at most screen_error(|x|, |c|, d) <= delta for every
 #   centroid, as that bound grows with |x| |c| <= m^2 and |x| + |c| = 2 m;
 # - delta >= 2 (2 u + gamma_d) m^2 + 8 t >= 6 u m^2 + 8 t, far above the
 #   float64 rounding of the norms, of the sums and of delta itself.
-# So:
-# - kmeans++ screens |x|^2 - 2 x.c + |c|^2, norms in float64, within 4 delta
-#   of the true squared distance. The exact sum((x - c)^2), evaluated in
-#   float64, is within 4 delta too, so a row whose screen exceeds its
-#   current nearest by 8 delta or more cannot get nearer.
-# - `assign` ranks a row's centroids by h - x.c in float32, half the squared
-#   distance less the row's own |x|^2 / 2: h = |c|^2 / 2, taken in float64,
-#   is rounded to float32 and subtracted in place from the product P. Each
-#   of the two roundings errs by at most u times its exact value plus t.
-#   With h <= 2 m^2 (as |c| <= 2 m) and |P| <= |x| |c| + delta <= m^2 +
-#   delta, they add at most (5 + 2 u) u m^2 + (2 + u) t + u delta < delta.
-#   So the screen lies within 3 delta of its true value: delta for x.c,
-#   delta for these roundings and delta for the float64 ones. Half the
-#   exact formula lies within 2 delta of half the true distance, so the
-#   centroid nearest by the exact formula screens within 10 delta of the
-#   row minimum: at most the row's limit, that sum rounded up to float32.
-#   Overflow leaves the limit non-finite, and the row is rescored in full:
-#   - where h overflows float32 (|c| past about 2.6e19), m^2 >= |c|^2 / 4
-#     is at least half the largest float32, so delta is inf;
-#   - where h - P overflows with delta finite, the centroid's true value
-#     exceeds the largest float32 less 2 delta. Were it the nearest, the
-#     row minimum would exceed the largest float32 less 9 delta, and the
-#     limit would round up to inf.
+# `assign` ranks a row's centroids by h - x.c in float32, half the squared
+# distance less the row's own |x|^2 / 2: h = |c|^2 / 2, taken in float64,
+# is rounded to float32 and subtracted in place from the product P. Each of
+# the two roundings errs by at most u times its exact value plus t. With
+# h <= 2 m^2 (as |c| <= 2 m) and |P| <= |x| |c| + delta <= m^2 + delta,
+# they add at most (5 + 2 u) u m^2 + (2 + u) t + u delta < delta. So the
+# screen lies within 3 delta of its true value: delta for x.c, delta for
+# these roundings and delta for the float64 ones. Half the exact formula
+# sum((x - c)^2), evaluated in float64, lies within 2 delta of half the
+# true distance, so the centroid nearest by the exact formula screens
+# within 10 delta of the row minimum: at most the row's limit, that sum
+# rounded up to float32. Overflow leaves the limit non-finite, and the row
+# is rescored in full:
+# - where h overflows float32 (|c| past about 2.6e19), m^2 >= |c|^2 / 4 is
+#   at least half the largest float32, so delta is inf;
+# - where h - P overflows with delta finite, the centroid's true value
+#   exceeds the largest float32 less 2 delta. Were it the nearest, the row
+#   minimum would exceed the largest float32 less 9 delta, and the limit
+#   would round up to inf.
 _DISTANCE_SLACK = 10
 # Norms of huge rows may overflow where their differences do not, and
 # float32 casts of coordinates beyond about 3.4e38 do; such rows get a
@@ -93,8 +83,8 @@ _QUIET = dict(over="ignore", invalid="ignore")
 
 
 class _Rows(NamedTuple):
-    """Checked float64 points with the row terms of both screens: the
-    points in float32 and their float64 squared norms."""
+    """Checked float64 points with the row terms of the screen: the points
+    in float32 and their float64 squared norms."""
 
     vectors: np.ndarray
     x32: np.ndarray
@@ -194,65 +184,10 @@ def objective(data, centroids: np.ndarray, assignments: np.ndarray) -> float:
         return float(np.sum(diff) / x.shape[0])
 
 
-def _init_centroids(x: np.ndarray, cfg: KMeansConfig, rows=None) -> np.ndarray:
-    """Starting centroids as rows: `cfg.k` distinct points drawn uniformly,
-    or by kmeans++.
-
-    kmeans++ seeds with one uniform point, then samples each next point
-    with probability proportional to its squared distance sum((x - c)^2)
-    from the nearest centroid chosen so far. Each step screens every row
-    with one float32 matrix-vector product through |x|^2 - 2 x.c + |c|^2
-    and rescores, with the exact formula in float64, only the rows whose
-    screened distance could lie below their current nearest within the
-    rounding bound of `assign`. The distances, and so every draw, equal
-    those of an exhaustive scan with that formula. Squared distances that
-    overflow float64 raise ValidationError. `rows`, the `_screen_rows` of
-    `x`, are built here when None.
-    """
-    n, d = x.shape
-    rng = stream_rng(cfg.seed, "kmeans-init")
-    if cfg.init == "random-points":
-        idx = rng.choice(n, size=cfg.k, replace=False)
-        return x[idx].copy()
-
-    chosen = np.empty(cfg.k, dtype=np.int64)
-    chosen[0] = rng.integers(n)
-    diff = x - x[chosen[0]]
-    closest = np.einsum("ij,ij->i", diff, diff)
-    _, x32, x_sq = _screen_rows(x) if rows is None else rows
-    with np.errstate(**_QUIET):
-        # Every centroid is a row, so its norm is at most the largest.
-        m = (np.sqrt(x_sq) + np.sqrt(x_sq.max())) / 2
-        slack = _DISTANCE_SLACK * screen_error(m, m, d)
-    for i in range(1, cfg.k):
-        total = closest.sum()
-        if not math.isfinite(total):
-            raise ValidationError("squared distances between the points overflow float64")
-        if total <= 0.0:
-            # All remaining mass is on already-chosen points (duplicates);
-            # fall back to a uniform pick among unchosen indices.
-            unchosen = np.setdiff1d(np.arange(n), chosen[:i])
-            chosen[i] = rng.choice(unchosen)
-        else:
-            chosen[i] = _weighted_draw(rng, closest, total)
-        c = chosen[i]
-        with np.errstate(**_QUIET):
-            screened = x_sq - 2.0 * (x32 @ x32[c]).astype(np.float64) + x_sq[c]
-            # Negated, so NaN and infinite screens are rescored too.
-            rows = np.flatnonzero(~(screened - slack >= closest))
-        diff = x[rows] - x[c]
-        closest[rows] = np.minimum(closest[rows], np.einsum("ij,ij->i", diff, diff))
-    return x[chosen].copy()
-
-
-def _weighted_draw(rng, weights, total):
-    """rng.choice(len(weights), p=weights / total) without its O(n) checks
-    and copy of p: the same cdf and one uniform draw, so the same index
-    and the same stream state after it. `total`, the positive finite sum
-    of the non-negative `weights`, is checked by the caller."""
-    cdf = np.cumsum(weights / total)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), "right"))
+def _init_centroids(x: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
+    """Starting centroids as rows: `cfg.k` distinct points drawn uniformly."""
+    idx = stream_rng(cfg.seed, "kmeans-init").choice(x.shape[0], size=cfg.k, replace=False)
+    return x[idx].copy()
 
 
 def _respawn_empty(x, centroids, assignments, counts):
@@ -294,10 +229,9 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds the number of points {n}")
 
-    # The points are checked, cast and normed once for the seeding and
-    # every assignment pass.
+    # The points are checked, cast and normed once for every assignment pass.
     rows = _screen_rows(x)
-    centroids = _init_centroids(x, cfg, rows)
+    centroids = _init_centroids(x, cfg)
     trace: list[float] = []
     for _ in range(cfg.max_iters):
         assignments = assign(rows, centroids, threads=threads)

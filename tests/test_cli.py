@@ -592,9 +592,15 @@ class TestDeterminismAndConfig:
         assert rc == 0
         assert (a / "data.uceb").read_bytes() != (c / "data.uceb").read_bytes()
 
-    def test_unreadable_config_is_io_error(self, tmp_path):
-        rc = main(["synth", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
-        assert rc == 3
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{", b"{"], ids=["missing", "not-utf8", "not-json"])
+    def test_unreadable_config_is_io_error(self, tmp_path, capsys, content):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 3
+        assert f"cannot read config {config}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["train", "--input", "DATA"],
@@ -665,10 +671,7 @@ def runs(tmp_path_factory):
     argvs = {
         "synth": synth_args(d, seed=2),
         "cluster": ["cluster", "--input", str(d / "data.uceb"), "--k", "7", "--seed", "2"],
-        "cluster-random": [
-            "cluster", "--input", str(d / "data.uceb"), "--k", "7",
-            "--init", "random-points", "--threads", "2",
-        ],
+        "cluster-threads": ["cluster", "--input", str(d / "data.uceb"), "--k", "7", "--threads", "2"],
         "train": [
             "train", "--input", str(c / "assigned.uceb"), "--centroids",
             str(c / "centroids.uceb"), "--epochs", "2", "--seed", "2",
@@ -695,7 +698,7 @@ def runs(tmp_path_factory):
 
 class TestManifestReplay:
     @pytest.mark.parametrize("name", [
-        "synth", "cluster", "cluster-random", "train", "train-label-means",
+        "synth", "cluster", "cluster-threads", "train", "train-label-means",
         "train-dropout", "eval", "eval-map100", "ablate", "gradcheck",
     ])
     def test_manifest_replays_to_the_same_bytes(self, runs, tmp_path, name):
@@ -815,6 +818,40 @@ class TestManifestReplay:
         assert "removed optimizer 'sgd-momentum'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("init, code", [("random-points", 0), ("kmeanspp", 2)])
+    def test_cluster_manifest_storing_an_init(self, runs, tmp_path, capsys, init, code):
+        # Written when cluster also offered kmeans++: only the random start
+        # it still draws replays; kmeans++ would quietly cluster another way.
+        manifest = json.loads((runs / "cluster" / "manifest.json").read_text())
+        manifest["config"]["init"] = init
+        config = tmp_path / "manifest.json"
+        config.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert main(["cluster", "--config", str(config), "--out", str(out)]) == code
+        if code:
+            assert f"removed init {init!r}" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert read_tree(out) == read_tree(runs / "cluster")
+
+    def test_init_flag_is_gone(self, runs, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--input", str(runs / "synth" / "data.uceb"), "--k", "3",
+                  "--init", "kmeanspp", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --init kmeanspp" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_storing_a_config_is_usage_error(self, tmp_path, capsys):
+        # The named file would never be read.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"classes": 3, "per_class": 4, "dim": 2, "config": "nonexistent.json"}))
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert "stores `config`" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifests_store_the_config_field_defaults(self, runs, tmp_path):
         # Runs with only the required flags; a flag stores its field's
         # default under the flag's name.
@@ -879,7 +916,7 @@ class TestOutputFiles:
     each once."""
 
     @pytest.mark.parametrize("name", [
-        "synth", "cluster", "cluster-random", "train", "train-label-means",
+        "synth", "cluster", "cluster-threads", "train", "train-label-means",
         "train-dropout", "eval", "eval-map100", "ablate", "gradcheck",
     ])
     def test_manifest_holds_command_config_and_version(self, runs, name):

@@ -12,6 +12,7 @@ import pytest
 
 from unicom import EmbeddingSet, KMeansConfig, assign, clustering, kmeans_fit, objective
 from unicom.errors import DimensionMismatchError, ValidationError
+from unicom.rng import stream_rng
 
 
 def two_blob_points():
@@ -236,8 +237,7 @@ class TestKMeansFit:
             d = int(rng.integers(2, 8))
             k = int(rng.integers(1, min(n, 8) + 1))
             x = rng.standard_normal((n, d))
-            init = "kmeanspp" if trial % 2 == 0 else "random-points"
-            res = kmeans_fit(x, KMeansConfig(k=k, seed=trial, init=init))
+            res = kmeans_fit(x, KMeansConfig(k=k, seed=trial))
             trace = res.objective_trace
             assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
 
@@ -253,7 +253,7 @@ class TestKMeansFit:
     def test_no_empty_clusters_with_duplicate_points(self):
         x = np.array([[0.0, 0.0]] * 5 + [[9.0, 9.0]] * 5)
         for seed in range(5):
-            res = kmeans_fit(x, KMeansConfig(k=3, seed=seed, init="random-points"))
+            res = kmeans_fit(x, KMeansConfig(k=3, seed=seed))
             counts = np.bincount(res.assignments, minlength=3)
             assert np.all(counts >= 1)
 
@@ -262,6 +262,13 @@ class TestKMeansFit:
         x = np.random.default_rng(6).standard_normal((20, 3))
         with pytest.raises(ValidationError, match="thread count"):
             assign(x, x[:3], threads=threads)
+
+    @pytest.mark.parametrize("seed, n, k", [(0, 1, 1), (3, 40, 7), (11, 600, 600)])
+    def test_start_is_k_distinct_rows_drawn_uniformly(self, seed, n, k):
+        x = np.random.default_rng(seed).standard_normal((n, 5))
+        idx = stream_rng(seed, "kmeans-init").choice(n, size=k, replace=False)
+        got = clustering._init_centroids(x, KMeansConfig(k=k, seed=seed))
+        assert got.tobytes() == x[idx].tobytes()
 
     @pytest.mark.parametrize("threads", [0, -5])
     def test_fewer_than_one_thread_rejected_before_seeding(self, threads, monkeypatch):
@@ -319,17 +326,11 @@ class TestKMeansFit:
             assign(x, np.ones((2, 3)))
 
     def test_overflowing_distances_rejected(self):
-        # Finite points whose squared distances overflow float64 leave
-        # kmeans++ no distribution to sample from.
-        x = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
-        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="overflow"):
-            kmeans_fit(x, KMeansConfig(k=3, seed=1))
-
-    def test_overflowing_distances_rejected_with_random_points(self):
-        # Without the check the objective trace is inf at every iteration,
+        # Finite points whose squared distances overflow float64. Without
+        # the check the objective trace is inf at every iteration,
         # all max_iters run, and numpy warns about the overflow.
         x = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
-        cfg = KMeansConfig(k=3, seed=1, init="random-points", max_iters=20)
+        cfg = KMeansConfig(k=3, seed=1, max_iters=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="overflow"):
@@ -350,7 +351,6 @@ class TestKMeansFit:
 
 @pytest.mark.parametrize("settings, message", [
     ({"max_iters": 0}, "max_iters must be >= 1"),
-    ({"init": "farthest"}, "init must be one of"),
 ])
 def test_config_refuses_bad_settings(settings, message):
     with pytest.raises(ValidationError, match=message):

@@ -1,7 +1,6 @@
 """Property tests of the blocked kernels (nearest-centroid assignment,
-kmeans++ seeding, the Lloyd loop, top-k neighbor ranking and mAP@100)
-against exhaustive references, of the kmeans++ draw against
-`Generator.choice`, and of the class-major sparse prototype update, the
+the Lloyd loop, top-k neighbor ranking and mAP@100) against exhaustive
+references, and of the class-major sparse prototype update, the
 class and feature samplers and the per-label sums against the
 column-major and O(k) code they replaced, of the whole training step
 against the out-of-place formulas it replaced, of the streamed synthetic
@@ -46,11 +45,9 @@ from unicom import (
     save_embeddings,
 )
 from unicom.clustering import (
-    INIT_METHODS,
     ClusterResult,
     _init_centroids,
     _respawn_empty,
-    _weighted_draw,
     kmeans_fit,
     objective,
 )
@@ -202,62 +199,6 @@ def test_assign_on_a_block_of_finite_and_non_finite_limits():
     assert_assign_exact(x, centroids)
 
 
-def reference_kmeanspp(x, cfg):
-    """kmeans++ seeding as an exhaustive einsum scan at every step, the
-    formula `_init_centroids` must reproduce bit for bit."""
-    n = x.shape[0]
-    rng = stream_rng(cfg.seed, "kmeans-init")
-    chosen = np.empty(cfg.k, dtype=np.int64)
-    chosen[0] = rng.integers(n)
-    diff = x - x[chosen[0]]
-    closest = np.einsum("ij,ij->i", diff, diff)
-    for i in range(1, cfg.k):
-        total = closest.sum()
-        if total <= 0.0:
-            chosen[i] = rng.choice(np.setdiff1d(np.arange(n), chosen[:i]))
-        else:
-            chosen[i] = rng.choice(n, p=closest / total)
-        diff = x - x[chosen[i]]
-        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
-    return x[chosen].copy()
-
-
-def assert_kmeanspp_exact(x, k, seed):
-    cfg = KMeansConfig(k=k, seed=seed)
-    got, want = _init_centroids(x, cfg), reference_kmeanspp(x, cfg)
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, n=st.integers(1, 60), distinct=st.integers(1, 12), d=st.integers(1, 6),
-       scale=st.sampled_from([1.0, 1e-310]), data=st.data())
-def test_kmeanspp_matches_einsum_scan_on_duplicates(seed, n, distinct, d, scale, data):
-    # Few distinct half-integer points, so k often exceeds them and the
-    # seeding reaches its uniform fallback; at 1e-310 they are subnormal.
-    rng = np.random.default_rng(seed)
-    points = rng.integers(-2, 3, size=(distinct, d)) * 0.5 * scale
-    x = points[rng.integers(0, distinct, size=n)]
-    assert_kmeanspp_exact(x, data.draw(st.integers(1, n)), seed)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, n=st.integers(1, 60), distinct=st.integers(2, 12), d=st.integers(1, 24),
-       scale=st.sampled_from([1e-310, 1e-150, 1e-3, 1.0, 1e4, 1e150] + FLOAT32_EDGES),
-       huge=st.booleans(), data=st.data())
-def test_kmeanspp_matches_einsum_scan_on_near_ties(seed, n, distinct, d, scale, huge, data):
-    # The near-tie palette of the `assign` properties. With `huge`, every
-    # row gains the same 1e200 coordinate: the norms overflow while the
-    # distances stay finite, so the screen is NaN and every row rescored.
-    rng = np.random.default_rng(seed)
-    rows = near_tie_rows(rng, distinct, d, scale)
-    a = rows[rng.integers(0, distinct, size=n)]
-    b = rows[rng.integers(0, distinct, size=n)]
-    x = np.where(rng.random((n, 1)) < 0.5, a, (a + b) / 2)
-    if huge:
-        x = np.hstack([np.full((n, 1), 1e200), x])
-    assert_kmeanspp_exact(x, data.draw(st.integers(1, n)), seed)
-
-
 def reference_lloyd(x, cfg):
     """`kmeans_fit` as a plain Lloyd loop whose assignment step is the
     exhaustive einsum scan, from the same seeding, respawns, `objective`
@@ -283,8 +224,8 @@ def reference_lloyd(x, cfg):
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, n=ROW_COUNTS, distinct=st.integers(2, 12), d=st.integers(1, 24),
        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e4, 1e150] + FLOAT32_EDGES),
-       k=st.integers(1, 16), init=st.sampled_from(INIT_METHODS))
-def test_kmeans_fit_matches_reference_lloyd_loop(seed, n, distinct, d, scale, k, init):
+       k=st.integers(1, 16))
+def test_kmeans_fit_matches_reference_lloyd_loop(seed, n, distinct, d, scale, k):
     # Points on or halfway between rows of the near-tie palette, so every
     # point has duplicates once n exceeds the distinct values, and a k
     # above them leaves clusters empty on every pass. The fit checks and
@@ -295,7 +236,7 @@ def test_kmeans_fit_matches_reference_lloyd_loop(seed, n, distinct, d, scale, k,
     a = rows[rng.integers(0, distinct, size=n)]
     b = rows[rng.integers(0, distinct, size=n)]
     x = np.where(rng.random((n, 1)) < 0.5, a, (a + b) / 2)
-    cfg = KMeansConfig(k=min(k, n), max_iters=5, tol=0.0, init=init, seed=seed)
+    cfg = KMeansConfig(k=min(k, n), max_iters=5, tol=0.0, seed=seed)
     want, respawns = reference_lloyd(x, cfg)
     if cfg.k > len(np.unique(x, axis=0)):
         assert respawns == want.iterations_run
@@ -305,25 +246,6 @@ def test_kmeans_fit_matches_reference_lloyd_loop(seed, n, distinct, d, scale, k,
         assert got.assignments.tobytes() == want.assignments.tobytes()
         assert np.array(got.objective_trace).tobytes() == np.array(want.objective_trace).tobytes()
         assert got.iterations_run == want.iterations_run
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=SEEDS, n=st.integers(1, 60), d=st.integers(1, 6),
-       scale=st.sampled_from([1e-30, 1.0, 1e30]), zero_share=st.sampled_from([0.0, 0.5, 0.9]))
-def test_kmeanspp_draw_matches_generator_choice(seed, n, d, scale, zero_share):
-    # Squared distances to one row of the near-tie palette: exact zeros for
-    # its duplicates, ulp-sized ones for its neighbors, plus zeroed rows.
-    rng = np.random.default_rng(seed)
-    rows = near_tie_rows(rng, n, d, scale)
-    diff = rows - rows[rng.integers(n)]
-    closest = np.einsum("ij,ij->i", diff, diff)
-    closest[rng.random(n) < zero_share] = 0.0
-    total = closest.sum()
-    assume(total > 0.0)
-    mine, theirs = stream_rng(seed, "draw"), stream_rng(seed, "draw")
-    for _ in range(3):
-        assert _weighted_draw(mine, closest, total) == theirs.choice(n, p=closest / total)
-    assert mine.random() == theirs.random()
 
 
 TIE_VALUES = [-np.inf, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]
