@@ -1,9 +1,11 @@
 """Lloyd k-means over embedding rows: assignment, update, objective trace.
 
 The objective minimized is the mean squared Euclidean distance between
-each row and its assigned centroid. On unit-norm rows this is monotone in
-cosine distance, so the pseudo labels it produces are consistent with the
-cosine-based losses trained on top of them.
+each row and its assigned centroid. Against one centroid c, a unit-norm
+row x lies at squared distance 1 + |c|^2 - 2|c| cos(x, c), monotone in
+their cosine. Centroids are means, not unit-norm, so across centroids it
+is not: the nearest centroid of a row need not be its most
+cosine-similar one.
 """
 
 import math

@@ -59,13 +59,14 @@ class PrototypeMatrix:
 
     Built from a (k, d) matrix with one row per class, and stored as
     contiguous (k, d) `rows`, so a step that touches a few classes reads
-    and writes whole rows. The rows are normalized in that C order, so
-    their bits do not depend on the memory order of the input; a row
-    that is near zero or not finite raises DegenerateVectorError.
+    and writes whole rows. The rows are one float64 copy of the input,
+    normalized in place in that C order, so their bits do not depend on
+    the memory order of the input; a row that is near zero or not finite
+    raises DegenerateVectorError.
     """
 
     def __init__(self, rows: np.ndarray):
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        rows = np.array(rows, dtype=np.float64, order="C")
         if rows.ndim != 2:
             raise ValidationError("prototype rows must form a 2-D matrix")
         if rows.shape[0] < 2:
@@ -250,8 +251,9 @@ def selection_backward(embeddings, labels, prototypes: PrototypeMatrix, plan: Se
     dcos *= cfg.scale
     dcos.put(pos, dcos.take(pos) * margin_factor)
 
-    # Chain through the sub-vector renormalizations. Both u_hat and v_hat
-    # carry exact zeros off-mask, so the gradients do too.
+    # Chain through the sub-vector renormalizations, in place in the fresh
+    # products. Both u_hat and v_hat carry exact zeros off-mask, so the
+    # gradients do too.
     grad_e = unit_rows_backward(dcos @ v_hat, u_hat, u_norm)
     grad_w = unit_rows_backward(dcos.T @ u_hat, v_hat, v_norm)
     if plan.keep is not None:

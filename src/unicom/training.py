@@ -80,9 +80,19 @@ class LinearEncoder:
         if x.ndim != 2 or len(x) <= BLOCK_ROWS:
             return _encode_cache(self.weights, x)[2]
         out = np.empty((len(x), self.output_dim))
-        for a in (*range(0, len(x) - BLOCK_ROWS, BLOCK_ROWS), len(x) - BLOCK_ROWS):
-            out[a : a + BLOCK_ROWS] = _encode_cache(self.weights, x[a : a + BLOCK_ROWS])[2]
+        for a, z in self._windows(x):
+            out[a : a + len(z)] = z
         return out
+
+    def _windows(self, x):
+        """Yield (a, z) for the 2-D `x` in row order, z the unit rows of
+        x[a : a + len(z)], as `encode` gives them: each window spans
+        BLOCK_ROWS rows, or all of them if there are fewer, and the last
+        one, which overlaps its predecessor, yields only its new rows."""
+        n = len(x)
+        for a in range(0, n, BLOCK_ROWS):
+            s = max(0, min(a, n - BLOCK_ROWS))
+            yield a, _encode_cache(self.weights, x[s : s + BLOCK_ROWS])[2][a - s :]
 
 
 def _encode_cache(weights, inputs):
@@ -120,12 +130,17 @@ def prototypes_from_labels(vectors, labels, num_classes: int | None = None, seed
         raise ValidationError("at least two classes are required")
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"labels must lie in [0, {k})")
-    sums = label_sums(x, labels, k)
-    counts = np.bincount(labels, minlength=k)
+    return _mean_prototypes(label_sums(x, labels, k), np.bincount(labels, minlength=k), seed)
+
+
+def _mean_prototypes(sums, counts, seed: int) -> PrototypeMatrix:
+    """Prototype matrix from (k, d) per-class sums and their row counts,
+    dividing `sums` in place; a class with no rows gets a row drawn from
+    the seed's "proto-init" stream."""
     empty = counts == 0
     if empty.any():
         rng = stream_rng(seed, "proto-init")
-        sums[empty] = rng.standard_normal((int(empty.sum()), x.shape[1]))
+        sums[empty] = rng.standard_normal((int(empty.sum()), sums.shape[1]))
         counts = np.where(empty, 1, counts)
     sums /= counts[:, None]
     return PrototypeMatrix(sums)
@@ -187,7 +202,7 @@ class Trainer:
         """Loss backward plus the chain into the encoder weights."""
         x, norms, e = _encode_cache(self.encoder.weights, inputs)
         out = selection_backward(e, labels, self.prototypes, plan, self.cfg.loss)
-        grad_w = x.T @ unit_rows_backward(out.grad_embeddings, e, norms)
+        grad_w = x.T @ unit_rows_backward(out.grad_embeddings.copy(), e, norms)
         return out, grad_w
 
     def _delta(self, moments, g, t, w, wd):
@@ -300,8 +315,12 @@ def train(
 
     The stored vectors are the encoder inputs; by default the encoder
     starts as the identity map. Without `prototypes`, each class starts
-    at the mean of its rows' embeddings under the starting encoder. A
-    fresh selection plan is drawn for every step.
+    at the mean of its rows' embeddings under the starting encoder, with
+    the bits of prototypes_from_labels(encoder.encode(x), labels,
+    seed=cfg.seed): the rows are added in row order from 0.0, as
+    label_sums adds them, but window by window of `encode`, so no float64
+    copy of the set is made. A fresh selection plan is drawn for every
+    step.
     """
     if data.labels is None:
         raise ValidationError("training data must carry labels")
@@ -311,7 +330,11 @@ def train(
     if encoder is None:
         encoder = LinearEncoder.identity(data.dim)
     if prototypes is None:
-        prototypes = prototypes_from_labels(encoder.encode(x), data.labels, seed=cfg.seed)
+        counts = np.bincount(data.labels)
+        sums = np.zeros((counts.size, encoder.output_dim))
+        for a, z in encoder._windows(x):
+            np.add.at(sums, data.labels[a : a + len(z)], z)
+        prototypes = _mean_prototypes(sums, counts, cfg.seed)
 
     trainer = Trainer(encoder, prototypes, cfg)
     losses: list[float] = []

@@ -9,9 +9,9 @@ import numpy as np
 
 from .errors import DegenerateVectorError, ValidationError
 
-# Rows per block in map_row_chunks and check_finite. Kernels hold
-# O(BLOCK_ROWS * width) scratch per block, whatever the row count or the
-# thread count.
+# Rows per block in map_row_chunks, check_finite, unit_rows and
+# unit_rows_backward. Kernels hold O(BLOCK_ROWS * width) scratch per block,
+# whatever the row count or the thread count.
 BLOCK_ROWS = 512
 
 # Entries per bincount in label_sums, unless one column of n rows or of k
@@ -41,12 +41,20 @@ def check_finite(x: np.ndarray, what: str) -> None:
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:
-    """L2-normalize each row, raising if any norm is below NORM_EPS or not finite."""
-    norms = np.linalg.norm(x, axis=1)
+    """L2-normalize each row of the C-ordered float array `x` in place and
+    return `x`; the caller must own it. Raises, leaving `x` as it was, if
+    any norm is below NORM_EPS or not finite. Beyond `x` it holds the
+    norms and one block of BLOCK_ROWS rows squared."""
+    norms = np.empty(x.shape[0], dtype=x.dtype)
+    for a in range(0, x.shape[0], BLOCK_ROWS):
+        block = x[a : a + BLOCK_ROWS]
+        # What np.linalg.norm(x, axis=1) runs, so each row gets its bits.
+        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[a : a + BLOCK_ROWS])
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms >= NORM_EPS)))
     if bad.size:
         raise DegenerateVectorError(f"row {bad[0]} has norm {norms[bad[0]]:.3e}")
-    return x / norms[:, None]
+    x /= norms[:, None]
+    return x
 
 
 def unit_rows_inplace(x: np.ndarray, what: str):
@@ -63,12 +71,18 @@ def unit_rows_inplace(x: np.ndarray, what: str):
 def unit_rows_backward(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Gradient with respect to rows x, given `grad` with respect to their
     unit versions `unit` = x / `norms`: (grad - <grad, unit> unit) / norms,
-    row by row. Builds one new array; `grad` is left as it is."""
-    out = grad * unit
-    np.multiply(np.add.reduce(out, axis=1, keepdims=True), unit, out=out)
-    np.subtract(grad, out, out=out)
-    out /= norms[:, None]
-    return out
+    row by row. Overwrites `grad` with it and returns `grad`; beyond it, the
+    scratch is one block of at most BLOCK_ROWS rows."""
+    if grad.shape[0] > BLOCK_ROWS:
+        for a in range(0, grad.shape[0], BLOCK_ROWS):
+            rows = slice(a, a + BLOCK_ROWS)
+            unit_rows_backward(grad[rows], unit[rows], norms[rows])
+        return grad
+    t = grad * unit
+    np.multiply(np.add.reduce(t, axis=1, keepdims=True), unit, out=t)
+    grad -= t
+    grad /= norms[:, None]
+    return grad
 
 
 def label_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the selection softmax, feature dropout, and their gradients."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,16 @@ from unicom import (
 from unicom.errors import DegenerateVectorError, DimensionMismatchError, ValidationError
 from unicom.gradcheck import finite_difference, max_relative_error
 from unicom.util import unit_rows
+
+
+def traced_peak(fn):
+    """Bytes that tracemalloc saw allocated at the peak of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_units(rng, n, d):
@@ -154,6 +165,19 @@ class TestPrototypeMatrix:
         rows[1] = [0.0, 0.0, bad, 0.0]
         with pytest.raises(DegenerateVectorError, match="row 1"):
             PrototypeMatrix(rows)
+
+    def test_normalizes_its_own_copy(self):
+        rows = np.random.default_rng(13).standard_normal((5, 3)) * 4
+        before = rows.copy()
+        prototypes = PrototypeMatrix(rows)
+        assert not np.shares_memory(prototypes.rows, rows)
+        assert rows.tobytes() == before.tobytes()
+
+    def test_holds_one_float64_copy_of_float32_rows(self):
+        k, d = 20000, 128
+        rows = np.random.default_rng(14).standard_normal((k, d)).astype(np.float32)
+        # Squaring every row, or dividing into a new array, takes a second copy.
+        assert traced_peak(lambda: PrototypeMatrix(rows)) < 1.1 * k * d * 8
 
 
 class TestSelectionForward:
@@ -343,6 +367,21 @@ class TestSelectionBackward:
         plan = make_selection_plan(labels, 10, 5, cfg, 1)
         out = selection_backward(e, labels, prototypes, plan, cfg)
         assert out.grad_prototypes.shape == (plan.class_subset.size, 5)
+
+    def test_prototype_gradient_holds_no_second_copy(self):
+        # The gathered rows, the probabilities, their gradient and the
+        # prototype gradient take four (|S|, d)-sized arrays at b = d; a
+        # second prototype gradient would make five.
+        rng = np.random.default_rng(9)
+        k, d, s, b = 20000, 128, 2000, 128
+        prototypes = PrototypeMatrix(rng.standard_normal((k, d)))
+        subset = np.sort(rng.choice(k, s, replace=False))
+        labels = subset[rng.integers(0, s, b)]
+        e = random_units(rng, b, d)
+        plan = SelectionPlan(class_subset=subset, feature_mask=np.ones(d, dtype=bool))
+        cfg = LossConfig(r1=0.1)
+        peak = traced_peak(lambda: selection_backward(e, labels, prototypes, plan, cfg))
+        assert peak < 4.5 * s * d * 8
 
 
 class TestDropout:

@@ -419,13 +419,15 @@ class TestTrainLoop:
         assert got.encoder.weights.tobytes() == trainer.encoder.weights.tobytes()
         assert got.prototypes.rows.tobytes() == want.rows.tobytes()
 
-    def test_holds_no_float64_copy_of_the_set(self):
-        # n * d * 4 bytes is half of what a float64 copy of the rows takes.
+    @pytest.mark.parametrize("passed", [True, False], ids=["given", "label-means"])
+    def test_holds_no_float64_copy_of_the_set(self, passed):
+        # n * d * 4 bytes is half of what a float64 copy of the rows takes;
+        # without prototypes, the label means are summed window by window.
         n, d = 40000, 32
         rng = np.random.default_rng(2)
         data = EmbeddingSet(rng.standard_normal((n, d)).astype(np.float32),
                             [str(i) for i in range(n)], np.arange(n) % 4)
-        prototypes = PrototypeMatrix(rng.standard_normal((4, d)))
+        prototypes = PrototypeMatrix(rng.standard_normal((4, d))) if passed else None
         cfg = TrainConfig(epochs=1, batch_size=256, loss=LossConfig(r1=1.0))
         tracemalloc.start()
         try:
@@ -452,6 +454,21 @@ class TestTrainLoop:
         assert np.asarray(got.losses).tobytes() == np.asarray(want.losses).tobytes()
         assert got.encoder.weights.tobytes() == want.encoder.weights.tobytes()
         assert got.prototypes.rows.tobytes() == want.prototypes.rows.tobytes()
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS, 2 * BLOCK_ROWS + 37])
+    def test_start_is_the_label_means_of_the_encoded_set_bit_for_bit(self, n):
+        # At lr 0 the prototypes keep their start. Class 3 of 0..6 is empty,
+        # and at 2 * BLOCK_ROWS + 37 rows the last window overlaps.
+        rng = np.random.default_rng(11)
+        labels = rng.integers(0, 6, n)
+        labels[labels == 3] = 6
+        data = EmbeddingSet((rng.standard_normal((n, 24)) * 3).astype(np.float32),
+                            [str(i) for i in range(n)], labels)
+        encoder = LinearEncoder.orthonormal(24, 12, seed=2)
+        want = prototypes_from_labels(encoder.encode(data.vectors), labels, seed=7)
+        cfg = TrainConfig(epochs=1, batch_size=256, lr=0.0, seed=7, loss=LossConfig(r1=1.0, seed=7))
+        got = train(data, cfg, encoder=encoder)
+        assert got.prototypes.rows.tobytes() == want.rows.tobytes()
 
     def test_the_default_encoder_starts_like_an_explicit_identity(self):
         # Rows far from unit length, and class 2 of 0..5 left empty: the

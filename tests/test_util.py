@@ -1,10 +1,29 @@
 """Tests for row normalization and the fixed row blocks behind --threads."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from unicom.errors import DegenerateVectorError, ValidationError
-from unicom.util import BLOCK_ROWS, NORM_EPS, map_row_chunks, unit_rows, unit_rows_inplace
+from unicom.util import (
+    BLOCK_ROWS,
+    NORM_EPS,
+    map_row_chunks,
+    unit_rows,
+    unit_rows_backward,
+    unit_rows_inplace,
+)
+
+
+def traced_peak(fn):
+    """Bytes that tracemalloc saw allocated at the peak of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestUnitRows:
@@ -23,12 +42,54 @@ class TestUnitRows:
         with pytest.raises(DegenerateVectorError, match="row 1"):
             unit_rows(x)
 
+    @pytest.mark.parametrize("d", [3, 9, 64])
+    def test_divides_in_place_with_the_bits_of_linalg_norm(self, d):
+        # Three row blocks; the last holds three rows.
+        x = np.random.default_rng(d).standard_normal((2 * BLOCK_ROWS + 3, d))
+        expected = x / np.linalg.norm(x, axis=1)[:, None]
+        assert unit_rows(x) is x
+        assert x.tobytes() == expected.tobytes()
+
+    def test_bad_row_of_a_later_block_is_named_and_no_row_is_divided(self):
+        x = np.full((2 * BLOCK_ROWS + 3, 4), 2.0)
+        x[BLOCK_ROWS + 5] = 0.0
+        before = x.copy()
+        with pytest.raises(DegenerateVectorError, match=f"row {BLOCK_ROWS + 5} "):
+            unit_rows(x)
+        assert x.tobytes() == before.tobytes()
+
+    def test_holds_the_norms_and_one_block(self):
+        n, d = 40 * BLOCK_ROWS, 64
+        x = np.random.default_rng(1).standard_normal((n, d))
+        # A new array or the squares of every row would take n * d * 8 bytes.
+        assert traced_peak(lambda: unit_rows(x)) < n * 8 + 2 * BLOCK_ROWS * d * 8
+
+
+class TestUnitRowsBackward:
+    def test_overwrites_grad_block_by_block_with_the_formula_bits(self):
+        rng = np.random.default_rng(4)
+        n, d = 2 * BLOCK_ROWS + 3, 6
+        grad = rng.standard_normal((n, d))
+        norms = rng.uniform(0.5, 2.0, n)
+        unit = rng.standard_normal((n, d))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        expected = (grad - np.add.reduce(grad * unit, axis=1, keepdims=True) * unit) / norms[:, None]
+        assert unit_rows_backward(grad, unit, norms) is grad
+        assert grad.tobytes() == expected.tobytes()
+
+    def test_holds_one_block_of_scratch(self):
+        n, d = 20 * BLOCK_ROWS, 32
+        rng = np.random.default_rng(5)
+        grad, unit = rng.standard_normal((2, n, d))
+        norms = np.ones(n)
+        assert traced_peak(lambda: unit_rows_backward(grad, unit, norms)) < 2 * BLOCK_ROWS * d * 8
+
 
 class TestUnitRowsInplace:
     def test_divides_in_place_and_matches_unit_rows(self):
         x = np.random.default_rng(0).standard_normal((7, 5))
         expected_norms = np.linalg.norm(x, axis=1)
-        expected = unit_rows(x)
+        expected = unit_rows(x.copy())
         norms, out = unit_rows_inplace(x, "query")
         assert out is x
         assert expected.tobytes() == x.tobytes()
