@@ -81,8 +81,8 @@ def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfi
     r2 = cfg.train.loss.r2
     if cfg.train.loss.r3 is None and ratio_count(out_dim, r2) < 1:
         raise ValidationError(f"round({out_dim} * {r2}) selects no coordinates")
-    if cfg.recall_k < 1:
-        raise ValidationError(f"a recall k must be >= 1, got {cfg.recall_k}")
+    if not (cfg.recall_k >= 1 and float(cfg.recall_k).is_integer()):
+        raise ValidationError(f"a recall k must be a whole number >= 1, got {cfg.recall_k}")
     if cfg.report_dims is not None and not 1 <= cfg.report_dims < out_dim:
         raise ValidationError(f"a report dimension must lie in [1, {out_dim - 1}], got {cfg.report_dims}")
     return cfg

@@ -9,8 +9,13 @@ import numpy as np
 
 from .data import EmbeddingSet
 from .errors import DimensionMismatchError, ValidationError
-from . import util
 from .util import map_row_chunks, screen_error, unit_rows
+
+# Query rows per ranking block: each block holds a (RANK_ROWS, n) float32
+# screen and a bool mask of the same shape. The ranking is exact whatever
+# the block, so unlike util.BLOCK_ROWS this fixes no output bits; 512 rows
+# took more memory and 64 more time.
+RANK_ROWS = 256
 
 
 @dataclass
@@ -98,20 +103,32 @@ def _top_k(screen: np.ndarray, depth: int, delta: float, exact) -> np.ndarray:
     return cols[starts[:, None] + np.arange(depth)]
 
 
+def _unit32(x: np.ndarray) -> np.ndarray:
+    """unit_rows(x.astype(np.float64)).astype(np.float32), converted
+    RANK_ROWS rows at a time; each row's norm is its own, so the bits are
+    the same. A zero row raises, named by its index in `x`."""
+    out = np.empty(x.shape, np.float32)
+    for a in range(0, x.shape[0], RANK_ROWS):
+        out[a : a + RANK_ROWS] = unit_rows(x[a : a + RANK_ROWS].astype(np.float64), first=a)
+    return out
+
+
 def _ranking(queries: np.ndarray, gallery: np.ndarray | None, depth: int, threads: int) -> np.ndarray:
     """(q, depth) gallery columns of each query's `depth` nearest rows by
     cosine, nearest first, ties toward the lower column.
 
-    `queries` and `gallery` are float64 unit rows; a `gallery` of None
-    ranks the queries against each other, each one's own row excluded.
-    Blocks of queries are screened with a float32 matrix product and
-    decided on exact float64 cosines einsum("ij,ij->i"), so the ranking
-    does not depend on the block layout, the BLAS kernel or `threads`.
-    The screen's bound takes unit norms; the norms of float64 unit rows
-    differ from 1 by far less than the bound's margin.
+    `queries` and `gallery` are float32 rows of nonzero norm, as a set
+    holds them; a `gallery` of None ranks the queries against each other,
+    each one's own row excluded. Blocks of RANK_ROWS queries are screened
+    with a float32 matrix product of unit rows and decided on exact
+    float64 cosines einsum("ij,ij->i") of the rows unit_rows makes from
+    them, so the ranking does not depend on the block layout, the BLAS
+    kernel or `threads`. The screen's bound takes unit norms; the norms of
+    the float32 copies of float64 unit rows differ from 1 by far less than
+    the bound's margin.
     """
-    q32 = queries.astype(np.float32)
-    g32 = q32 if gallery is None else gallery.astype(np.float32)
+    q32 = _unit32(queries)
+    g32 = q32 if gallery is None else _unit32(gallery)
     target = queries if gallery is None else gallery
     delta = float(screen_error(1.0, 1.0, queries.shape[1]))
 
@@ -119,11 +136,12 @@ def _ranking(queries: np.ndarray, gallery: np.ndarray | None, depth: int, thread
         screen = q32[a:b] @ g32.T
 
         def exact(r, c):
-            # BLOCK_ROWS pairs at a time, so the gathered rows stay small.
+            # RANK_ROWS pairs at a time, so the gathered rows stay small.
             cos = np.empty(r.size)
-            for i in range(0, r.size, util.BLOCK_ROWS):
-                part = slice(i, i + util.BLOCK_ROWS)
-                cos[part] = np.einsum("ij,ij->i", queries[a + r[part]], target[c[part]])
+            for i in range(0, r.size, RANK_ROWS):
+                part = slice(i, i + RANK_ROWS)
+                u = unit_rows(queries[a + r[part]].astype(np.float64))
+                cos[part] = np.einsum("ij,ij->i", u, unit_rows(target[c[part]].astype(np.float64)))
             if gallery is None:
                 cos[a + r == c] = -np.inf
             return cos
@@ -132,28 +150,31 @@ def _ranking(queries: np.ndarray, gallery: np.ndarray | None, depth: int, thread
             screen[np.arange(b - a), np.arange(a, b)] = -np.inf
         return _top_k(screen, depth, delta, exact)
 
-    return np.concatenate(map_row_chunks(chunk, queries.shape[0], threads))
+    return np.concatenate(map_row_chunks(chunk, queries.shape[0], threads, RANK_ROWS))
 
 
 def _recall_at(embeddings: EmbeddingSet, ks, threads: int = 1) -> dict[int, float]:
     """Recall@K for each K in `ks` from one top-max(K) neighbor ranking.
 
     Every item queries all others by cosine, self excluded. Inputs are
-    validated before any ranking: every K >= 1, and every class needs at
-    least two members to be a query. Labels are only ever compared for
-    equality, so their magnitude costs nothing.
+    validated before any ranking: every K a whole number >= 1, and every
+    class needs at least two members to be a query. The ranking reads the
+    set's float32 rows. Labels are only ever compared for equality, so
+    their magnitude costs nothing.
     """
     labels = _require_labels(embeddings, "recall")
+    for k in ks:
+        if not (k >= 1 and float(k).is_integer()):
+            raise ValidationError(f"every K must be a whole number >= 1, got {k}")
     ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise ValidationError("every K must be >= 1")
+    if not ks:
+        raise ValidationError("no K given")
     classes, counts = np.unique(labels, return_counts=True)
     if (counts < 2).any():
         bad = int(classes[np.argmin(counts)])
         raise ValidationError(f"class {bad} has a single member and cannot be a query")
-    v = unit_rows(embeddings.vectors.astype(np.float64))
-    depth = min(ks[-1], v.shape[0] - 1)
-    same = labels[_ranking(v, None, depth, threads)] == labels[:, None]
+    depth = min(ks[-1], embeddings.count - 1)
+    same = labels[_ranking(embeddings.vectors, None, depth, threads)] == labels[:, None]
     return {k: float(int(same[:, :k].any(axis=1).sum()) / embeddings.count) for k in ks}
 
 
@@ -182,10 +203,8 @@ def map_at_100(queries: EmbeddingSet, gallery: EmbeddingSet, threads: int = 1) -
     g_labels = _require_labels(gallery, "map_at_100")
     if queries.dim != gallery.dim:
         raise DimensionMismatchError("query and gallery dimensions differ")
-    qv = unit_rows(queries.vectors.astype(np.float64))
-    gv = unit_rows(gallery.vectors.astype(np.float64))
     cut = min(100, gallery.count)
-    tops = _ranking(qv, gv, cut, threads)
+    tops = _ranking(queries.vectors, gallery.vectors, cut, threads)
     # Labels compacted to 0..C-1, so the count below does not grow with
     # the largest label id.
     classes, ids = np.unique(np.concatenate([q_labels, g_labels]), return_inverse=True)

@@ -9,9 +9,10 @@ import numpy as np
 
 from .errors import DegenerateVectorError, ValidationError
 
-# Rows per block in map_row_chunks, check_finite, unit_rows and
-# unit_rows_backward. Kernels hold O(BLOCK_ROWS * width) scratch per block,
-# whatever the row count or the thread count.
+# Rows per block in check_finite, unit_rows, unit_rows_backward and, unless
+# it is given another count, map_row_chunks. Kernels hold
+# O(BLOCK_ROWS * width) scratch per block, whatever the row count or the
+# thread count.
 BLOCK_ROWS = 512
 
 # Entries per bincount in label_sums, unless one column of n rows or of k
@@ -40,11 +41,12 @@ def check_finite(x: np.ndarray, what: str) -> None:
             raise ValidationError(f"{what} {bad} holds a NaN or infinite value")
 
 
-def unit_rows(x: np.ndarray) -> np.ndarray:
+def unit_rows(x: np.ndarray, first: int = 0) -> np.ndarray:
     """L2-normalize each row of the C-ordered float array `x` in place and
     return `x`; the caller must own it. Raises, leaving `x` as it was, if
-    any norm is below NORM_EPS or not finite. Beyond `x` it holds the
-    norms and one block of BLOCK_ROWS rows squared."""
+    any norm is below NORM_EPS or not finite, naming the row as `first`
+    plus its index in `x`. Beyond `x` it holds the norms and one block of
+    BLOCK_ROWS rows squared."""
     norms = np.empty(x.shape[0], dtype=x.dtype)
     for a in range(0, x.shape[0], BLOCK_ROWS):
         block = x[a : a + BLOCK_ROWS]
@@ -52,7 +54,7 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
         np.sqrt(np.add.reduce(block * block, axis=1), out=norms[a : a + BLOCK_ROWS])
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms >= NORM_EPS)))
     if bad.size:
-        raise DegenerateVectorError(f"row {bad[0]} has norm {norms[bad[0]]:.3e}")
+        raise DegenerateVectorError(f"row {first + bad[0]} has norm {norms[bad[0]]:.3e}")
     x /= norms[:, None]
     return x
 
@@ -163,15 +165,15 @@ def check_threads(threads: int) -> None:
         raise ValidationError(f"thread count must be >= 1, got {threads}")
 
 
-def map_row_chunks(fn, n_items: int, threads: int = 1) -> list:
-    """Apply fn(start, stop) over blocks of BLOCK_ROWS rows of [0, n_items).
+def map_row_chunks(fn, n_items: int, threads: int = 1, rows: int = BLOCK_ROWS) -> list:
+    """Apply fn(start, stop) over blocks of `rows` rows of [0, n_items).
 
     Block boundaries do not depend on `threads`: worker threads take whole
     blocks, so every block is computed by the same calls on the same
     operands whatever the thread count. Results come back in block order.
     """
     check_threads(threads)
-    spans = [(a, min(a + BLOCK_ROWS, n_items)) for a in range(0, max(n_items, 1), BLOCK_ROWS)]
+    spans = [(a, min(a + rows, n_items)) for a in range(0, max(n_items, 1), rows)]
     workers = min(threads, len(spans))
     if workers <= 1:
         return [fn(a, b) for a, b in spans]

@@ -135,6 +135,7 @@ class TestRunAblation:
         ("r1", [0.5, 1.0], {"embed_dim": 0}),
         ("r1", [0.5, 1.0], {"recall_k": 0}),
         ("r1", [0.5, 1.0], {"report_dims": 0}),
+        ("r1", [0.5, 1.0], {"recall_k": 1.5}),  # would be scored as recall@1
     ])
     def test_grid_point_that_would_fail_in_a_run_rejected(self, param, values, overrides, monkeypatch):
         monkeypatch.setattr(ablation, "run_single", lambda *a: pytest.fail("a grid point ran"))

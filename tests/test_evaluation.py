@@ -1,19 +1,23 @@
 """Tests for retrieval metrics and truncation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from unicom import (
     EmbeddingSet,
+    SyntheticSpec,
     map_at_100,
     recall_at_k,
     retrieval_report,
+    synth_conflict_dataset,
     truncate_dims,
 )
 from unicom import evaluation
 from unicom.errors import DegenerateVectorError, ValidationError
+from unicom.evaluation import RANK_ROWS
 from unicom.util import unit_rows
 
 
@@ -135,6 +139,18 @@ class TestRecallAtK:
         with pytest.raises(ValidationError):
             retrieval_report(s, ks=(1, 0))
 
+    @pytest.mark.parametrize("k", [1.9, 1.5, float("nan"), float("inf")])
+    def test_fractional_k_rejected_before_ranking(self, k, monkeypatch):
+        monkeypatch.setattr(evaluation, "map_row_chunks", lambda *a: pytest.fail("ranking started"))
+        s = random_labeled(np.random.default_rng(4), 12, 4, 3)
+        for score in (lambda: recall_at_k(s, k), lambda: retrieval_report(s, (k, 3)), lambda: retrieval_report(s, (1, k))):
+            with pytest.raises(ValidationError, match=f"whole number >= 1, got {k}"):
+                score()
+
+    def test_whole_float_k_scores_as_its_integer(self):
+        s = random_labeled(np.random.default_rng(4), 12, 4, 3)
+        assert retrieval_report(s, (1.0, 3.0)).recall_at == retrieval_report(s, (1, 3)).recall_at
+
     def test_report_recalls_are_monotone(self):
         rng = np.random.default_rng(4)
         s = random_labeled(rng, 40, 7, 4)
@@ -215,6 +231,55 @@ class TestLabelMagnitude:
         s = labeled_set(np.eye(3, dtype=np.float32), [2**40, 2**40, 2**62])
         with pytest.raises(ValidationError, match=f"class {2**62} has a single member"):
             recall_at_k(s, 1)
+
+
+def traced_peak(fn):
+    """Bytes that tracemalloc saw allocated at the peak of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRankingMemory:
+    """The rankings read the sets' float32 rows: beyond the sets they hold
+    float32 unit copies (4 bytes an entry) and one block of RANK_ROWS
+    queries' float32 screen and bool mask (5 bytes a gallery row each),
+    not a float64 copy of the sets."""
+
+    # A block's group maxima and candidate lists.
+    SLACK = 2 * 2**20
+
+    @pytest.fixture(scope="class")
+    def synth(self):
+        return synth_conflict_dataset(SyntheticSpec(300, 20, 64, intra_noise=0.3, seed=1))[0]
+
+    def test_recall_report(self, synth):
+        n, d = synth.vectors.shape
+        bound = 4 * n * d + 5 * RANK_ROWS * n + self.SLACK
+        assert traced_peak(lambda: retrieval_report(synth, (1, 10))) < bound
+
+    def test_map_at_100(self, synth):
+        is_query = np.arange(synth.count) % 5 == 0
+        queries = labeled_set(synth.vectors[is_query], synth.labels[is_query])
+        gallery = labeled_set(synth.vectors[~is_query], synth.labels[~is_query])
+        n, d = synth.vectors.shape
+        # Plus the (q, 100) int64 columns, by block and concatenated.
+        bound = 4 * n * d + 5 * RANK_ROWS * gallery.count + 16 * 100 * queries.count + self.SLACK
+        assert traced_peak(lambda: map_at_100(queries, gallery)) < bound
+
+    def test_zero_row_named_by_its_index_in_the_set(self, monkeypatch):
+        # Row 300 lies in the second block of RANK_ROWS rows.
+        monkeypatch.setattr(evaluation, "map_row_chunks", lambda *a: pytest.fail("ranking started"))
+        vectors = unit_rows(np.random.default_rng(14).standard_normal((2 * RANK_ROWS, 4)))
+        vectors[300] = 0.0
+        s = labeled_set(vectors, np.arange(2 * RANK_ROWS) % 3)
+        other = random_labeled(np.random.default_rng(15), 6, 4, 3)
+        for score in (lambda: retrieval_report(s, (1,)), lambda: map_at_100(s, other), lambda: map_at_100(other, s)):
+            with pytest.raises(DegenerateVectorError, match=r"row 300 has norm 0\.000e\+00"):
+                score()
 
 
 class TestTruncateDims:

@@ -59,8 +59,8 @@ from unicom.errors import (
     UcebFormatError,
     ValidationError,
 )
-from unicom import util
-from unicom.evaluation import _ranking, _top_k
+from unicom import evaluation, util
+from unicom.evaluation import RANK_ROWS, _ranking, _top_k
 from unicom.losses import LossOutput
 from unicom.rng import stream_rng
 from unicom.training import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
@@ -401,11 +401,11 @@ def test_ranking_is_exact_whatever_the_blocks_and_threads(s, ks):
     depth = min(max(ks), s.count - 1)
     want_recall, want_map = einsum_recall(s, ks), einsum_map100(queries, gallery)
     want_tops = einsum_ranking(v, None, depth)
-    for block in (1, 7, BLOCK_ROWS, s.count):
+    for block in (1, 7, RANK_ROWS, s.count):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(util, "BLOCK_ROWS", block)
+            mp.setattr(evaluation, "RANK_ROWS", block)
             for threads in (1, 3):
-                np.testing.assert_array_equal(_ranking(v, None, depth, threads), want_tops)
+                np.testing.assert_array_equal(_ranking(s.vectors, None, depth, threads), want_tops)
                 assert retrieval_report(s, ks, threads=threads).recall_at == want_recall
                 if want_map is None:
                     with pytest.raises(ValidationError):

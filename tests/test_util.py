@@ -56,6 +56,8 @@ class TestUnitRows:
         before = x.copy()
         with pytest.raises(DegenerateVectorError, match=f"row {BLOCK_ROWS + 5} "):
             unit_rows(x)
+        with pytest.raises(DegenerateVectorError, match=f"row {BLOCK_ROWS + 305} "):
+            unit_rows(x, first=300)
         assert x.tobytes() == before.tobytes()
 
     def test_holds_the_norms_and_one_block(self):
@@ -128,6 +130,13 @@ class TestMapRowChunks:
         expected = [(a, min(a + BLOCK_ROWS, n)) for a in range(0, max(n, 1), BLOCK_ROWS)]
         for threads in (1, 2, 3, 8):
             assert map_row_chunks(lambda a, b: (a, b), n, threads) == expected
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_blocks_of_a_given_row_count_do_not_depend_on_threads(self, rows):
+        n = 3 * rows + 2
+        expected = [(a, min(a + rows, n)) for a in range(0, n, rows)]
+        for threads in (1, 2, 3):
+            assert map_row_chunks(lambda a, b: (a, b), n, threads, rows) == expected
 
     @pytest.mark.parametrize("threads", [0, -5])
     def test_fewer_than_one_thread_rejected(self, threads):
