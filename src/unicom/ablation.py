@@ -23,7 +23,7 @@ from .data import SyntheticSpec, synth_conflict_dataset
 from .errors import ValidationError
 from .evaluation import recall_at_k, truncate_dims
 from .training import LinearEncoder, TrainConfig, train
-from .util import ratio_count
+from .util import ratio_count, whole_number
 
 ABLATION_PARAMS = ("r1", "r2", "r3", "k")
 
@@ -63,9 +63,7 @@ def _apply_param(cfg: AblationConfig, param: str, value: float) -> AblationConfi
         loss = replace(cfg.train.loss, **{param: float(value)})
         cfg = replace(cfg, train=replace(cfg.train, loss=loss))
     elif param == "k":
-        if not float(value).is_integer():
-            raise ValidationError(f"a cluster count must be an integer, got {value}")
-        cfg = replace(cfg, cluster_k=int(value))
+        cfg = replace(cfg, cluster_k=whole_number(value, "a cluster count"))
     else:
         raise ValidationError(f"param must be one of {ABLATION_PARAMS}")
     points = cfg.synth.true_classes * cfg.synth.per_class

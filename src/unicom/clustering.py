@@ -17,7 +17,7 @@ import numpy as np
 from .data import EmbeddingSet
 from .errors import DimensionMismatchError, ValidationError
 from .rng import stream_rng
-from .util import check_finite, check_threads, label_sums, map_row_chunks, screen_error
+from .util import check_finite, check_threads, label_sums, map_row_chunks, screen_error, whole_number
 
 @dataclass
 class KMeansConfig:
@@ -27,6 +27,8 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.k = whole_number(self.k, "k")
+        self.max_iters = whole_number(self.max_iters, "max_iters")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         if self.max_iters < 1:
@@ -93,9 +95,12 @@ class _Rows(NamedTuple):
     x_sq: np.ndarray
 
 
-def _screen_rows(x: np.ndarray) -> _Rows:
+def _screen_rows(x: np.ndarray, x32: np.ndarray | None = None) -> _Rows:
+    """The `_Rows` of the float64 points `x`. `x32`, the float32 rows that
+    `x` was cast from, if given, is screened as it is and not cast back:
+    float32 to float64 is exact, so it holds the bits of that cast."""
     with np.errstate(**_QUIET):
-        return _Rows(x, x.astype(np.float32), np.einsum("id,id->i", x, x))
+        return _Rows(x, x.astype(np.float32) if x32 is None else x32, np.einsum("id,id->i", x, x))
 
 
 def assign(data, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -225,14 +230,16 @@ def kmeans_fit(data, cfg: KMeansConfig, threads: int = 1) -> ClusterResult:
     overflow float64 raise ValidationError.
     """
     check_threads(threads)
-    x = _points(data)
+    given = data.vectors if isinstance(data, EmbeddingSet) else np.asarray(data)
+    x = _points(given)
     n = x.shape[0]
     check_finite(x, "point")
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds the number of points {n}")
 
-    # The points are checked, cast and normed once for every assignment pass.
-    rows = _screen_rows(x)
+    # The points are checked, cast and normed once for every assignment
+    # pass; points that came as float32 are screened as they came.
+    rows = _screen_rows(x, given if given.dtype == np.float32 else None)
     centroids = _init_centroids(x, cfg)
     trace: list[float] = []
     for _ in range(cfg.max_iters):

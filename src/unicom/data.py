@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .rng import stream_rng
-from .util import BLOCK_ROWS, check_finite, ratio_count, unit_rows
+from .util import BLOCK_ROWS, check_finite, ratio_count, unit_rows, whole_number
 
 UCEB_MAGIC = b"UCEB"
 UCEB_VERSION = 1
@@ -155,6 +155,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("true_classes", "per_class", "dim"):
+            setattr(self, name, whole_number(getattr(self, name), name))
         if self.true_classes < 2:
             raise ValidationError("true_classes must be >= 2")
         if self.per_class < 2:

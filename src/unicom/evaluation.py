@@ -12,10 +12,13 @@ from .errors import DimensionMismatchError, ValidationError
 from .util import map_row_chunks, screen_error, unit_rows
 
 # Query rows per ranking block: each block holds a (RANK_ROWS, n) float32
-# screen and a bool mask of the same shape. The ranking is exact whatever
-# the block, so unlike util.BLOCK_ROWS this fixes no output bits; 512 rows
-# took more memory and 64 more time.
+# screen. The ranking is exact whatever the block, so unlike
+# util.BLOCK_ROWS this fixes no output bits; 512 rows took more memory and
+# 64 more time.
 RANK_ROWS = 256
+# Screen rows per slab of a block's candidate mask, which so takes
+# SLAB_ROWS·n bytes, not RANK_ROWS·n; like RANK_ROWS, it fixes no bits.
+SLAB_ROWS = 32
 
 
 @dataclass
@@ -48,6 +51,58 @@ def _require_labels(embeddings: EmbeddingSet, who: str) -> np.ndarray:
     return embeddings.labels
 
 
+def _floor(screen: np.ndarray, depth: int, delta: float) -> np.ndarray:
+    """Each row's candidate floor in `_top_k`: the depth-th largest of its
+    group maxima less 2 delta, taken in float64 and rounded down, so that
+    no entry within 2 delta of that cut is missed."""
+    m, n = screen.shape
+    groups = min(n, max(64, 4 * depth))
+    w = n // groups
+    maxima = screen[:, : groups * w].reshape(m, w, groups).max(axis=1)
+    maxima.partition(groups - depth, axis=1)
+    floor = (maxima[:, groups - depth].astype(np.float64) - 2 * delta).astype(screen.dtype)
+    return np.nextafter(floor, -np.inf)
+
+
+def _runs(screen: np.ndarray, depth: int, delta: float):
+    """The candidates of `_top_k` and their runs: each row's candidate
+    count and first position, the candidates' columns as int32, row by row
+    and by screen, highest first, and whether each starts a run.
+
+    The candidates are found SLAB_ROWS rows at a time and sorted through
+    a table of their negated screens, in the screen's dtype and padded
+    with NaN, which sorts last. Equal screens may come in any order, since
+    they fall in one run. Beyond `screen` this holds one slab's mask and a
+    few words a candidate.
+    """
+    m, n = screen.shape
+    floor = _floor(screen, depth, delta)
+    counts, cols, negs = [], [], []
+    for a in range(0, m, SLAB_ROWS):
+        slab = screen[a : a + SLAB_ROWS]
+        hit = np.flatnonzero(slab >= floor[a : a + SLAB_ROWS, None])
+        counts.append(np.diff(np.searchsorted(hit, n * np.arange(slab.shape[0] + 1))))
+        negs.append(np.negative(slab.take(hit)))
+        cols.append(np.remainder(hit, n, out=hit).astype(np.int32))
+    counts, cols, negs = (np.concatenate(v) for v in (counts, cols, negs))
+    starts = np.cumsum(counts) - counts
+    filled = np.arange(counts.max()) < counts[:, None]
+    table = np.full(filled.shape, np.nan, screen.dtype)
+    table[filled] = negs
+    order = np.argsort(table, axis=1)
+    order += starts[:, None]
+    order = order[filled]
+    cols, negs = cols[order], negs[order]
+    # A run starts at each row's first entry and after each gap above
+    # 2 delta, taken in float64 so that each gap keeps its bits; the gap
+    # between two -inf screens is NaN and joins them.
+    head = np.empty(cols.size, bool)
+    with np.errstate(invalid="ignore"):
+        np.greater(np.subtract(negs[1:], negs[:-1], dtype=np.float64), 2 * delta, out=head[1:])
+    head[starts] = True
+    return counts, starts, cols, head
+
+
 def _top_k(screen: np.ndarray, depth: int, delta: float, exact) -> np.ndarray:
     """Column indices of each row's `depth` largest exact scores, ordered.
 
@@ -61,41 +116,18 @@ def _top_k(screen: np.ndarray, depth: int, delta: float, exact) -> np.ndarray:
     maximum screen is taken; those maxima are distinct entries of the row,
     so the depth-th largest of them lies at or below the row's depth-th
     largest screen. An entry screened more than 2 delta below that cut
-    scores below depth others, so only the entries above it are sorted, by
-    screen. Where consecutive screens differ by more than 2 delta, their
-    exact scores are in the same order; so only runs of entries whose
-    screens lie within 2 delta of the next, and that start in the top
-    `depth`, are rescored and reordered by exact score.
+    scores below depth others, so only the entries above it (`_floor`) are
+    sorted, by screen (`_runs`). Where consecutive screens differ by more
+    than 2 delta, their exact scores are in the same order; so only runs
+    of entries whose screens lie within 2 delta of the next, and that
+    start in the top `depth`, are rescored and reordered by exact score.
     """
-    m, n = screen.shape
-    groups = min(n, max(64, 4 * depth))
-    w = n // groups
-    maxima = screen[:, : groups * w].reshape(m, w, groups).max(axis=1)
-    cut = np.partition(maxima, groups - depth, axis=1)[:, groups - depth]
-    # Taken in float64 and rounded down, so that no entry within 2 delta
-    # of the cut is missed.
-    floor = np.nextafter((cut.astype(np.float64) - 2 * delta).astype(screen.dtype), -np.inf)
-    rows, cols = np.divmod(np.flatnonzero(screen >= floor[:, None]), n)
-    # Each row's candidates by screen, highest first, through a table
-    # padded with NaN, which sorts last. Equal screens may come in any
-    # order, since they fall in one run below.
-    counts = np.bincount(rows, minlength=m)
-    starts = np.cumsum(counts) - counts
-    pos = np.arange(rows.size) - starts[rows]
-    table = np.full((m, counts.max()), np.nan)
-    table[rows, pos] = -screen[rows, cols]
-    order = np.argsort(table, axis=1)
-    filled = np.arange(table.shape[1]) < counts[:, None]
-    cols = cols[(starts[:, None] + order)[filled]]
-    values = -np.take_along_axis(table, order, axis=1)[filled]
-    # A run starts at each row's first entry and after each gap above
-    # 2 delta; the gap between two -inf screens is NaN and joins them.
-    head = pos == 0
-    with np.errstate(invalid="ignore"):
-        head[1:] |= values[:-1] - values[1:] > 2 * delta
-    run = np.cumsum(head) - 1
+    counts, starts, cols, head = _runs(screen, depth, delta)
+    run = np.cumsum(head, dtype=np.int32) - 1
     heads = np.flatnonzero(head)
-    redo = np.flatnonzero(((pos[heads] < depth) & (np.diff(heads, append=rows.size) > 1))[run])
+    rows = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    rescored = (heads - starts[rows[heads]] < depth) & (np.diff(heads, append=cols.size) > 1)
+    redo = np.flatnonzero(rescored[run])
     # Runs keep their places; inside each, higher exact score first, ties
     # toward the lower column.
     score = exact(rows[redo], cols[redo])
@@ -131,6 +163,8 @@ def _ranking(queries: np.ndarray, gallery: np.ndarray | None, depth: int, thread
     g32 = q32 if gallery is None else _unit32(gallery)
     target = queries if gallery is None else gallery
     delta = float(screen_error(1.0, 1.0, queries.shape[1]))
+    # Each block writes its rows here, so no per-block result outlives it.
+    tops = np.empty((queries.shape[0], depth), np.int32)
 
     def chunk(a, b):
         screen = q32[a:b] @ g32.T
@@ -148,9 +182,10 @@ def _ranking(queries: np.ndarray, gallery: np.ndarray | None, depth: int, thread
 
         if gallery is None:
             screen[np.arange(b - a), np.arange(a, b)] = -np.inf
-        return _top_k(screen, depth, delta, exact)
+        tops[a:b] = _top_k(screen, depth, delta, exact)
 
-    return np.concatenate(map_row_chunks(chunk, queries.shape[0], threads, RANK_ROWS))
+    map_row_chunks(chunk, queries.shape[0], threads, RANK_ROWS)
+    return tops
 
 
 def _recall_at(embeddings: EmbeddingSet, ks, threads: int = 1) -> dict[int, float]:

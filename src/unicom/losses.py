@@ -108,8 +108,14 @@ def sample_classes(batch_labels, num_classes: int, r1: float, seed: int, step: i
     determined by (seed, step). Returns sorted distinct indices.
 
     The draw picks positions among the k - |P| non-positive classes and
-    maps position j to the j-th of them, so it costs O(|S| + |P| log |P|)
-    and not O(k). When every class is selected nothing is drawn.
+    maps position j to the j-th of them; the mapping costs
+    O(|S| + |P| log |P|). The draw itself, NumPy's
+    `Generator.choice(k - |P|, need, replace=False)`, costs O(need) only
+    while k - |P| > 10,000 and need <= (k - |P|) // 50. Otherwise it
+    shuffles the tail of a whole arange(k - |P|) and costs O(k): at r1 =
+    0.1 every step's draw does, whatever k. Drawing 30,000 of 10^6
+    positions allocates 8.2 MB under tracemalloc, against 0.2 MB for
+    10,000 of them. When every class is selected nothing is drawn.
     """
     labels = np.asarray(batch_labels, dtype=np.int64)
     if labels.size == 0:

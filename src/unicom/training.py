@@ -30,7 +30,7 @@ from .losses import (
     selection_backward,
 )
 from .rng import stream_rng
-from .util import BLOCK_ROWS, label_sums, unit_rows_backward, unit_rows_inplace
+from .util import BLOCK_ROWS, label_sums, unit_rows_backward, unit_rows_inplace, whole_number
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -156,6 +156,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.epochs = whole_number(self.epochs, "epochs")
+        self.batch_size = whole_number(self.batch_size, "batch_size")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:

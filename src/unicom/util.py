@@ -3,6 +3,7 @@ normalization and its norm floor, per-label sums, the float32 screen's
 error bound, row blocks."""
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -157,6 +158,17 @@ def screen_error(x_norm, y_norm, d: int):
         ab = a * b
         bound = 2 * ((2 * _U32 + gamma) * ab + spread * (a + b) + 4 * d * _TINY32)
         return np.where((a < _MAX32) & (b < _MAX32) & (ab < _MAX32 / 2), bound, np.inf)
+
+
+def whole_number(value, name: str) -> int:
+    """`value` as an int. Raises ValidationError naming `name` unless it is
+    a whole number; an integral float such as 3.0 passes."""
+    if not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_threads(threads: int) -> None:

@@ -340,6 +340,26 @@ class TestKMeansFit:
         with pytest.raises(ValidationError):
             KMeansConfig(k=0)
 
+    def test_set_rows_are_screened_without_a_float32_copy(self):
+        # n d = 2^20: the k-means update sums all columns in one block, so
+        # the peak is the float64 copy of the points and the objective's
+        # buffer, 16 n d bytes; a float32 copy of the points adds 4 n d.
+        rng = np.random.default_rng(17)
+        n, d = 8192, 128
+        s = EmbeddingSet(rng.standard_normal((n, d)).astype(np.float32), [str(i) for i in range(n)])
+        cfg = KMeansConfig(k=4, max_iters=2, seed=3)
+        tracemalloc.start()
+        try:
+            res = kmeans_fit(s, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * n * d
+        want = kmeans_fit(s.vectors.astype(np.float64), cfg)
+        assert res.assignments.tobytes() == want.assignments.tobytes()
+        assert res.centroids.tobytes() == want.centroids.tobytes()
+        assert res.objective_trace == want.objective_trace
+
     def test_embedding_set_input(self):
         rng = np.random.default_rng(14)
         vectors = rng.standard_normal((12, 4)).astype(np.float32)
@@ -351,10 +371,20 @@ class TestKMeansFit:
 
 @pytest.mark.parametrize("settings, message", [
     ({"max_iters": 0}, "max_iters must be >= 1"),
+    ({"k": 2.5}, "k must be an integer, got 2.5"),
+    ({"k": np.nan}, "k must be an integer, got nan"),
+    ({"max_iters": 1.5}, "max_iters must be an integer, got 1.5"),
 ])
 def test_config_refuses_bad_settings(settings, message):
     with pytest.raises(ValidationError, match=message):
-        KMeansConfig(k=2, **settings)
+        KMeansConfig(**{"k": 2, **settings})
+
+
+def test_config_takes_integral_floats_as_counts():
+    cfg = KMeansConfig(k=3.0, max_iters=np.float64(2))
+    assert type(cfg.k) is int and type(cfg.max_iters) is int
+    x = np.random.default_rng(18).standard_normal((10, 2))
+    assert kmeans_fit(x, cfg).centroids.shape == (3, 2)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -420,10 +420,21 @@ class TestSynthConflictDataset:
     ({"true_classes": 1}, "true_classes must be >= 2"),
     ({"per_class": 1}, "per_class must be >= 2"),
     ({"dim": 0}, "dim must be >= 1"),
+    ({"true_classes": 3.5}, "true_classes must be an integer, got 3.5"),
+    ({"per_class": 5.5}, "per_class must be an integer, got 5.5"),
+    ({"dim": 4.5}, "dim must be an integer, got 4.5"),
+    ({"dim": np.inf}, "dim must be an integer, got inf"),
 ])
 def test_spec_refuses_sizes_below_the_floor(settings, message):
     with pytest.raises(ValidationError, match=message):
         SyntheticSpec(**{"true_classes": 3, "per_class": 5, "dim": 4, **settings})
+
+
+def test_spec_takes_integral_floats_as_counts():
+    spec = SyntheticSpec(true_classes=3.0, per_class=np.float32(5), dim=4.0, seed=2)
+    assert all(type(v) is int for v in (spec.true_classes, spec.per_class, spec.dim))
+    data, _ = synth_conflict_dataset(spec)
+    assert data.vectors.shape == (15, 4)
 
 
 @pytest.mark.parametrize("labels, shown", [([0, 1], "labeled"), (None, "unlabeled")])

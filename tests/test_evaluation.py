@@ -17,7 +17,7 @@ from unicom import (
 )
 from unicom import evaluation
 from unicom.errors import DegenerateVectorError, ValidationError
-from unicom.evaluation import RANK_ROWS
+from unicom.evaluation import RANK_ROWS, SLAB_ROWS
 from unicom.util import unit_rows
 
 
@@ -246,10 +246,11 @@ def traced_peak(fn):
 class TestRankingMemory:
     """The rankings read the sets' float32 rows: beyond the sets they hold
     float32 unit copies (4 bytes an entry) and one block of RANK_ROWS
-    queries' float32 screen and bool mask (5 bytes a gallery row each),
-    not a float64 copy of the sets."""
+    queries' float32 screen (4 bytes a gallery row each), not a float64
+    copy of the sets. A block's bookkeeping grows with its candidates,
+    and its candidate mask is one slab of SLAB_ROWS rows."""
 
-    # A block's group maxima and candidate lists.
+    # A block's candidate mask and bookkeeping.
     SLACK = 2 * 2**20
 
     @pytest.fixture(scope="class")
@@ -258,7 +259,7 @@ class TestRankingMemory:
 
     def test_recall_report(self, synth):
         n, d = synth.vectors.shape
-        bound = 4 * n * d + 5 * RANK_ROWS * n + self.SLACK
+        bound = 4 * n * d + 4 * RANK_ROWS * n + self.SLACK
         assert traced_peak(lambda: retrieval_report(synth, (1, 10))) < bound
 
     def test_map_at_100(self, synth):
@@ -266,9 +267,29 @@ class TestRankingMemory:
         queries = labeled_set(synth.vectors[is_query], synth.labels[is_query])
         gallery = labeled_set(synth.vectors[~is_query], synth.labels[~is_query])
         n, d = synth.vectors.shape
-        # Plus the (q, 100) int64 columns, by block and concatenated.
-        bound = 4 * n * d + 5 * RANK_ROWS * gallery.count + 16 * 100 * queries.count + self.SLACK
+        # Plus the (q, 100) int32 columns, which each block writes into.
+        bound = 4 * n * d + 4 * RANK_ROWS * gallery.count + 4 * 100 * queries.count + self.SLACK
         assert traced_peak(lambda: map_at_100(queries, gallery)) < bound
+
+    def test_top_k_scratch_grows_with_its_candidates(self):
+        # Each row holds `depth` entries far above the others, each in a
+        # group of columns of its own, so exactly those are candidates. On
+        # a 64-entry grid they tie often, and the exact scores, within
+        # delta of the screen, decide.
+        rng = np.random.default_rng(21)
+        m, n, depth, delta = 256, 4_000, 100, 1e-6
+        groups = 4 * depth
+        screen = rng.uniform(0, 1, (m, n)).astype(np.float32)
+        for row in screen:
+            top = rng.permutation(groups)[:depth] + groups * rng.integers(0, n // groups, depth)
+            row[top] = 2 + rng.integers(0, 64, depth) / 64
+        scores = screen + delta * rng.uniform(-1, 1, (m, n))
+        tops = []
+        peak = traced_peak(lambda: tops.append(evaluation._top_k(screen, depth, delta, lambda r, c: scores[r, c])))
+        np.testing.assert_array_equal(tops[0], np.argsort(-scores, axis=1, kind="stable")[:, :depth])
+        # One slab's mask, and 64 bytes a candidate, rescored ones too. A
+        # mask of the whole block takes m * n bytes, 40 a candidate here.
+        assert peak < 64 * m * depth + SLAB_ROWS * n
 
     def test_zero_row_named_by_its_index_in_the_set(self, monkeypatch):
         # Row 300 lies in the second block of RANK_ROWS rows.

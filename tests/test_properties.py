@@ -401,9 +401,11 @@ def test_ranking_is_exact_whatever_the_blocks_and_threads(s, ks):
     depth = min(max(ks), s.count - 1)
     want_recall, want_map = einsum_recall(s, ks), einsum_map100(queries, gallery)
     want_tops = einsum_ranking(v, None, depth)
-    for block in (1, 7, RANK_ROWS, s.count):
+    blocks = [(b, h) for b in (1, 7, RANK_ROWS, s.count) for h in sorted({1, 7, b}) if h <= b]
+    for block, slab in blocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "RANK_ROWS", block)
+            mp.setattr(evaluation, "SLAB_ROWS", slab)
             for threads in (1, 3):
                 np.testing.assert_array_equal(_ranking(s.vectors, None, depth, threads), want_tops)
                 assert retrieval_report(s, ks, threads=threads).recall_at == want_recall

@@ -521,7 +521,17 @@ class TestTrainLoop:
     (lambda: TrainConfig(batch_size=0), "batch_size must be >= 1"),
     (lambda: LinearEncoder.orthonormal(4, 0), r"shape \(4, 0\) have an empty dimension"),
     (lambda: prototypes_from_labels(np.empty((0, 3)), []), "at least one labeled row, got 0"),
+    (lambda: TrainConfig(epochs=1.5), "epochs must be an integer, got 1.5"),
+    (lambda: TrainConfig(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+    (lambda: TrainConfig(epochs="2"), "epochs must be an integer, got '2'"),
 ])
 def test_refuses_malformed_encoders_prototypes_and_configs(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+def test_config_takes_integral_floats_as_counts():
+    cfg = TrainConfig(epochs=2.0, batch_size=np.int64(8), loss=LossConfig(r1=1.0))
+    assert type(cfg.epochs) is int and type(cfg.batch_size) is int
+    data, _ = synth_conflict_dataset(SyntheticSpec(true_classes=4, per_class=4, dim=6, seed=3))
+    assert train(data, cfg).steps == 4
